@@ -1,10 +1,9 @@
 use nisq_opt::{RouteSelection, SwapHandling};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
 /// The mapping algorithms studied in the paper (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Algorithm {
     /// IBM Qiskit 0.5.7-style baseline: lexicographic placement plus swap

@@ -8,8 +8,8 @@
 //!   × configs × days × topologies × simulation settings, with
 //!   deterministic per-cell seeds);
 //! * [`Session`] — a long-lived executor owning machine snapshots, a keyed
-//!   full-compile cache, the shared placement cache, and a rayon-parallel
-//!   batch simulator;
+//!   full-compile cache and the shared placement cache, running plans
+//!   through one cell-parallel, optionally journaled, executor;
 //! * [`Report`] — a structured, serializable record set (per-cell success
 //!   rate, reliability estimate, swap/slot counts, pass timings, cache
 //!   statistics) with a stable JSON format and a parser for validation.

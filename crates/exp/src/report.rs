@@ -1,7 +1,6 @@
 //! Structured experiment reports with stable JSON serialization.
 
 use crate::json::{self, JsonError, Value};
-use serde::{Deserialize, Serialize};
 
 /// Version tag embedded in every serialized report. `v2` added the
 /// simulator tier-occupancy counts (per cell and as run totals); `v3`
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub const REPORT_SCHEMA: &str = "nisq-sweep-report/v6";
 
 /// Which simulator state backend served a set of trials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendTag {
     /// The dense state-vector backend (also the tag of never-simulated,
     /// all-zero [`TierStats`]).
@@ -63,7 +62,7 @@ impl std::fmt::Display for BackendTag {
 /// run. The four tier fields partition the trial count; the memo counters
 /// describe a subset of the checkpointed/full-replay trials and are not
 /// part of the partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierStats {
     /// Which state backend served these trials (`Mixed` only in merged
     /// run totals).
@@ -131,7 +130,7 @@ impl From<nisq_sim::TierCounts> for TierStats {
 
 /// Aggregate cache behaviour of the [`Session`](crate::Session) run that
 /// produced a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Compilations requested (one per plan cell).
     pub compile_requests: u64,
@@ -160,7 +159,7 @@ impl CacheStats {
 
 /// The outcome of one plan cell: compile metrics, and simulation metrics
 /// when the plan requested trials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     /// Circuit display name.
     pub circuit: String,
@@ -228,7 +227,7 @@ impl CellRecord {
 /// one record per cell plus the run's cache statistics, serializable to a
 /// stable JSON document (and parseable back, so CI can validate emitted
 /// reports without external dependencies).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Machine calibration seed of the run.
     pub machine_seed: u64,

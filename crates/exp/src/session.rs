@@ -1,28 +1,28 @@
 //! The long-lived experiment executor.
 
 use crate::journal::{CellKey, Journal};
-use crate::plan::{Cell, CircuitSpec, SweepPlan};
+use crate::plan::{Cell, SweepPlan};
 use crate::report::{CacheStats, CellRecord, Report, TierStats};
 use nisq_core::{
     CompileError, CompiledCircuit, Compiler, CompilerConfig, Pipeline, PlacementCache,
 };
 use nisq_ir::Circuit;
 use nisq_machine::{Machine, MachineError, TopologySpec};
-use nisq_sim::{Simulator, SimulatorConfig};
-use rayon::prelude::*;
-use rustc_hash::FxHashMap;
-use std::sync::Arc;
+use nisq_sim::{run_workers, Simulator, SimulatorConfig};
+use rustc_hash::{FxHashMap, FxHashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Key of the full-compile cache: circuit, machine and config fingerprints.
 type CompileKey = (u64, u64, u64);
 
-/// External controls for [`Session::run_controlled`]: the knobs a hosting
+/// External controls for [`Session::execute`]: the knobs a hosting
 /// service (the serve daemon) uses to bound a run without forking the
 /// execution logic.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunControl {
-    /// Stop before starting any cell that would begin after this instant.
+    /// Claim no cell after this instant; cells already claimed finish.
     /// `None` runs to completion.
     pub deadline: Option<Instant>,
     /// Stop before starting the `n+1`-th cell (journal hits included).
@@ -33,8 +33,8 @@ pub struct RunControl {
 }
 
 impl RunControl {
-    /// A control block with no limits (equivalent to [`Session::run`]'s
-    /// behaviour, executed serially).
+    /// A control block with no limits: [`Session::execute`] runs the whole
+    /// plan, as [`Session::run`] does.
     pub fn unbounded() -> Self {
         RunControl::default()
     }
@@ -52,14 +52,15 @@ impl RunControl {
     }
 }
 
-/// What [`Session::run_controlled`] produced: the (possibly partial)
-/// report plus how far through the plan the run got.
+/// What [`Session::execute`] produced: the (possibly partial) report plus
+/// how far through the plan the run got.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Records for every cell that finished, in plan order.
     pub report: Report,
-    /// `true` when every plan cell ran; `false` when the deadline cut the
-    /// run short (the report then holds a prefix of the plan's cells).
+    /// `true` when every plan cell ran; `false` when the control block cut
+    /// the run short (the report then holds a plan-order prefix of the
+    /// plan's cells).
     pub completed: bool,
     /// Total cells the plan describes.
     pub cells_total: usize,
@@ -79,9 +80,11 @@ pub struct RunOutcome {
 ///   expensive placement pass when only the calibration day changed for a
 ///   calibration-unaware configuration.
 ///
-/// Simulation batches are executed on a rayon pool: cells run in parallel,
-/// each replaying its trials with a deterministic per-cell stream, so
-/// results are independent of thread count and identical to a serial run.
+/// [`Session::execute`] runs a plan's cells on the session's worker
+/// threads, compiling them serially in plan order and simulating them in
+/// parallel. Each cell replays its trials with a deterministic per-cell
+/// stream, so results are independent of thread count and identical to a
+/// serial run.
 ///
 /// # Example
 ///
@@ -111,10 +114,6 @@ pub struct Session {
     compile_requests: u64,
     compile_hits: u64,
     threads: usize,
-    /// Worker pool for batch simulation, built once per thread budget (not
-    /// per run) so a long-lived session executing many plans does not pay
-    /// repeated pool setup.
-    pool: rayon::ThreadPool,
 }
 
 impl Default for Session {
@@ -138,21 +137,12 @@ impl Session {
             compile_requests: 0,
             compile_hits: 0,
             threads,
-            pool: Session::build_pool(threads),
         }
-    }
-
-    fn build_pool(threads: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("building the batch thread pool cannot fail")
     }
 
     /// Sets the worker-thread budget for batch simulation.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self.pool = Session::build_pool(self.threads);
         self
     }
 
@@ -253,263 +243,151 @@ impl Session {
         }
     }
 
-    /// Executes every cell of `plan`: compiles through the caches, then —
-    /// when the plan requests trials — simulates the cells in parallel and
-    /// scores success rates against each circuit's expected output.
+    /// Executes every cell of `plan` to completion: [`Session::execute`]
+    /// with no deadline and no journal.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first compile error in plan order; cells already
+    /// executed are discarded.
+    pub fn run(&mut self, plan: &SweepPlan) -> Result<Report, CompileError> {
+        self.execute(plan, &RunControl::unbounded(), None)
+            .map(|outcome| outcome.report)
+    }
+
+    /// Executes `plan` on the session's worker threads under `control`,
+    /// streaming finished cells into `journal` when one is given.
+    ///
+    /// Workers claim cells in plan order under one lock. A claim checks
+    /// the control block (an expired deadline or a reached cell-count cut
+    /// ends the run with `completed == false`), looks the cell up in the
+    /// journal, builds its machine through [`Session::try_machine`] (so a
+    /// degenerate topology is a typed error, not a panic) and compiles it
+    /// through the caches. The worker then simulates the cell outside the
+    /// lock. Compiles therefore run serially and in plan order while other
+    /// cells simulate, and since every claimed cell finishes, a cut run
+    /// reports the longest plan-order prefix of cells; up to one cell per
+    /// worker may still be running when a deadline passes. The run uses
+    /// one worker per simulated cell, up to the thread budget, and splits
+    /// each cell's trial chunks over the threads left per worker, so a
+    /// lone simulated cell gets every thread. Each cell replays its trials
+    /// from its own deterministic stream, so reports do not depend on the
+    /// thread count. A worker that panics stops further claims; its panic
+    /// reaches the caller once the cells in flight finish.
+    ///
+    /// With a journal, a cell whose record the journal held before the
+    /// run replays it under the cell's own labels without recompiling or
+    /// resimulating (counted in `resumed_cells` and the cache's
+    /// `journal_hits`); any other cell, including one that shares its
+    /// journal key with an earlier cell of the same run, appends a
+    /// write-ahead intent when claimed and its fsync'd record when
+    /// finished. Because journaled records round-trip bit-exactly, a
+    /// resumed run's [`Report::canonicalized`] form is byte-identical to an
+    /// uninterrupted run of the same plan. A journal that degrades mid-run
+    /// (disk full) stops persisting but never fails the sweep — check
+    /// [`Journal::degraded`] after the run.
     ///
     /// The report's [`CacheStats`] are the session totals *for this run*
     /// (deltas against the session state before the call).
     ///
     /// # Errors
     ///
-    /// Returns the first compile error; cells already compiled are
-    /// discarded.
-    pub fn run(&mut self, plan: &SweepPlan) -> Result<Report, CompileError> {
+    /// Returns the first compile error in plan order; cells already
+    /// executed are discarded (though a journal keeps them).
+    pub fn execute(
+        &mut self,
+        plan: &SweepPlan,
+        control: &RunControl,
+        journal: Option<&mut Journal>,
+    ) -> Result<RunOutcome, CompileError> {
         let before = self.cache_stats();
         let cells = plan.cells();
         let trials = plan.trials();
-
-        // Compile phase: serial, so every cell sees the warmest cache.
-        let mut compiled = Vec::with_capacity(cells.len());
-        for cell in &cells {
-            let machine = self.machine(cell.topology, plan.machine_seed(), cell.day);
-            let spec = &plan.circuits()[cell.circuit];
-            let config = &plan.configs()[cell.config].1;
-            let (executable, cache_hit) = self.compile_cached(&machine, config, &spec.circuit)?;
-            compiled.push((machine, executable, cache_hit));
-        }
-
-        // Simulation phase: one worker per cell, each driving the tiered
-        // trial engine over its trials — deterministic for a plan
-        // regardless of thread count. Worker-local engine scratch (state
-        // vectors, checkpoint and event buffers) is reused across the
-        // cells and chunks a worker processes instead of being reallocated
-        // per chunk.
-        let work: Vec<(usize, Arc<Machine>, Arc<CompiledCircuit>)> = cells
+        let journal_hash = journal.as_ref().map_or(0, |j| j.path_hash());
+        // The one thread-split decision: simulated cells run one per
+        // worker, and each cell splits its trial chunks over the threads
+        // left per worker, so a lone simulated cell gets every thread.
+        let simulated = cells
             .iter()
-            .enumerate()
-            .filter(|(_, cell)| trials > 0 && plan.circuits()[cell.circuit].expected.is_some())
-            .map(|(i, _)| (i, compiled[i].0.clone(), compiled[i].1.clone()))
-            .collect();
-        let mut success: Vec<Option<f64>> = vec![None; cells.len()];
-        let mut cell_tiers: Vec<TierStats> = vec![TierStats::default(); cells.len()];
-        let simulate = |machine: &Machine,
-                        executable: &CompiledCircuit,
-                        cell: &Cell,
-                        spec: &CircuitSpec,
-                        threads: usize| {
-            let mut config = SimulatorConfig::with_trials(trials, cell.sim_seed);
-            config.threads = threads;
-            let simulator = Simulator::new(machine, config);
-            let noise = cell.noise.map(|n| &plan.noise_axis()[n].1);
-            let program = simulator.prepare_with_noise(executable.physical_circuit(), noise);
-            let (result, tiers) = simulator.run_program_with_stats(&program);
-            let rate = result.probability_of(spec.expected.as_ref().expect("filtered above"));
-            (rate, TierStats::from(tiers))
-        };
-        if work.len() > 1 {
-            let rates: Vec<(usize, f64, TierStats)> = self.pool.install(|| {
-                work.into_par_iter()
-                    .map(|(i, machine, executable)| {
-                        let cell = &cells[i];
-                        let spec = &plan.circuits()[cell.circuit];
-                        let (rate, tiers) = simulate(&machine, &executable, cell, spec, 1);
-                        (i, rate, tiers)
-                    })
-                    .collect()
-            });
-            for (i, rate, tiers) in rates {
-                success[i] = Some(rate);
-                cell_tiers[i] = tiers;
-            }
-        } else {
-            // A single simulated cell parallelizes over its trials instead.
-            for (i, machine, executable) in work {
-                let cell = &cells[i];
-                let spec = &plan.circuits()[cell.circuit];
-                let (rate, tiers) = simulate(&machine, &executable, cell, spec, self.threads);
-                success[i] = Some(rate);
-                cell_tiers[i] = tiers;
-            }
-        }
+            .filter(|cell| trials > 0 && plan.circuits()[cell.circuit].expected.is_some())
+            .count();
+        let workers = self.threads.min(simulated.max(1));
+        let sim_threads = (self.threads / workers).max(1);
 
-        let mut tier_totals = TierStats::default();
-        for tiers in &cell_tiers {
-            tier_totals.merge(tiers);
-        }
-        let records = cells
-            .iter()
-            .zip(compiled.iter())
-            .zip(success.into_iter().zip(cell_tiers))
-            .map(
-                |((cell, (_, executable, cache_hit)), (success_rate, tiers))| {
-                    cell_record(
-                        plan,
-                        cell,
+        let claims = Mutex::new(Claims {
+            session: &mut *self,
+            journal,
+            computed: FxHashSet::default(),
+            claimed: 0,
+            journal_hits: 0,
+            stopped: false,
+            error: None,
+        });
+        let finished = run_workers(workers, || {
+            let mut done = Vec::new();
+            // A poisoned lock means another worker panicked mid-claim: stop
+            // claiming and let its panic reach the caller.
+            while let Some((index, claim)) = claims
+                .lock()
+                .ok()
+                .and_then(|mut claims| claims.claim(plan, &cells, control))
+            {
+                let record = match claim {
+                    Claim::Journaled(record) => record,
+                    Claim::Compiled {
+                        machine,
                         executable,
-                        *cache_hit,
-                        trials,
-                        success_rate,
-                        tiers,
-                    )
-                },
-            )
-            .collect();
-
-        let after = self.cache_stats();
-        Ok(Report {
-            machine_seed: plan.machine_seed(),
-            trials,
-            resumed_cells: 0,
-            journal_hash: 0,
-            cells: records,
-            cache: CacheStats {
-                compile_requests: after.compile_requests - before.compile_requests,
-                compile_hits: after.compile_hits - before.compile_hits,
-                place_hits: after.place_hits - before.place_hits,
-                place_runs: after.place_runs - before.place_runs,
-                journal_hits: 0,
-            },
-            tiers: tier_totals,
-        })
-    }
-
-    /// Executes `plan` cell by cell under external controls — the serial
-    /// sibling of [`Session::run`] used by hosting services that need to
-    /// cut a run short.
-    ///
-    /// Cells execute in plan order; before each cell the control block's
-    /// deadline and cell-count cut are checked, and an expired control
-    /// ends the run with the cells finished so far (`completed == false`).
-    /// Per-cell results are identical to [`Session::run`]'s: the
-    /// simulator's trial streams are thread-invariant, so a report
-    /// produced here matches a parallel run of the same plan bit for bit
-    /// (wall-clock fields aside).
-    ///
-    /// Machines are built through [`Session::try_machine`], so a plan
-    /// naming a degenerate topology returns a typed error instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first compile error; cells already executed are
-    /// discarded.
-    pub fn run_controlled(
-        &mut self,
-        plan: &SweepPlan,
-        control: &RunControl,
-    ) -> Result<RunOutcome, CompileError> {
-        self.run_serial(plan, control, None)
-    }
-
-    /// Like [`Session::run_controlled`], but streaming every completed
-    /// cell into `journal` and serving cells the journal already holds
-    /// without recompiling or resimulating them.
-    ///
-    /// Before a cell executes its key is looked up: a hit replays the
-    /// journaled record verbatim (counted in `resumed_cells` and the
-    /// cache's `journal_hits`); a miss appends a write-ahead intent,
-    /// executes the cell, then appends and fsyncs the completed record.
-    /// Because journaled records round-trip bit-exactly, a resumed run's
-    /// [`Report::canonicalized`] form is byte-identical to an
-    /// uninterrupted run of the same plan. A journal that degrades
-    /// mid-run (disk full) stops persisting but never fails the sweep —
-    /// check [`Journal::degraded`] after the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first compile error; cells already executed are
-    /// discarded (though still recoverable from the journal).
-    pub fn run_journaled(
-        &mut self,
-        plan: &SweepPlan,
-        control: &RunControl,
-        journal: &mut Journal,
-    ) -> Result<RunOutcome, CompileError> {
-        self.run_serial(plan, control, Some(journal))
-    }
-
-    fn run_serial(
-        &mut self,
-        plan: &SweepPlan,
-        control: &RunControl,
-        mut journal: Option<&mut Journal>,
-    ) -> Result<RunOutcome, CompileError> {
-        let before = self.cache_stats();
-        let cells = plan.cells();
-        let cells_total = cells.len();
-        let trials = plan.trials();
-
-        let mut records: Vec<CellRecord> = Vec::with_capacity(cells.len());
-        let mut tier_totals = TierStats::default();
-        let mut completed = true;
-        let mut journal_hits = 0u64;
-        for cell in &cells {
-            if let Some(deadline) = control.deadline {
-                if Instant::now() >= deadline {
-                    completed = false;
-                    break;
-                }
+                        cache_hit,
+                        key,
+                    } => {
+                        let cell = &cells[index];
+                        let record = catch_unwind(AssertUnwindSafe(|| {
+                            run_cell(plan, cell, &machine, &executable, cache_hit, sim_threads)
+                        }))
+                        .unwrap_or_else(|payload| {
+                            // Claim nothing more, so the panic reaches the
+                            // caller once the cells in flight finish.
+                            if let Ok(mut claims) = claims.lock() {
+                                claims.stopped = true;
+                            }
+                            resume_unwind(payload)
+                        });
+                        if let Some(key) = key {
+                            // A poisoned lock means another worker's panic
+                            // is failing the run: skip the record.
+                            if let Ok(mut claims) = claims.lock() {
+                                let journal = claims.journal.as_deref_mut();
+                                journal
+                                    .expect("only journaled runs key their cells")
+                                    .append_cell(&key, &record);
+                            }
+                        }
+                        record
+                    }
+                };
+                done.push((index, record));
             }
-            if let Some(limit) = control.stop_after_cells {
-                if records.len() >= limit {
-                    completed = false;
-                    break;
-                }
-            }
-            let machine = self.try_machine(cell.topology, plan.machine_seed(), cell.day)?;
-            let spec = &plan.circuits()[cell.circuit];
-            let config = &plan.configs()[cell.config].1;
-            let key = journal.as_ref().map(|_| CellKey {
-                circuit_fp: spec.circuit.fingerprint(),
-                machine_fp: machine.fingerprint(),
-                config_fp: config.fingerprint(),
-                day: cell.day,
-                noise: cell.noise.map(|n| plan.noise_axis()[n].0.clone()),
-                sim_seed: cell.sim_seed,
-                trials,
-            });
-            if let (Some(journal), Some(key)) = (journal.as_deref_mut(), key.as_ref()) {
-                if let Some(hit) = journal.lookup(key) {
-                    journal_hits += 1;
-                    tier_totals.merge(&hit.tiers);
-                    records.push(hit.clone());
-                    continue;
-                }
-                journal.append_intent(key);
-            }
-            let (executable, cache_hit) = self.compile_cached(&machine, config, &spec.circuit)?;
+            done
+        });
+        let Claims {
+            journal_hits,
+            stopped,
+            error,
+            ..
+        } = claims
+            .into_inner()
+            .expect("run_workers re-raises the panic of a worker that poisoned the lock");
+        if let Some(err) = error {
+            return Err(err);
+        }
 
-            let (success_rate, tiers) = match &spec.expected {
-                Some(expected) if trials > 0 => {
-                    let mut sim_config = SimulatorConfig::with_trials(trials, cell.sim_seed);
-                    sim_config.threads = self.threads;
-                    let simulator = Simulator::new(&machine, sim_config);
-                    let noise = cell.noise.map(|n| &plan.noise_axis()[n].1);
-                    let program =
-                        simulator.prepare_with_noise(executable.physical_circuit(), noise);
-                    let (result, counts) = simulator.run_program_with_stats(&program);
-                    (
-                        Some(result.probability_of(expected)),
-                        TierStats::from(counts),
-                    )
-                }
-                _ => (None, TierStats::default()),
-            };
-            tier_totals.merge(&tiers);
-            let record = cell_record(
-                plan,
-                cell,
-                &executable,
-                cache_hit,
-                trials,
-                success_rate,
-                tiers,
-            );
-            if let (Some(journal), Some(key)) = (journal.as_deref_mut(), key.as_ref()) {
-                journal.append_cell(key, &record);
-            }
-            records.push(record);
+        // Every claimed cell finished, so in index order the records are
+        // exactly the plan-order prefix of claimed cells.
+        let mut finished: Vec<(usize, CellRecord)> = finished.into_iter().flatten().collect();
+        finished.sort_unstable_by_key(|&(index, _)| index);
+        let mut tiers = TierStats::default();
+        for (_, record) in &finished {
+            tiers.merge(&record.tiers);
         }
 
         let after = self.cache_stats();
@@ -518,8 +396,8 @@ impl Session {
                 machine_seed: plan.machine_seed(),
                 trials,
                 resumed_cells: journal_hits,
-                journal_hash: journal.as_ref().map_or(0, |j| j.path_hash()),
-                cells: records,
+                journal_hash,
+                cells: finished.into_iter().map(|(_, record)| record).collect(),
                 cache: CacheStats {
                     compile_requests: after.compile_requests - before.compile_requests,
                     compile_hits: after.compile_hits - before.compile_hits,
@@ -527,26 +405,146 @@ impl Session {
                     place_runs: after.place_runs - before.place_runs,
                     journal_hits,
                 },
-                tiers: tier_totals,
+                tiers,
             },
-            completed,
-            cells_total,
+            completed: !stopped,
+            cells_total: cells.len(),
         })
     }
 }
 
-/// Builds the report record for one executed cell — shared by the parallel
-/// and the controlled execution paths so both emit identical records.
-fn cell_record(
+/// What [`Session::execute`]'s workers share under its one lock: the
+/// session's caches, the journal and the plan-order claim cursor.
+struct Claims<'s, 'j> {
+    session: &'s mut Session,
+    journal: Option<&'j mut Journal>,
+    /// Journal keys of the cells this run computes. A later cell with one
+    /// of these keys computes too rather than replaying a record that may
+    /// or may not have landed yet, so only records that predate the run
+    /// replay.
+    computed: FxHashSet<CellKey>,
+    /// Cells claimed so far: the plan-order prefix `0..claimed`.
+    claimed: usize,
+    /// Claimed cells the journal already held.
+    journal_hits: u64,
+    /// Set once the control block cut the run, a compile failed or a
+    /// worker panicked.
+    stopped: bool,
+    error: Option<CompileError>,
+}
+
+/// A claimed cell: its journaled record, or what simulating it needs.
+enum Claim {
+    Journaled(CellRecord),
+    Compiled {
+        machine: Arc<Machine>,
+        executable: Arc<CompiledCircuit>,
+        cache_hit: bool,
+        /// The cell's journal key, when the run is journaled.
+        key: Option<CellKey>,
+    },
+}
+
+impl Claims<'_, '_> {
+    /// Claims the next plan cell, or `None` once the plan is exhausted,
+    /// the control block cuts the run, or a compile fails (recorded in
+    /// `error`).
+    fn claim(
+        &mut self,
+        plan: &SweepPlan,
+        cells: &[Cell],
+        control: &RunControl,
+    ) -> Option<(usize, Claim)> {
+        let index = self.claimed;
+        if self.stopped || index == cells.len() {
+            return None;
+        }
+        let expired = control.deadline.is_some_and(|d| Instant::now() >= d);
+        if expired || control.stop_after_cells.is_some_and(|limit| index >= limit) {
+            self.stopped = true;
+            return None;
+        }
+        match self.prepare(plan, &cells[index]) {
+            Ok(claim) => {
+                self.claimed += 1;
+                Some((index, claim))
+            }
+            Err(err) => {
+                self.stopped = true;
+                self.error = Some(err);
+                None
+            }
+        }
+    }
+
+    fn prepare(&mut self, plan: &SweepPlan, cell: &Cell) -> Result<Claim, CompileError> {
+        let machine = self
+            .session
+            .try_machine(cell.topology, plan.machine_seed(), cell.day)?;
+        let spec = &plan.circuits()[cell.circuit];
+        let (label, config) = &plan.configs()[cell.config];
+        let key = self.journal.as_ref().map(|_| CellKey {
+            circuit_fp: spec.circuit.fingerprint(),
+            machine_fp: machine.fingerprint(),
+            config_fp: config.fingerprint(),
+            day: cell.day,
+            noise: cell.noise.map(|n| plan.noise_axis()[n].0.clone()),
+            sim_seed: cell.sim_seed,
+            trials: plan.trials(),
+        });
+        if let (Some(journal), Some(key)) = (self.journal.as_deref_mut(), key.as_ref()) {
+            if let Some(hit) = journal.lookup(key).filter(|_| !self.computed.contains(key)) {
+                self.journal_hits += 1;
+                // The key pins the science, not the names: the record
+                // replays under this cell's own circuit and config labels.
+                return Ok(Claim::Journaled(CellRecord {
+                    circuit: spec.name.clone(),
+                    config: label.clone(),
+                    ..hit.clone()
+                }));
+            }
+            journal.append_intent(key);
+            self.computed.insert(key.clone());
+        }
+        let (executable, cache_hit) =
+            self.session
+                .compile_cached(&machine, config, &spec.circuit)?;
+        Ok(Claim::Compiled {
+            machine,
+            executable,
+            cache_hit,
+            key,
+        })
+    }
+}
+
+/// Simulates one compiled cell on `threads` threads (when the plan asks
+/// for trials and the circuit has a known answer) and builds its record.
+fn run_cell(
     plan: &SweepPlan,
     cell: &Cell,
+    machine: &Machine,
     executable: &CompiledCircuit,
     cache_hit: bool,
-    trials: u32,
-    success_rate: Option<f64>,
-    tiers: TierStats,
+    threads: usize,
 ) -> CellRecord {
     let spec = &plan.circuits()[cell.circuit];
+    let trials = plan.trials();
+    let (success_rate, tiers) = match &spec.expected {
+        Some(expected) if trials > 0 => {
+            let mut config = SimulatorConfig::with_trials(trials, cell.sim_seed);
+            config.threads = threads;
+            let simulator = Simulator::new(machine, config);
+            let noise = cell.noise.map(|n| &plan.noise_axis()[n].1);
+            let program = simulator.prepare_with_noise(executable.physical_circuit(), noise);
+            let (result, counts) = simulator.run_program_with_stats(&program);
+            (
+                Some(result.probability_of(expected)),
+                TierStats::from(counts),
+            )
+        }
+        _ => (None, TierStats::default()),
+    };
     // Timings are rounded to the JSON precision (3 decimals) so
     // serializing a report round-trips bit-exactly.
     let round3 = |v: f64| (v * 1e3).round() / 1e3;
@@ -581,7 +579,10 @@ fn cell_record(
 mod tests {
     use super::*;
     use crate::plan::CircuitSpec;
-    use nisq_ir::Benchmark;
+    use crate::report::BackendTag;
+    use nisq_ir::{Benchmark, Qubit};
+    use nisq_noise::NoiseSpec;
+    use std::time::Duration;
 
     #[test]
     fn run_scores_success_and_counts_caches() {
@@ -680,7 +681,7 @@ mod tests {
             .with_trials(64);
         let parallel = Session::new().run(&plan).unwrap();
         let outcome = Session::new()
-            .run_controlled(&plan, &RunControl::unbounded())
+            .execute(&plan, &RunControl::unbounded(), None)
             .unwrap();
         assert!(outcome.completed);
         assert_eq!(outcome.cells_total, parallel.cells.len());
@@ -698,10 +699,231 @@ mod tests {
             .config("GreedyE*", CompilerConfig::greedy_e())
             .with_trials(32);
         let control = RunControl::unbounded().with_deadline(Instant::now());
-        let outcome = Session::new().run_controlled(&plan, &control).unwrap();
+        let outcome = Session::new().execute(&plan, &control, None).unwrap();
         assert!(!outcome.completed);
         assert_eq!(outcome.report.cells.len(), 0);
         assert_eq!(outcome.cells_total, 2);
+    }
+
+    /// 16 cells over 2 days, tableau and dense circuits, and a noise axis
+    /// whose second entry is a non-Pauli Kraus channel. Noise is the
+    /// innermost axis, so every second cell repeats the previous compile.
+    fn mixed_plan() -> SweepPlan {
+        let spec = |json: &str| NoiseSpec::from_json(json).unwrap();
+        SweepPlan::new()
+            .benchmarks([Benchmark::Bv4, Benchmark::Toffoli])
+            .config("Qiskit", CompilerConfig::qiskit())
+            .config("GreedyE*", CompilerConfig::greedy_e())
+            .days([0, 1])
+            .with_noise(
+                "bitflip-sq",
+                spec(
+                    r#"{"name": "bitflip-sq", "bindings": [
+                    {"on": "sq", "rate": 0.01, "channel": {"kind": "bit-flip"}}]}"#,
+                ),
+            )
+            .with_noise(
+                "ad-measure",
+                spec(
+                    r#"{"name": "ad-measure", "bindings": [
+                    {"on": "measure", "rate": 0.05, "channel": {"kind": "amplitude-damping"}}]}"#,
+                ),
+            )
+            .with_trials(600)
+    }
+
+    fn temp_journal(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("nisq-session-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    #[test]
+    fn every_execution_mode_yields_the_same_canonical_report() {
+        let plan = mixed_plan();
+        let serial = Session::new().with_threads(1).run(&plan).unwrap();
+        let backends: Vec<BackendTag> = serial.cells.iter().map(|c| c.tiers.backend).collect();
+        assert!(backends.contains(&BackendTag::Tableau), "{backends:?}");
+        assert!(backends.contains(&BackendTag::Dense), "{backends:?}");
+        let canonical = serial.to_json_line_canonical();
+        let cache_hits: Vec<bool> = serial.cells.iter().map(|c| c.cache_hit).collect();
+        assert_eq!(cache_hits, [false, true].repeat(8));
+
+        for threads in [2, 7] {
+            let report = Session::new().with_threads(threads).run(&plan).unwrap();
+            assert_eq!(
+                report.to_json_line_canonical(),
+                canonical,
+                "{threads} threads"
+            );
+            let hits: Vec<bool> = report.cells.iter().map(|c| c.cache_hit).collect();
+            assert_eq!(
+                hits, cache_hits,
+                "compiles follow plan order at {threads} threads"
+            );
+        }
+
+        let path = temp_journal("modes.journal");
+        let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
+        let journaled = Session::new()
+            .with_threads(2)
+            .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
+            .unwrap();
+        assert!(journaled.completed);
+        assert_eq!(journaled.report.to_json_line_canonical(), canonical);
+
+        let path = temp_journal("modes-cut.journal");
+        let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
+        let control = RunControl::unbounded().with_stop_after_cells(5);
+        let cut = Session::new()
+            .with_threads(2)
+            .execute(&plan, &control, Some(&mut journal))
+            .unwrap();
+        assert!(!cut.completed);
+        assert_eq!(cut.report.cells.len(), 5);
+        drop(journal);
+        let mut journal = Journal::resume(&path, plan.machine_seed(), plan.trials()).unwrap();
+        let resumed = Session::new()
+            .with_threads(2)
+            .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
+            .unwrap();
+        assert_eq!(resumed.report.resumed_cells, 5);
+        assert_eq!(resumed.report.to_json_line_canonical(), canonical);
+    }
+
+    #[test]
+    fn a_deadline_expiring_mid_plan_keeps_the_plan_order_prefix() {
+        let plan = SweepPlan::new()
+            .benchmarks([Benchmark::Bv4, Benchmark::Hs4, Benchmark::Toffoli])
+            .config("Qiskit", CompilerConfig::qiskit())
+            .config("GreedyE*", CompilerConfig::greedy_e())
+            .days(0..4)
+            .with_trials(1024);
+        let full = Session::new()
+            .with_threads(2)
+            .run(&plan)
+            .unwrap()
+            .canonicalized();
+        // Budgets double until one expires mid-plan, however fast the host.
+        let mut cut_mid_plan = false;
+        for budget_ms in (0..12).map(|k| 1u64 << k) {
+            let control = RunControl::unbounded()
+                .with_deadline(Instant::now() + Duration::from_millis(budget_ms));
+            let outcome = Session::new()
+                .with_threads(2)
+                .execute(&plan, &control, None)
+                .unwrap();
+            let prefix = outcome.report.canonicalized().cells;
+            assert_eq!(
+                prefix[..],
+                full.cells[..prefix.len()],
+                "{budget_ms} ms budget"
+            );
+            assert_eq!(outcome.completed, prefix.len() == outcome.cells_total);
+            if !outcome.completed && !prefix.is_empty() {
+                cut_mid_plan = true;
+                break;
+            }
+        }
+        assert!(cut_mid_plan, "no budget expired mid-plan");
+    }
+
+    #[test]
+    fn the_first_compile_error_in_plan_order_is_returned() {
+        let wide = |n: usize| {
+            let mut circuit = Circuit::new(n);
+            circuit.h(Qubit(0));
+            circuit.measure_all();
+            CircuitSpec::new(format!("wide{n}"), circuit).with_expected(vec![false; n])
+        };
+        let plan = SweepPlan::new()
+            .benchmarks([Benchmark::Bv4, Benchmark::Toffoli])
+            .circuit(wide(17))
+            .circuit(wide(20))
+            .config("Qiskit", CompilerConfig::qiskit())
+            .with_trials(256);
+        for threads in [1, 2, 7] {
+            let err = Session::new().with_threads(threads).run(&plan).unwrap_err();
+            assert_eq!(
+                err,
+                CompileError::CircuitTooLarge {
+                    program_qubits: 17,
+                    hardware_qubits: 16
+                },
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn cells_sharing_a_journal_key_replay_only_records_that_predate_the_run() {
+        // Two labels for one configuration, a repeated day and a fixed
+        // seed: cells 0, 1, 4 and 5 share one journal key, and cells 2,
+        // 3, 6 and 7 share another.
+        let plan = SweepPlan::new()
+            .benchmarks([Benchmark::Bv4, Benchmark::Hs2])
+            .config("A", CompilerConfig::qiskit())
+            .config("B", CompilerConfig::qiskit())
+            .days([0, 0])
+            .with_trials(300)
+            .fixed_sim_seed(3);
+        let reference = Session::new().with_threads(1).run(&plan).unwrap();
+        let canonical = reference.to_json_line_canonical();
+        let cache_hits: Vec<bool> = reference.cells.iter().map(|c| c.cache_hit).collect();
+        for threads in [1, 2, 7] {
+            let path = temp_journal(&format!("shared-keys-{threads}.journal"));
+            let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
+            let fresh = Session::new()
+                .with_threads(threads)
+                .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
+                .unwrap();
+            assert_eq!(fresh.report.resumed_cells, 0, "{threads} threads");
+            let hits: Vec<bool> = fresh.report.cells.iter().map(|c| c.cache_hit).collect();
+            assert_eq!(hits, cache_hits, "{threads} threads");
+            assert_eq!(fresh.report.to_json_line_canonical(), canonical);
+            // A rerun replays every cell under its own labels, whichever
+            // cell's record landed last under the shared key.
+            let rerun = Session::new()
+                .with_threads(threads)
+                .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
+                .unwrap();
+            assert_eq!(rerun.report.resumed_cells, 8, "{threads} threads");
+            assert_eq!(rerun.report.to_json_line_canonical(), canonical);
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_stops_further_claims() {
+        // 129 classical bits overflow the simulator's bit-packed outcomes,
+        // so the second cell compiles, then panics when simulated. The
+        // first cell simulates long enough for that panic to stop the run.
+        let mut wide = Circuit::new(129);
+        wide.measure_all();
+        let unscored = Benchmark::all().map(|b| CircuitSpec::new(b.to_string(), b.circuit()));
+        let plan = unscored
+            .into_iter()
+            .fold(
+                SweepPlan::new()
+                    .benchmark(Benchmark::Toffoli)
+                    .circuit(CircuitSpec::new("wide", wide).with_expected(vec![false; 129])),
+                SweepPlan::circuit,
+            )
+            .config("Qiskit", CompilerConfig::qiskit())
+            .grid_per_circuit()
+            .with_trials(1 << 17);
+        let path = temp_journal("panic.journal");
+        let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Session::new().with_threads(2).execute(
+                &plan,
+                &RunControl::unbounded(),
+                Some(&mut journal),
+            )
+        }));
+        assert!(outcome.is_err(), "the cell's panic must reach the caller");
+        // The worker holding the first cell finishes it and claims none of
+        // the 12 compile-only cells after the panicking one.
+        assert_eq!(journal.completed_cells(), 1);
     }
 
     #[test]

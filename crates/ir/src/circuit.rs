@@ -3,7 +3,6 @@ use crate::dag::DependencyDag;
 use crate::error::IrError;
 use crate::gate::{Clbit, Gate, GateKind, Qubit};
 use crate::graph::InteractionGraph;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A machine-independent quantum circuit over program qubits.
@@ -25,7 +24,7 @@ use std::fmt;
 /// assert_eq!(bell.len(), 4);
 /// assert_eq!(bell.cnot_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     name: String,
     num_qubits: usize,

@@ -1,13 +1,12 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a *program* qubit (a logical qubit in the input circuit, before
 /// it is mapped to a hardware location).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Qubit(pub usize);
 
 /// Index of a classical bit holding a measurement result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Clbit(pub usize);
 
 impl fmt::Display for Qubit {
@@ -39,7 +38,7 @@ impl From<usize> for Clbit {
 /// The set mirrors the operations the paper's benchmarks need after ScaffCC
 /// decomposition: the Clifford+T single-qubit set, arbitrary-axis rotations,
 /// CNOT, SWAP (used by the router), measurement and barriers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum GateKind {
     /// Hadamard.
@@ -167,7 +166,7 @@ impl std::hash::Hash for GateKind {
 
 /// A single gate instance: a kind plus the program qubits (and classical
 /// bits) it acts on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     kind: GateKind,
     qubits: Vec<Qubit>,

@@ -85,6 +85,11 @@ impl Value {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Nothing
+/// the workspace writes nests more than a few levels; the cap keeps a
+/// hostile document from overflowing the recursive parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: what was expected and the byte offset it failed at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -121,6 +126,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -153,6 +159,8 @@ pub fn write_str(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -197,8 +205,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
@@ -206,6 +214,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses a container one nesting level down, refusing to descend past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -368,6 +391,21 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "\"open", "1 2"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        let err = parse(&past_cap).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        // Hostile depths fail the same way instead of overflowing the stack.
+        for hostile in ["[".repeat(200_000), "{\"a\": ".repeat(200_000)] {
+            let err = parse(&hostile).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{err}");
         }
     }
 

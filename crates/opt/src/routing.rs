@@ -25,7 +25,6 @@ use crate::error::OptError;
 use crate::scheduler::Placement;
 use nisq_ir::Qubit;
 use nisq_machine::{EdgeId, HwQubit, Machine};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a route is chosen for a two-qubit gate between non-adjacent hardware
@@ -35,7 +34,7 @@ use std::fmt;
 /// Selections that need a 2-D grid layout (rectangle reservation, one-bend
 /// paths) automatically fall back to best-path routing on topologies
 /// without one (rings, heavy-hex lattices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum RouteSelection {
     /// Rectangle reservation: the gate blocks the whole bounding rectangle
@@ -82,7 +81,7 @@ impl fmt::Display for RouteSelection {
 }
 
 /// The hardware route chosen for one program CNOT (or program SWAP).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CnotRoute {
     /// Hardware qubits along the route, from the control's location to the
     /// target's location (inclusive). Adjacent CNOTs have a 2-element path.
@@ -420,7 +419,7 @@ impl RoutingPolicy for PermutationRouting {
 /// How swap round-trips are handled, as a copyable configuration value; use
 /// [`SwapHandling::policy`] to obtain the corresponding [`RoutingPolicy`]
 /// implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum SwapHandling {
     /// Swap out and back after every routed gate (the paper's model).

@@ -562,7 +562,7 @@ fn run_job(
 ) -> Result<(RunOutcome, JournalEffects), ServeError> {
     match &job.journal {
         None => Ok((
-            session.run_controlled(&job.plan, control)?,
+            session.execute(&job.plan, control, None)?,
             JournalEffects::default(),
         )),
         Some(path) => {
@@ -570,7 +570,7 @@ fn run_job(
                 .map_err(|e| ServeError::JournalCorrupt {
                     message: e.to_string(),
                 })?;
-            let outcome = session.run_journaled(&job.plan, control, &mut journal)?;
+            let outcome = session.execute(&job.plan, control, Some(&mut journal))?;
             let mut effects = JournalEffects {
                 degraded: journal.degraded().is_some(),
                 compacted: false,

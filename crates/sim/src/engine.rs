@@ -1065,9 +1065,11 @@ impl SuffixMemo {
 
 /// Every reusable buffer a batch needs: the replay scratch, the shared
 /// dominant-path walker, the pre-sample draw buffer, the event arena, the
-/// pending-trial queue and the suffix memo. Acquired from the worker-local
-/// pool via [`with_engine_scratch`], so consecutive chunks — and
-/// consecutive programs of any width — reuse one allocation per worker.
+/// pending-trial queue and the suffix memo. Each worker thread holds one,
+/// reached through [`with_engine_scratch`], so the chunks and cells one
+/// call hands a worker — of programs of any width — reuse one allocation.
+/// Scoped workers end with their call; the calling thread, itself a
+/// worker, keeps its scratch across calls.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     trial: Option<TrialScratch>,
@@ -1095,9 +1097,9 @@ impl EngineScratch {
 }
 
 thread_local! {
-    /// Worker-local engine scratch, shared across chunks, runs and
-    /// programs: the "reuse scratch and checkpoint buffers instead of
-    /// per-chunk reallocation" half of the engine's memory story.
+    /// The calling worker's engine scratch, shared by every chunk it runs:
+    /// the "reuse scratch and checkpoint buffers instead of per-chunk
+    /// reallocation" half of the engine's memory story.
     static ENGINE_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch::default());
 }
 

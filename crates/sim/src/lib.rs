@@ -50,6 +50,7 @@ mod rng;
 mod simulator;
 mod state;
 pub mod tableau;
+mod workers;
 
 pub use backend::{BackendKind, SimBackend};
 pub use clifford::{Clifford1Q, SymplecticPauli};
@@ -62,3 +63,4 @@ pub use rng::TrialRng;
 pub use simulator::{Simulator, SimulatorConfig};
 pub use state::StateVector;
 pub use tableau::TableauState;
+pub use workers::run_workers;

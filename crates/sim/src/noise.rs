@@ -3,7 +3,6 @@
 //! readout bit-flips.
 
 use nisq_ir::GateKind;
-use nisq_machine::{Calibration, HwQubit};
 use rand::Rng;
 
 /// Which error channels the simulator injects.
@@ -172,81 +171,9 @@ pub fn depolarizing_2q<R: Rng + ?Sized>(p: f64, rng: &mut R) -> (Pauli, Pauli) {
     }
 }
 
-/// Samples the error (if any) injected after a single-qubit gate on `qubit`:
-/// with the calibrated error probability, a uniformly random non-identity
-/// Pauli.
-pub fn sample_single_qubit_error<R: Rng + ?Sized>(
-    calibration: &Calibration,
-    qubit: HwQubit,
-    rng: &mut R,
-) -> Pauli {
-    depolarizing_1q(calibration.single_qubit_error(qubit), rng)
-}
-
-/// Samples the two-qubit error injected after a CNOT on the edge
-/// `(a, b)`: with the calibrated edge error probability, a uniformly random
-/// non-identity pair of Paulis (two-qubit depolarizing noise).
-///
-/// # Panics
-///
-/// Panics if the edge has no calibration entry (i.e. the qubits are not
-/// adjacent on the machine).
-pub fn sample_cnot_error<R: Rng + ?Sized>(
-    calibration: &Calibration,
-    a: HwQubit,
-    b: HwQubit,
-    rng: &mut R,
-) -> (Pauli, Pauli) {
-    let p = calibration
-        .cnot_error(a, b)
-        .expect("simulated CNOTs act on adjacent hardware qubits");
-    depolarizing_2q(p, rng)
-}
-
-/// Samples a dephasing error for a qubit idling/operating for
-/// `duration_slots` timeslots: a Z error with probability
-/// `(1 - exp(-t / T2)) / 2`.
-pub fn sample_decoherence_error<R: Rng + ?Sized>(
-    calibration: &Calibration,
-    qubit: HwQubit,
-    duration_slots: u32,
-    rng: &mut R,
-) -> Pauli {
-    // A degenerate calibration (NaN T2, zero timeslot length) can leak a
-    // NaN through `dephasing_probability`'s clamp, and `gen_bool` panics
-    // outside [0, 1] — guard like every other sampler in this module.
-    let p = calibration.dephasing_probability(qubit, duration_slots);
-    let p = if p.is_finite() {
-        p.clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    if rng.gen_bool(p) {
-        Pauli::Z
-    } else {
-        Pauli::I
-    }
-}
-
-/// Samples whether a readout of `qubit` flips its classical result.
-pub fn sample_readout_flip<R: Rng + ?Sized>(
-    calibration: &Calibration,
-    qubit: HwQubit,
-    rng: &mut R,
-) -> bool {
-    rng.gen_bool(calibration.readout_error(qubit).clamp(0.0, 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nisq_machine::{CalibrationGenerator, GridTopology};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn calibration() -> Calibration {
-        CalibrationGenerator::new(GridTopology::ibmq16(), 0).day(0)
-    }
 
     #[test]
     fn noise_model_presets() {
@@ -255,71 +182,6 @@ mod tests {
         let paper = NoiseModel::cnot_and_readout_only();
         assert!(paper.cnot_noise && paper.readout_noise);
         assert!(!paper.single_qubit_noise && !paper.decoherence);
-    }
-
-    #[test]
-    fn cnot_error_frequency_matches_calibration() {
-        let cal = calibration();
-        let mut rng = StdRng::seed_from_u64(3);
-        let (a, b) = (HwQubit(0), HwQubit(1));
-        let p = cal.cnot_error(a, b).unwrap();
-        let n = 40_000;
-        let errors = (0..n)
-            .filter(|_| sample_cnot_error(&cal, a, b, &mut rng) != (Pauli::I, Pauli::I))
-            .count();
-        let observed = errors as f64 / n as f64;
-        assert!(
-            (observed - p).abs() < 0.01,
-            "observed {observed}, calibrated {p}"
-        );
-    }
-
-    #[test]
-    fn readout_flip_frequency_matches_calibration() {
-        let cal = calibration();
-        let mut rng = StdRng::seed_from_u64(5);
-        let q = HwQubit(3);
-        let p = cal.readout_error(q);
-        let n = 40_000;
-        let flips = (0..n)
-            .filter(|_| sample_readout_flip(&cal, q, &mut rng))
-            .count();
-        assert!(((flips as f64 / n as f64) - p).abs() < 0.01);
-    }
-
-    #[test]
-    fn decoherence_grows_with_duration() {
-        let cal = calibration();
-        let mut rng = StdRng::seed_from_u64(7);
-        let q = HwQubit(0);
-        let n = 20_000;
-        let short = (0..n)
-            .filter(|_| sample_decoherence_error(&cal, q, 1, &mut rng) != Pauli::I)
-            .count();
-        let long = (0..n)
-            .filter(|_| sample_decoherence_error(&cal, q, 200, &mut rng) != Pauli::I)
-            .count();
-        assert!(long > short);
-    }
-
-    #[test]
-    fn decoherence_sampling_survives_degenerate_calibration() {
-        // `Machine::try_new` rejects NaN T2 and zero timeslots, but raw
-        // `Calibration` values (fields are public) can still carry them;
-        // the sampler must degrade to "no dephasing" instead of handing
-        // `gen_bool` a NaN.
-        let mut rng = StdRng::seed_from_u64(11);
-        let q = HwQubit(0);
-        let mut nan_t2 = calibration();
-        nan_t2.t2_us[0] = f64::NAN;
-        assert!(nan_t2.dephasing_probability(q, 10).is_nan());
-        assert_eq!(sample_decoherence_error(&nan_t2, q, 10, &mut rng), Pauli::I);
-        let mut zero_slot = calibration();
-        zero_slot.timeslot_ns = 0.0;
-        assert_eq!(
-            sample_decoherence_error(&zero_slot, q, 10, &mut rng),
-            Pauli::I
-        );
     }
 
     #[test]

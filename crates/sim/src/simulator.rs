@@ -4,13 +4,13 @@ use crate::noise::NoiseModel;
 use crate::program::TrialProgram;
 use crate::result::SimulationResult;
 use crate::tableau::TableauEngine;
+use crate::workers::run_workers;
 use nisq_core::CompiledCircuit;
 use nisq_ir::Circuit;
 use nisq_machine::Machine;
 use nisq_noise::NoiseSpec;
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Trials per parallel work unit. Fixed (instead of `trials / threads`) so
 /// the partition of trials into chunks — and therefore every per-trial RNG
@@ -86,31 +86,12 @@ impl SimulatorConfig {
 pub struct Simulator<'m> {
     machine: &'m Machine,
     config: SimulatorConfig,
-    /// Worker pool built once per simulator (not per run), so figure sweeps
-    /// that call [`Simulator::run_program`] thousands of times stop paying
-    /// per-call thread spawn. `None` when the configuration is serial.
-    pool: Option<Arc<rayon::ThreadPool>>,
 }
 
 impl<'m> Simulator<'m> {
     /// Creates a simulator for a machine snapshot.
     pub fn new(machine: &'m Machine, config: SimulatorConfig) -> Self {
-        let threads = config.threads.max(1);
-        // Only build a pool a run can actually use: configurations whose
-        // trial count fits one chunk always take the serial path.
-        let pool = (threads > 1 && config.trials > TRIAL_CHUNK).then(|| {
-            Arc::new(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("building the trial thread pool cannot fail"),
-            )
-        });
-        Simulator {
-            machine,
-            config,
-            pool,
-        }
+        Simulator { machine, config }
     }
 
     /// The configuration in use.
@@ -192,31 +173,34 @@ impl<'m> Simulator<'m> {
                 ChunkEngine::Dense(TieredEngine::with_options(program, self.config.engine))
             };
 
-        // The serial path walks the same fixed-size chunk partition the
-        // pool distributes, so *everything* the engine reports — outcomes
-        // and the per-chunk memo hit counters alike — is a pure function
-        // of (program, seed, trials), independent of the thread count.
-        let chunks: Vec<(u32, u32)> = (0..trials.div_ceil(TRIAL_CHUNK))
-            .map(|c| (c * TRIAL_CHUNK, ((c + 1) * TRIAL_CHUNK).min(trials)))
-            .collect();
-        let pool = self.pool.as_ref().filter(|_| trials > TRIAL_CHUNK);
-        let partials: Vec<(FxHashMap<u128, u32>, TierCounts)> = if let Some(pool) = pool {
-            pool.install(|| {
-                chunks
-                    .into_par_iter()
-                    .map(|(start, end)| simulate_chunk(&engine, seed, start, end))
-                    .collect()
-            })
-        } else {
-            chunks
-                .into_iter()
-                .map(|(start, end)| simulate_chunk(&engine, seed, start, end))
-                .collect()
-        };
+        // Workers pull fixed-size chunks from one cursor, so *everything*
+        // the engine reports — outcomes and the per-chunk memo hit counters
+        // alike — is a pure function of (program, seed, trials), whatever
+        // the thread count and whichever worker runs which chunk. The
+        // cursor publishes no data (counts come back through the workers'
+        // join), so `Relaxed` suffices.
+        let chunks = trials.div_ceil(TRIAL_CHUNK);
+        let next = AtomicU32::new(0);
+        let threads = self.config.threads.min(chunks as usize);
+        let mut partials = run_workers(threads, || {
+            let mut counts = FxHashMap::default();
+            let mut tiers = TierCounts::default();
+            loop {
+                let chunk = next.fetch_add(1, Ordering::Relaxed);
+                if chunk >= chunks {
+                    return (counts, tiers);
+                }
+                let start = chunk * TRIAL_CHUNK;
+                let end = start.saturating_add(TRIAL_CHUNK).min(trials);
+                simulate_chunk(&engine, seed, start, end, &mut counts, &mut tiers);
+            }
+        })
+        .into_iter();
         // Count merging is commutative, so the final map does not depend
-        // on chunk completion order.
-        let mut counts = FxHashMap::default();
-        let mut tiers = TierCounts::default();
+        // on which worker ran which chunk.
+        let (mut counts, mut tiers) = partials
+            .next()
+            .expect("run_workers runs at least one worker");
         for (partial, partial_tiers) in partials {
             for (key, count) in partial {
                 *counts.entry(key).or_insert(0) += count;
@@ -238,8 +222,6 @@ impl<'m> Simulator<'m> {
                 noise: NoiseModel::ideal(),
                 ..self.config
             },
-            // Same thread count: reuse the already-built pool.
-            pool: self.pool.clone(),
         };
         ideal.run(physical)
     }
@@ -263,25 +245,22 @@ enum ChunkEngine<'p> {
 }
 
 /// Simulates trials `[start, end)` through the selected engine with the
-/// calling worker's pooled scratch, returning bit-packed outcome counts and
-/// tier occupancy.
+/// calling worker's scratch, adding bit-packed outcome counts and tier
+/// occupancy to the worker's running totals.
 fn simulate_chunk(
     engine: &ChunkEngine<'_>,
     seed: u64,
     start: u32,
     end: u32,
-) -> (FxHashMap<u128, u32>, TierCounts) {
-    let mut local: FxHashMap<u128, u32> = FxHashMap::default();
-    let mut tiers = TierCounts::default();
+    counts: &mut FxHashMap<u128, u32>,
+    tiers: &mut TierCounts,
+) {
     match engine {
         ChunkEngine::Dense(dense) => with_engine_scratch(|scratch| {
-            dense.run_chunk(seed, start, end, scratch, &mut local, &mut tiers);
+            dense.run_chunk(seed, start, end, scratch, counts, tiers);
         }),
-        ChunkEngine::Tableau(tableau) => {
-            tableau.run_chunk(seed, start, end, &mut local, &mut tiers);
-        }
+        ChunkEngine::Tableau(tableau) => tableau.run_chunk(seed, start, end, counts, tiers),
     }
-    (local, tiers)
 }
 
 #[cfg(test)]

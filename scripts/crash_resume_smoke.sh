@@ -13,8 +13,9 @@ DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
 # 3 benchmarks x 6 mappers x 4 days = 72 cells: long enough to be killed
-# mid-run, small enough for CI.
-PLAN=(--benchmarks representative --mappers table1 --days 0..4 --trials 4096)
+# mid-run (cells simulate in parallel, so the trial count carries the
+# run past the 50 ms polls below), small enough for CI.
+PLAN=(--benchmarks representative --mappers table1 --days 0..4 --trials 65536)
 CELLS=72
 
 echo "reference run..."

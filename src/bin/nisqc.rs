@@ -464,13 +464,10 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot reuse {path}: {e}"))?;
         eprintln!("reuse: absorbed {absorbed} completed cell(s) from {path}");
     }
-    let report = match journal.as_mut() {
-        Some(journal) => session
-            .run_journaled(&plan, &RunControl::unbounded(), journal)
-            .map(|outcome| outcome.report),
-        None => session.run(&plan),
-    }
-    .map_err(|e| format!("sweep failed: {e}"))?;
+    let report = session
+        .execute(&plan, &RunControl::unbounded(), journal.as_mut())
+        .map(|outcome| outcome.report)
+        .map_err(|e| format!("sweep failed: {e}"))?;
     if let Some(reason) = journal.as_ref().and_then(|j| j.degraded()) {
         eprintln!(
             "warning: journal degraded ({reason}); the report is complete but later \

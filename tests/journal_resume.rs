@@ -54,7 +54,7 @@ fn resume_is_bit_identical_at_every_kill_point() {
         let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
         let control = RunControl::unbounded().with_stop_after_cells(kill_after);
         let cut = Session::new()
-            .run_journaled(&plan, &control, &mut journal)
+            .execute(&plan, &control, Some(&mut journal))
             .unwrap();
         assert!(!cut.completed);
         assert_eq!(cut.report.cells.len(), kill_after);
@@ -65,7 +65,7 @@ fn resume_is_bit_identical_at_every_kill_point() {
         assert_eq!(journal.completed_cells(), kill_after);
         assert_eq!(journal.recovery().truncated_bytes, 0);
         let resumed = Session::new()
-            .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+            .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
             .unwrap();
         assert!(resumed.completed);
         assert_eq!(resumed.report.resumed_cells, kill_after as u64);
@@ -83,7 +83,7 @@ fn torn_trailing_record_is_truncated_and_recomputed() {
     let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
     let control = RunControl::unbounded().with_stop_after_cells(4);
     Session::new()
-        .run_journaled(&plan, &control, &mut journal)
+        .execute(&plan, &control, Some(&mut journal))
         .unwrap();
     drop(journal);
 
@@ -102,7 +102,7 @@ fn torn_trailing_record_is_truncated_and_recomputed() {
     // Truncation restored the intact prefix byte for byte.
     assert_eq!(fs::read(&path).unwrap(), intact);
     let resumed = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert_eq!(resumed.report.resumed_cells, 4);
     assert_eq!(resumed.report.to_json_line_canonical(), reference);
@@ -116,7 +116,7 @@ fn checksum_corrupt_trailing_record_is_truncated_and_recomputed() {
     let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
     let control = RunControl::unbounded().with_stop_after_cells(3);
     Session::new()
-        .run_journaled(&plan, &control, &mut journal)
+        .execute(&plan, &control, Some(&mut journal))
         .unwrap();
     drop(journal);
 
@@ -133,7 +133,7 @@ fn checksum_corrupt_trailing_record_is_truncated_and_recomputed() {
     assert_eq!(journal.completed_cells(), 2);
     assert_eq!(journal.recovery().orphan_intents, 1);
     let resumed = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert_eq!(resumed.report.resumed_cells, 2);
     assert_eq!(resumed.report.to_json_line_canonical(), reference);
@@ -154,7 +154,7 @@ fn empty_and_missing_journals_behave_like_fresh_ones() {
         assert_eq!(journal.completed_cells(), 0);
         assert_eq!(journal.recovery(), Default::default());
         let resumed = Session::new()
-            .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+            .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
             .unwrap();
         assert_eq!(resumed.report.resumed_cells, 0);
         assert_eq!(resumed.report.to_json_line_canonical(), reference);
@@ -172,7 +172,11 @@ fn journal_from_a_different_plan_misses_every_cell() {
     )
     .unwrap();
     Session::new()
-        .run_journaled(&journaled_plan, &RunControl::unbounded(), &mut journal)
+        .execute(
+            &journaled_plan,
+            &RunControl::unbounded(),
+            Some(&mut journal),
+        )
         .unwrap();
     drop(journal);
 
@@ -184,7 +188,7 @@ fn journal_from_a_different_plan_misses_every_cell() {
         Journal::resume(&path, other_plan.machine_seed(), other_plan.trials()).unwrap();
     assert_eq!(journal.completed_cells(), 8);
     let resumed = Session::new()
-        .run_journaled(&other_plan, &RunControl::unbounded(), &mut journal)
+        .execute(&other_plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert_eq!(resumed.report.resumed_cells, 0);
     assert_eq!(resumed.report.to_json_line_canonical(), reference);
@@ -201,7 +205,7 @@ fn duplicate_cell_records_resolve_last_write_wins() {
     let path = temp_path("duplicate.journal");
     let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
     Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     drop(journal);
 
@@ -223,7 +227,7 @@ fn duplicate_cell_records_resolve_last_write_wins() {
     let mut journal = Journal::resume(&path, plan.machine_seed(), plan.trials()).unwrap();
     assert_eq!(journal.completed_cells(), 1);
     let resumed = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert_eq!(resumed.report.resumed_cells, 1);
     assert_eq!(resumed.report.cells[0].success_rate, Some(0.125));
@@ -235,12 +239,14 @@ fn disk_full_mid_sweep_degrades_without_losing_the_report() {
     let reference = reference_canonical(&plan);
     let path = temp_path("degraded.journal");
     let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
-    // Allow header + intent + cell + the second cell's intent, then fail:
-    // the second cell's completion is lost, journaling stops, the sweep
-    // does not.
+    // Allow the header and three more appends, then fail: journaling
+    // stops, the sweep does not. Two workers hold at most two cells in
+    // flight, so those three appends are always two intents and one
+    // completed cell, whatever order the workers reach the journal in.
     journal.fail_appends_after(4);
     let outcome = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .with_threads(2)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert!(outcome.completed);
     assert_eq!(outcome.report.cells.len(), 8);
@@ -255,7 +261,7 @@ fn disk_full_mid_sweep_degrades_without_losing_the_report() {
     assert_eq!(journal.recovery().orphan_intents, 1);
     assert_eq!(journal.recovery().truncated_bytes, 0);
     let resumed = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert_eq!(resumed.report.resumed_cells, 1);
     assert_eq!(resumed.report.to_json_line_canonical(), reference);
@@ -268,7 +274,7 @@ fn inspect_summarizes_without_touching_the_file() {
     let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
     let control = RunControl::unbounded().with_stop_after_cells(4);
     Session::new()
-        .run_journaled(&plan, &control, &mut journal)
+        .execute(&plan, &control, Some(&mut journal))
         .unwrap();
     drop(journal);
 
@@ -311,7 +317,7 @@ fn compact_drops_dead_records_and_preserves_resume_identity() {
     let path = temp_path("compact.journal");
     let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
     Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     // A full 8-cell run leaves 8 completed intents as dead weight.
     assert_eq!(journal.dead_records(), 8);
@@ -335,7 +341,7 @@ fn compact_drops_dead_records_and_preserves_resume_identity() {
     let mut journal = Journal::resume(&path, plan.machine_seed(), plan.trials()).unwrap();
     assert_eq!(journal.completed_cells(), 8);
     let resumed = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert_eq!(resumed.report.resumed_cells, 8);
     assert_eq!(resumed.report.to_json_line_canonical(), reference);
@@ -354,14 +360,14 @@ fn compact_in_place_resets_dead_tracking_mid_session() {
     let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
     let control = RunControl::unbounded().with_stop_after_cells(5);
     Session::new()
-        .run_journaled(&plan, &control, &mut journal)
+        .execute(&plan, &control, Some(&mut journal))
         .unwrap();
     assert_eq!(journal.dead_records(), 5);
     assert!(journal.compact_in_place());
     assert_eq!(journal.dead_records(), 0);
     // The same open journal keeps appending after the in-place rewrite.
     let finished = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert!(finished.completed);
     assert_eq!(finished.report.resumed_cells, 5);
@@ -370,7 +376,7 @@ fn compact_in_place_resets_dead_tracking_mid_session() {
     let mut journal = Journal::resume(&path, plan.machine_seed(), plan.trials()).unwrap();
     assert_eq!(journal.completed_cells(), 8);
     let resumed = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert_eq!(resumed.report.to_json_line_canonical(), reference);
 }
@@ -382,7 +388,7 @@ fn absorb_reuses_completed_cells_across_journals() {
     let donor = temp_path("absorb-donor.journal");
     let mut journal = Journal::create(&donor, plan.machine_seed(), plan.trials()).unwrap();
     Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     drop(journal);
 
@@ -396,7 +402,7 @@ fn absorb_reuses_completed_cells_across_journals() {
     // Absorbing again is a no-op: every key is already held.
     assert_eq!(journal.absorb(&donor).unwrap(), 0);
     let resumed = Session::new()
-        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
         .unwrap();
     assert_eq!(resumed.report.resumed_cells, 8);
     assert_eq!(resumed.report.to_json_line_canonical(), reference);

@@ -215,8 +215,11 @@ fn expiring_mid_plan_returns_a_partial_report() {
     // No injected delay: the budget expires between cells. The first cell
     // always starts (the deadline is checked before each cell), later
     // days are cut off once 450 ms of stall + compile + simulate pass the
-    // 500 ms budget.
+    // 500 ms budget. Every claimed cell finishes, and each worker holds
+    // one, so the budget cuts this plan only with fewer workers than
+    // its six cells.
     let config = ServerConfig {
+        threads: 2,
         max_trials: 1 << 20,
         fault_plan: Some(FaultPlan {
             delay_before_run_ms: Some(450),
@@ -772,4 +775,26 @@ fn mixed_hostile_load_yields_one_well_formed_response_per_request() {
 
     handle.shutdown();
     handle.join().unwrap();
+}
+
+#[test]
+fn deeply_nested_lines_are_protocol_errors_for_daemon_and_supervisor() {
+    // 200 000 levels of `[` used to overflow the recursive JSON parser's
+    // stack and abort the process. The supervisor parses request lines
+    // itself to route them, so both front ends need the depth cap.
+    let hostile = "[".repeat(200_000);
+    let (server, server_addr) = start(ServerConfig::default());
+    let (fleet, fleet_addr) = start_fleet(fleet_config(2, "deep-nesting", &[]));
+    for addr in [server_addr, fleet_addr] {
+        let mut client = Client::connect(addr);
+        let response = client.roundtrip(&hostile);
+        assert_eq!(status(&response), "error");
+        assert_eq!(code(&response), "protocol");
+        let pong = client.roundtrip(r#"{"op": "ping"}"#);
+        assert_eq!(status(&pong), "ok");
+    }
+    server.shutdown();
+    server.join().unwrap();
+    fleet.shutdown();
+    fleet.join().unwrap();
 }
