@@ -18,14 +18,15 @@
 //! With `--check`, every measured configuration's `best_trials_per_sec` is
 //! compared against the checked-in baseline; the process exits non-zero if
 //! any configuration regresses by more than the allowed fraction (the CI
-//! ratchet of the roadmap). Improvements are reported but never fail.
+//! ratchet of the roadmap). Improvements are reported but never fail; a
+//! baseline that is not JSON, or a row missing one of its fields, does.
 //! `--require-tableau` additionally fails the run if any wide Clifford
 //! entry (BV64/BV128/ghz48) was not served by the stabilizer-tableau
 //! backend — backend selection is automatic, so a silent fallback to the
 //! dense path is a bug, not a tuning choice.
 
 use nisq_core::CompilerConfig;
-use nisq_exp::{NoiseSpec, Session, DEFAULT_MACHINE_SEED};
+use nisq_exp::{json, NoiseSpec, Session, DEFAULT_MACHINE_SEED};
 use nisq_ir::{bernstein_vazirani, random_circuit, Benchmark, Circuit, RandomCircuitConfig};
 use nisq_machine::TopologySpec;
 use nisq_sim::{Simulator, SimulatorConfig};
@@ -172,32 +173,38 @@ fn measure(session: &mut Session, spec: &Spec) -> Measurement {
     }
 }
 
-/// Extracts `(benchmark, compiler, best_trials_per_sec)` triples from a
-/// baseline file written by this binary (hand-rolled parse: the workspace
-/// has no serde_json offline).
-fn parse_baseline(text: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"benchmark\"") {
-            continue;
-        }
-        let field = |key: &str| -> Option<&str> {
-            let tag = format!("\"{key}\": ");
-            let start = line.find(&tag)? + tag.len();
-            let rest = &line[start..];
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(rest[..end].trim().trim_matches('"'))
-        };
-        if let (Some(b), Some(c), Some(rate)) = (
-            field("benchmark"),
-            field("compiler"),
-            field("best_trials_per_sec").and_then(|v| v.parse::<f64>().ok()),
-        ) {
-            out.push((b.to_string(), c.to_string(), rate));
-        }
-    }
-    out
+/// Reads the `(benchmark, compiler, best_trials_per_sec)` triple of every
+/// row of a baseline file written by this binary.
+///
+/// # Errors
+///
+/// Fails if the file is not JSON, has no non-empty `measurements` array, or
+/// a row lacks one of the three fields. A row the ratchet cannot read must
+/// fail the check rather than silently drop out of it.
+fn parse_baseline(text: &str) -> Result<Vec<(String, String, f64)>, String> {
+    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let rows = doc
+        .get("measurements")
+        .and_then(json::Value::as_array)
+        .filter(|rows| !rows.is_empty())
+        .ok_or("no measurements")?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let missing = |key: &str| format!("measurement {i} has no {key:?}");
+            let name = |key: &str| {
+                row.get(key)
+                    .and_then(json::Value::as_str)
+                    .map(str::to_string)
+                    .ok_or_else(|| missing(key))
+            };
+            let rate = row
+                .get("best_trials_per_sec")
+                .and_then(json::Value::as_f64)
+                .ok_or_else(|| missing("best_trials_per_sec"))?;
+            Ok((name("benchmark")?, name("compiler")?, rate))
+        })
+        .collect()
 }
 
 /// Compares fresh measurements against a baseline; returns the number of
@@ -485,13 +492,13 @@ fn main() {
     }
 
     if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "baseline {baseline_path} contains no measurements"
-        );
+        let baseline = std::fs::read_to_string(&baseline_path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_baseline(&text))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot read baseline {baseline_path}: {e}");
+                std::process::exit(1);
+            });
         println!(
             "\nratchet against {baseline_path} (allowed regression {:.0}%):",
             max_regress * 100.0
@@ -505,5 +512,43 @@ fn main() {
             std::process::exit(1);
         }
         println!("ratchet passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reads_rows_whatever_their_key_order_or_layout() {
+        let text = r#"{"measurements": [
+            {"compiler": "qiskit", "best_trials_per_sec": 2.5e6, "benchmark": "BV8"},
+            {"benchmark": "Adder",
+             "compiler": "r_smt_star",
+             "best_trials_per_sec": 100}
+        ]}"#;
+        assert_eq!(
+            parse_baseline(text).unwrap(),
+            [
+                ("BV8".to_string(), "qiskit".to_string(), 2.5e6),
+                ("Adder".to_string(), "r_smt_star".to_string(), 100.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_missing_field_or_a_malformed_file_fails_the_check() {
+        let missing = r#"{"measurements": [{"benchmark": "BV8", "compiler": "qiskit"}]}"#;
+        assert!(parse_baseline(missing)
+            .unwrap_err()
+            .contains("best_trials_per_sec"));
+        assert!(parse_baseline(r#"{"measurements": [{"benchmark": "BV8""#).is_err());
+        assert!(parse_baseline(r#"{"measurements": []}"#).is_err());
+    }
+
+    #[test]
+    fn the_checked_in_baseline_parses() {
+        let rows = parse_baseline(include_str!("../../../../BENCH_sim.json")).unwrap();
+        assert_eq!(rows.len(), 13);
     }
 }

@@ -16,6 +16,28 @@ use nisq_opt::{
     SolverConfig,
 };
 
+/// The placement objective of an SMT-style variant (Table 1).
+fn objective(config: &CompilerConfig) -> Result<MappingObjective, CompileError> {
+    match config.algorithm {
+        Algorithm::TSmt => Ok(MappingObjective::Duration {
+            calibration_aware: false,
+            uniform_cnot_slots: config.uniform_cnot_slots,
+        }),
+        Algorithm::TSmtStar => Ok(MappingObjective::Duration {
+            calibration_aware: true,
+            uniform_cnot_slots: config.uniform_cnot_slots,
+        }),
+        Algorithm::RSmtStar => Ok(MappingObjective::Reliability {
+            omega: config.omega,
+        }),
+        other => Err(CompileError::Optimization(
+            nisq_opt::OptError::InvalidPlacement {
+                reason: format!("algorithm {other} is not an SMT-style variant"),
+            },
+        )),
+    }
+}
+
 /// Computes the optimal placement for the configured SMT-style variant.
 ///
 /// # Errors
@@ -27,28 +49,7 @@ pub fn place(
     machine: &Machine,
     config: &CompilerConfig,
 ) -> Result<Placement, CompileError> {
-    let objective = match config.algorithm {
-        Algorithm::TSmt => MappingObjective::Duration {
-            calibration_aware: false,
-            uniform_cnot_slots: config.uniform_cnot_slots,
-        },
-        Algorithm::TSmtStar => MappingObjective::Duration {
-            calibration_aware: true,
-            uniform_cnot_slots: config.uniform_cnot_slots,
-        },
-        Algorithm::RSmtStar => MappingObjective::Reliability {
-            omega: config.omega,
-        },
-        other => {
-            return Err(CompileError::Optimization(
-                nisq_opt::OptError::InvalidPlacement {
-                    reason: format!("algorithm {other} is not an SMT-style variant"),
-                },
-            ))
-        }
-    };
-
-    let problem = problem::build(circuit, machine, objective, config.routing)?;
+    let problem = problem::build(circuit, machine, objective(config)?, config.routing)?;
     let solver_config = SolverConfig {
         max_nodes: config.solver_max_nodes,
         time_limit: config.solver_time_limit,
@@ -133,6 +134,59 @@ mod tests {
         let circuit = Benchmark::Bv4.circuit();
         let err = place(&circuit, &machine(), &CompilerConfig::greedy_e()).unwrap_err();
         assert!(matches!(err, CompileError::Optimization(_)));
+    }
+
+    /// Pins the exact solver's search effort on the paper's evaluation:
+    /// every Table-1 SMT problem of the 12 benchmarks on IBMQ16 (machine
+    /// seed 2019, days 0-6), built as `place` builds it and solved with the
+    /// config's node budget and no time limit. The node counts are a
+    /// function of the bound and the branching order alone, so a change to
+    /// either has to update these numbers on purpose.
+    #[test]
+    fn table1_week_search_effort_is_pinned() {
+        let circuits: Vec<(Benchmark, Circuit)> = Benchmark::all()
+            .into_iter()
+            .map(|b| (b, b.circuit()))
+            .collect();
+        let machines: Vec<Machine> = (0..7)
+            .map(|day| Machine::ibmq16_on_day(2019, day))
+            .collect();
+        let mut totals = Vec::new();
+        let mut largest = (0, "", "", 0);
+        for config in CompilerConfig::table1() {
+            if !config.algorithm.is_optimal() {
+                continue;
+            }
+            let name = config.algorithm.name();
+            let objective = objective(&config).unwrap();
+            let budget = SolverConfig::with_max_nodes(config.solver_max_nodes);
+            let (mut problems, mut nodes) = (0, 0);
+            for (day, machine) in machines.iter().enumerate() {
+                for (benchmark, circuit) in &circuits {
+                    let p = problem::build(circuit, machine, objective, config.routing).unwrap();
+                    let solution = solve_branch_and_bound(&p, &budget);
+                    assert!(
+                        solution.optimal,
+                        "{name} {benchmark} day {day} hit its budget"
+                    );
+                    problems += 1;
+                    nodes += solution.nodes_explored;
+                    if solution.nodes_explored > largest.0 {
+                        largest = (solution.nodes_explored, name, benchmark.name(), day);
+                    }
+                }
+            }
+            totals.push((name, problems, nodes));
+        }
+        assert_eq!(
+            totals,
+            [
+                ("T-SMT", 84, 41_643),
+                ("T-SMT*", 84, 57_509),
+                ("R-SMT*", 84, 412_053),
+            ]
+        );
+        assert_eq!(largest, (104_542, "R-SMT*", "BV8", 6));
     }
 
     #[test]

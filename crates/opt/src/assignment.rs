@@ -47,6 +47,12 @@ pub struct AssignmentProblem {
     pair_cost: Vec<f64>,
     /// `single_cost[h]`.
     single_cost: Vec<f64>,
+    /// The smallest off-diagonal `pair_cost` entry.
+    min_pair: f64,
+    /// `min_pair_from[h]`: the smallest `pair_cost[h][other]`, `other != h`.
+    min_pair_from: Vec<f64>,
+    /// The smallest `single_cost` entry.
+    min_single: f64,
 }
 
 impl AssignmentProblem {
@@ -91,6 +97,23 @@ impl AssignmentProblem {
         for t in &single_terms {
             assert!(t.q < num_program);
         }
+        // The solvers' bounds read these minima at every search node, so
+        // they are computed once here.
+        let min_pair = pair_cost
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i / num_hardware != i % num_hardware)
+            .map(|(_, &c)| c)
+            .fold(f64::INFINITY, f64::min);
+        let min_pair_from = (0..num_hardware)
+            .map(|h| {
+                (0..num_hardware)
+                    .filter(|&other| other != h)
+                    .map(|other| pair_cost[h * num_hardware + other])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        let min_single = single_cost.iter().copied().fold(f64::INFINITY, f64::min);
         Ok(AssignmentProblem {
             num_program,
             num_hardware,
@@ -98,6 +121,9 @@ impl AssignmentProblem {
             single_terms,
             pair_cost,
             single_cost,
+            min_pair,
+            min_pair_from,
+            min_single,
         })
     }
 
@@ -135,28 +161,17 @@ impl AssignmentProblem {
     /// The smallest pairwise cost anywhere in the machine (used as an
     /// admissible bound for unplaced pairs).
     pub fn min_pair_cost(&self) -> f64 {
-        self.pair_cost
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i / self.num_hardware != i % self.num_hardware)
-            .map(|(_, &c)| c)
-            .fold(f64::INFINITY, f64::min)
+        self.min_pair
     }
 
     /// The smallest pairwise cost for a pair with one endpoint fixed at `h`.
     pub fn min_pair_cost_from(&self, h: HwQubit) -> f64 {
-        (0..self.num_hardware)
-            .filter(|&other| other != h.0)
-            .map(|other| self.pair_cost[h.0 * self.num_hardware + other])
-            .fold(f64::INFINITY, f64::min)
+        self.min_pair_from[h.0]
     }
 
     /// The smallest single-qubit cost anywhere in the machine.
     pub fn min_single_cost(&self) -> f64 {
-        self.single_cost
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
+        self.min_single
     }
 
     /// Validates a complete placement against Constraints 1-2 (every program

@@ -45,11 +45,59 @@ impl SolverConfig {
     }
 }
 
+/// The terms incident on each program qubit, in term order.
+struct Incidence {
+    /// `pairs[q]`: the other endpoint and the weight of each pair term on `q`.
+    pairs: Vec<Vec<(usize, f64)>>,
+    /// `singles[q]`: the weight of each single term on `q`.
+    singles: Vec<Vec<f64>>,
+}
+
+impl Incidence {
+    fn new(problem: &AssignmentProblem) -> Self {
+        let mut pairs = vec![Vec::new(); problem.num_program()];
+        let mut singles = vec![Vec::new(); problem.num_program()];
+        for t in problem.pair_terms() {
+            pairs[t.a].push((t.b, t.weight));
+            pairs[t.b].push((t.a, t.weight));
+        }
+        for t in problem.single_terms() {
+            singles[t.q].push(t.weight);
+        }
+        Incidence { pairs, singles }
+    }
+
+    /// Cost contribution of placing program qubit `pq` at hardware `h`
+    /// against the already-placed qubits.
+    fn marginal_cost(
+        &self,
+        problem: &AssignmentProblem,
+        assignment: &[Option<HwQubit>],
+        pq: usize,
+        h: HwQubit,
+    ) -> f64 {
+        let mut cost = 0.0;
+        for &(other, weight) in &self.pairs[pq] {
+            if let Some(oh) = assignment[other] {
+                cost += weight * problem.pair_cost(h, oh);
+            }
+        }
+        for &weight in &self.singles[pq] {
+            cost += weight * problem.single_cost(h);
+        }
+        cost
+    }
+}
+
 struct Search<'a> {
     problem: &'a AssignmentProblem,
+    incidence: Incidence,
     order: Vec<usize>,
     assignment: Vec<Option<HwQubit>>,
     used: Vec<bool>,
+    /// One `(marginal cost, location)` buffer per depth, reused by every
+    /// node expanded at that depth.
+    candidates: Vec<Vec<(f64, usize)>>,
     best_assignment: Vec<HwQubit>,
     best_cost: f64,
     nodes: u64,
@@ -59,33 +107,9 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// Cost contribution of placing program qubit `pq` at hardware `h`
-    /// against the already-placed qubits.
-    fn marginal_cost(&self, pq: usize, h: HwQubit) -> f64 {
-        let mut cost = 0.0;
-        for t in self.problem.pair_terms() {
-            let other = if t.a == pq {
-                t.b
-            } else if t.b == pq {
-                t.a
-            } else {
-                continue;
-            };
-            if let Some(oh) = self.assignment[other] {
-                cost += t.weight * self.problem.pair_cost(h, oh);
-            }
-        }
-        for t in self.problem.single_terms() {
-            if t.q == pq {
-                cost += t.weight * self.problem.single_cost(h);
-            }
-        }
-        cost
-    }
-
     /// Admissible lower bound on the cost still to be paid by terms that are
     /// not yet fully placed, given the current partial assignment.
-    fn remaining_bound(&self, next_depth: usize) -> f64 {
+    fn remaining_bound(&self) -> f64 {
         let mut bound = 0.0;
         let min_pair = self.problem.min_pair_cost();
         let min_single = self.problem.min_single_cost();
@@ -103,9 +127,6 @@ impl<'a> Search<'a> {
                 bound += t.weight * min_single;
             }
         }
-        // next_depth is only used to keep the signature obvious at call
-        // sites; the bound itself is derived from the assignment state.
-        let _ = next_depth;
         bound
     }
 
@@ -141,35 +162,45 @@ impl<'a> Search<'a> {
         }
         let pq = self.order[depth];
         // Candidate locations sorted by marginal cost so good incumbents are
-        // found early and pruning kicks in sooner.
-        let mut candidates: Vec<(f64, usize)> = (0..self.problem.num_hardware())
-            .filter(|&h| !self.used[h])
-            .map(|h| (self.marginal_cost(pq, HwQubit(h)), h))
-            .collect();
+        // found early and pruning kicks in sooner. The sort is stable, so
+        // ties keep ascending location order.
+        let mut candidates = std::mem::take(&mut self.candidates[depth]);
+        candidates.clear();
+        for h in (0..self.problem.num_hardware()).filter(|&h| !self.used[h]) {
+            let marginal =
+                self.incidence
+                    .marginal_cost(self.problem, &self.assignment, pq, HwQubit(h));
+            candidates.push((marginal, h));
+        }
         candidates.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
 
-        for (marginal, h) in candidates {
+        for &(marginal, h) in &candidates {
             self.nodes += 1;
             let new_cost = partial_cost + marginal;
             self.assignment[pq] = Some(HwQubit(h));
             self.used[h] = true;
-            let bound = new_cost + self.remaining_bound(depth + 1);
+            let bound = new_cost + self.remaining_bound();
             if bound < self.best_cost - 1e-12 {
                 self.dfs(depth + 1, new_cost);
             }
             self.assignment[pq] = None;
             self.used[h] = false;
             if self.aborted {
-                return;
+                break;
             }
         }
+        self.candidates[depth] = candidates;
     }
 }
 
 /// Greedy construction used as the initial incumbent: place program qubits
 /// in descending incident-weight order, each at the currently cheapest
-/// available location.
-fn greedy_incumbent(problem: &AssignmentProblem, order: &[usize]) -> Vec<HwQubit> {
+/// available location (the lowest index among equals).
+fn greedy_incumbent(
+    problem: &AssignmentProblem,
+    incidence: &Incidence,
+    order: &[usize],
+) -> Vec<HwQubit> {
     let mut assignment: Vec<Option<HwQubit>> = vec![None; problem.num_program()];
     let mut used = vec![false; problem.num_hardware()];
     for &pq in order {
@@ -178,24 +209,7 @@ fn greedy_incumbent(problem: &AssignmentProblem, order: &[usize]) -> Vec<HwQubit
             if in_use {
                 continue;
             }
-            let mut cost = 0.0;
-            for t in problem.pair_terms() {
-                let other = if t.a == pq {
-                    t.b
-                } else if t.b == pq {
-                    t.a
-                } else {
-                    continue;
-                };
-                if let Some(oh) = assignment[other] {
-                    cost += t.weight * problem.pair_cost(HwQubit(h), oh);
-                }
-            }
-            for t in problem.single_terms() {
-                if t.q == pq {
-                    cost += t.weight * problem.single_cost(HwQubit(h));
-                }
-            }
+            let cost = incidence.marginal_cost(problem, &assignment, pq, HwQubit(h));
             if cost < best.0 {
                 best = (cost, h);
             }
@@ -213,6 +227,16 @@ fn greedy_incumbent(problem: &AssignmentProblem, order: &[usize]) -> Vec<HwQubit
 /// the search space was exhausted before hitting the budget, in which case
 /// the assignment minimizes the problem's objective — the same optimum the
 /// paper's SMT encoding computes.
+///
+/// The sequence of explored nodes is a function of the problem alone: the
+/// branching order, the candidate order and the bound depend only on the
+/// terms and cost matrices, and the bound's constants (the smallest pair
+/// and single costs) are computed once per problem, when the
+/// [`AssignmentProblem`] is built. A node budget therefore cuts the search
+/// at the same node on every host. How far a solve bounded only by wall
+/// clock gets (`fig11_scalability`, the scalability example) depends on
+/// the host and on the cost of a node, so cheaper nodes get further in the
+/// same time and may return a better placement.
 ///
 /// # Panics
 ///
@@ -239,13 +263,16 @@ pub fn solve_branch_and_bound(
             .then(a.cmp(&b))
     });
 
-    let incumbent = greedy_incumbent(problem, &order);
+    let incidence = Incidence::new(problem);
+    let incumbent = greedy_incumbent(problem, &incidence, &order);
     let incumbent_cost = problem
         .evaluate(&incumbent)
         .expect("greedy incumbent is a valid placement");
 
     let mut search = Search {
         problem,
+        incidence,
+        candidates: vec![Vec::new(); order.len()],
         order,
         assignment: vec![None; problem.num_program()],
         used: vec![false; problem.num_hardware()],
