@@ -87,10 +87,10 @@ impl Spec {
     }
 }
 
-/// A deep Clifford-only circuit (H/S layers over a CNOT ladder): every
-/// error trial has an all-Clifford suffix, so the whole error budget is
-/// served by the engine's tier-0 Pauli propagation. This entry ratchets the
-/// tier-0 path itself — before tier 0, every one of its error trials paid a
+/// A deep Clifford-only circuit (H/S layers over a CNOT ladder): the whole
+/// program runs on the stabilizer tableau, so every error trial is served
+/// by precomputed outcome masks. This entry ratchets that path — on the
+/// dense engine, every one of its error trials would pay a
 /// multi-hundred-gate state replay at 2^14 amplitudes.
 fn clifford_ladder(qubits: usize, layers: usize) -> Circuit {
     let mut c = Circuit::new(qubits);
@@ -374,7 +374,7 @@ fn main() {
         },
         // BV16 fills the whole IBMQ16 device (2^16 amplitudes): the widest
         // paper-family entry, Clifford-only, with swap-back mid-circuit
-        // measurements — the tier-0 + fused-flush showcase.
+        // measurements, served by the stabilizer tableau.
         Spec {
             name: "BV16",
             compiler: "qiskit",

@@ -9,10 +9,10 @@
 //!
 //! where placement dispatches through the [`PlacementRegistry`]
 //! (rehoming the paper's Table-1 algorithms as interchangeable
-//! [`PlacementStrategy`] implementations) and routing installs a
-//! [`RoutingPolicy`] — the paper's swap-out/swap-back model by default, or
-//! permutation tracking as an opt-in scenario. Every pass is timed; the
-//! per-pass breakdown is attached to the produced
+//! [`PlacementStrategy`](crate::PlacementStrategy) implementations) and
+//! routing installs a [`RoutingPolicy`] — the paper's swap-out/swap-back
+//! model by default, or permutation tracking as an opt-in scenario. Every
+//! pass is timed; the per-pass breakdown is attached to the produced
 //! [`CompiledCircuit`](crate::CompiledCircuit).
 //!
 //! # Writing a custom pass

@@ -55,13 +55,14 @@ impl std::fmt::Display for BackendTag {
     }
 }
 
-/// How many trials each tier of the simulator's four-tier engine served —
-/// error-free shortcut, tier-0 Pauli propagation, checkpointed resume,
-/// full replay — plus the single-error suffix memo's hit/miss counters
-/// (see `nisq_sim::TierCounts`). Recorded per cell and summed over the
-/// run. The four tier fields partition the trial count; the memo counters
-/// describe a subset of the checkpointed/full-replay trials and are not
-/// part of the partition.
+/// How many trials each simulator tier served — error-free shortcut,
+/// tableau error masks, checkpointed resume, full replay (see
+/// `nisq_sim::TierCounts`). Recorded per cell and summed over the run. The
+/// four tier fields partition the trial count.
+///
+/// `memo_hits` and `memo_misses` are always 0. They counted a single-error
+/// suffix memo the engine no longer has, and stay because schema v6 and
+/// the benchmark harness (`perfbench`) read them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierStats {
     /// Which state backend served these trials (`Mixed` only in merged
@@ -70,23 +71,23 @@ pub struct TierStats {
     /// Trials with no sampled error, served from the ideal terminal
     /// distribution without state evolution.
     pub error_free: u64,
-    /// Error trials whose suffix was all-Clifford, served by symplectic
-    /// Pauli propagation without state evolution.
+    /// Error trials of fully-Clifford programs, served by the stabilizer
+    /// tableau's precomputed outcome masks without state evolution (0 for
+    /// dense cells).
     pub pauli_prop: u64,
     /// Trials resumed from a shared ideal-prefix (or measure-divergence)
     /// checkpoint.
     pub checkpointed: u64,
     /// Trials replayed from the initial state.
     pub full_replay: u64,
-    /// Single-error trials served from the memoized suffix evolution.
+    /// Always 0 (see the type docs).
     pub memo_hits: u64,
-    /// Single-error trials that built a memo entry.
+    /// Always 0 (see the type docs).
     pub memo_misses: u64,
 }
 
 impl TierStats {
-    /// Total trials across every tier (memo counters overlap the partition
-    /// and are not added).
+    /// Total trials across every tier.
     pub fn total(&self) -> u64 {
         self.error_free + self.pauli_prop + self.checkpointed + self.full_replay
     }
@@ -122,8 +123,7 @@ impl From<nisq_sim::TierCounts> for TierStats {
             pauli_prop: counts.pauli_prop,
             checkpointed: counts.checkpointed,
             full_replay: counts.full_replay,
-            memo_hits: counts.memo_hits,
-            memo_misses: counts.memo_misses,
+            ..TierStats::default()
         }
     }
 }

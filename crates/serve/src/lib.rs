@@ -32,7 +32,7 @@
 //!
 //! Every error travels as a typed [`ServeError`] with a stable wire code,
 //! mirrored by the `code` field of error responses. The `fault-injection`
-//! feature (tests only) adds [`FaultPlan`] hooks for panicking or stalling
+//! feature (tests only) adds `FaultPlan` hooks for panicking or stalling
 //! the worker on demand.
 
 #![deny(unsafe_code)]

@@ -19,9 +19,9 @@
 //! every fused unitary against the single-qubit Clifford group and marks
 //! the program [`BackendKind::Tableau`] when the whole program is Clifford,
 //! [`BackendKind::Dense`] otherwise. No public caller names a backend; the
-//! simulator dispatches on the program's kind (and
-//! [`EngineOptions::exact`](crate::EngineOptions::exact) pins the dense
-//! bit-exact path regardless).
+//! simulator dispatches on the program's kind alone. Dense outcomes are
+//! bit-identical to [`TrialProgram::run_trial`](crate::TrialProgram::run_trial);
+//! tableau outcomes match it in distribution.
 
 use crate::gates::Matrix2;
 use crate::noise::Pauli;

@@ -1,23 +1,20 @@
-//! Symplectic Clifford machinery for the engine's tier-0 fast path.
+//! Symplectic Clifford machinery for backend selection and the tableau.
 //!
-//! A Clifford unitary maps Paulis to Paulis under conjugation, so an error
-//! Pauli injected before an all-Clifford program suffix can be pushed past
-//! the suffix with pure bit arithmetic — no state-vector pass at all. This
-//! module provides the two pieces the tier-0 path needs:
+//! A Clifford unitary maps Paulis to Paulis under conjugation, so a program
+//! built only from Cliffords can be simulated on a stabilizer tableau with
+//! pure bit arithmetic — no state-vector pass at all. This module provides
+//! two pieces:
 //!
 //! * [`classify`] decides whether a (possibly fused) 2×2 unitary is one of
 //!   the **24 single-qubit Cliffords up to global phase** by exact matching
 //!   against a generated table, and returns the element's *symplectic
 //!   action* — where conjugation sends `X`, `Z` and `Y`, including the
-//!   image signs. Tier-0 ignores the signs (it only ever propagates a
-//!   single Pauli string applied to a pure state, so its phase is global
-//!   and can never affect measurement statistics); the stabilizer-tableau
-//!   backend consumes them for its phase column.
-//! * [`SymplecticPauli`] is a one-row compact symplectic tableau: an
-//!   n-qubit Pauli string (n ≤ 24) bit-packed as an X row and a Z row in
-//!   one `u32` each, with conjugation rules for classified single-qubit
-//!   Cliffords, CNOT and SWAP, and composition with freshly sampled error
-//!   Paulis. Every operation is a handful of XOR/AND/shifts.
+//!   image signs. Lowering uses it to pick a program's backend, and the
+//!   stabilizer-tableau backend consumes the signs for its phase column.
+//! * [`SymplecticPauli`] is an n-qubit Pauli string (n ≤ 24) bit-packed as
+//!   an X row and a Z row in one `u32` each, with conjugation through CNOT
+//!   and composition with freshly sampled error Paulis — the arithmetic
+//!   that folds a SWAP's interleaved CNOT errors into one residual pair.
 //!
 //! Matching is *exact up to phase* with a tight tolerance
 //! ([`MATCH_TOLERANCE`]): fused products of Clifford generators accumulate
@@ -25,7 +22,7 @@
 //! gate set (`T`, generic rotations) sit at entry distances of order 1.
 //! A matrix within the tolerance of a Clifford but not exactly equal to it
 //! perturbs amplitudes by at most ~1e-12 per op — far below the
-//! statistical-equivalence tolerance tier-0 is fenced with.
+//! statistical-equivalence tolerance the tableau is tested with.
 
 use crate::complex::Complex;
 use crate::gates::Matrix2;
@@ -44,9 +41,8 @@ pub const MATCH_TOLERANCE: f64 = 1e-12;
 /// `U X^x Z^z U† ∝ (U X U†)^x (U Z U†)^z`, so the images of the two
 /// generators determine the whole bit action. The signs are *not* linear in
 /// the bits (the `Y` image sign absorbs an `i²` from reordering), so all
-/// three are recorded; tier-0 Pauli propagation keeps ignoring them (a
-/// single Pauli applied to a pure state has a global phase), while the
-/// stabilizer-tableau backend uses them to update its phase column.
+/// three are recorded; the stabilizer-tableau backend uses them to update
+/// its phase column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Clifford1Q {
     /// `(x, z)` bits of `U X U†`.
@@ -87,17 +83,12 @@ impl Clifford1Q {
     pub fn sign_flip(&self, x: bool, z: bool) -> bool {
         (x & !z & self.x_sign) ^ (!x & z & self.z_sign) ^ (x & z & self.y_sign)
     }
-
-    /// Whether this action moves the same Pauli bits as `other`, ignoring
-    /// signs — the equivalence tier-0 cares about.
-    pub fn same_bits(&self, other: &Clifford1Q) -> bool {
-        self.x_image == other.x_image && self.z_image == other.z_image
-    }
 }
 
 /// An n-qubit Pauli string (n ≤ 24) in compact symplectic form: bit `q` of
 /// `x`/`z` is the X/Z component on qubit `q`. The phase is deliberately not
-/// tracked (see the module docs).
+/// tracked: a sampled error string acts on a pure state, where its phase is
+/// global and never reaches a measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SymplecticPauli {
     /// Bit-packed X row.
@@ -110,20 +101,9 @@ impl SymplecticPauli {
     /// The identity string.
     pub const IDENTITY: SymplecticPauli = SymplecticPauli { x: 0, z: 0 };
 
-    /// Whether the string is the identity (up to phase).
-    pub fn is_identity(&self) -> bool {
-        self.x == 0 && self.z == 0
-    }
-
-    /// The X bit on `qubit` (whether the string flips that qubit).
-    #[inline]
-    pub fn x_bit(&self, qubit: u8) -> bool {
-        self.x >> qubit & 1 == 1
-    }
-
     /// The single-qubit Pauli on `qubit`.
     pub fn pauli_on(&self, qubit: u8) -> Pauli {
-        Pauli::from_symplectic(self.x_bit(qubit), self.z >> qubit & 1 == 1)
+        Pauli::from_symplectic(self.x >> qubit & 1 == 1, self.z >> qubit & 1 == 1)
     }
 
     /// Composes a sampled single-qubit error Pauli onto the string
@@ -135,46 +115,12 @@ impl SymplecticPauli {
         self.z ^= u32::from(z) << qubit;
     }
 
-    /// Conjugates the string through a classified single-qubit Clifford on
-    /// `qubit`.
-    #[inline]
-    pub fn conjugate_1q(&mut self, qubit: u8, action: &Clifford1Q) {
-        let x = self.x >> qubit & 1 == 1;
-        let z = self.z >> qubit & 1 == 1;
-        let (nx, nz) = action.conjugate(x, z);
-        self.x = self.x & !(1 << qubit) | u32::from(nx) << qubit;
-        self.z = self.z & !(1 << qubit) | u32::from(nz) << qubit;
-    }
-
     /// Conjugates the string through a CNOT (`control`, `target`): X copies
     /// from control to target, Z copies from target to control.
     #[inline]
     pub fn conjugate_cnot(&mut self, control: u8, target: u8) {
         self.x ^= (self.x >> control & 1) << target;
         self.z ^= (self.z >> target & 1) << control;
-    }
-
-    /// Conjugates the string through a SWAP: the two qubits' bits exchange.
-    #[inline]
-    pub fn conjugate_swap(&mut self, a: u8, b: u8) {
-        let xa = self.x >> a & 1;
-        let xb = self.x >> b & 1;
-        if xa != xb {
-            self.x ^= 1 << a | 1 << b;
-        }
-        let za = self.z >> a & 1;
-        let zb = self.z >> b & 1;
-        if za != zb {
-            self.z ^= 1 << a | 1 << b;
-        }
-    }
-
-    /// Clears the Z component on `qubit` — used after a measurement
-    /// collapse, where a Z on the measured qubit degenerates to a global
-    /// phase.
-    #[inline]
-    pub fn clear_z(&mut self, qubit: u8) {
-        self.z &= !(1u32 << qubit);
     }
 }
 
@@ -386,7 +332,11 @@ mod tests {
             (GateKind::Z, true, false, true),
         ] {
             let p = classify(&single_qubit_matrix(kind)).expect("Paulis are Clifford");
-            assert!(p.same_bits(&Clifford1Q::IDENTITY), "{kind:?}");
+            assert_eq!(
+                (p.x_image, p.z_image),
+                (Clifford1Q::IDENTITY.x_image, Clifford1Q::IDENTITY.z_image),
+                "{kind:?}"
+            );
             assert_eq!(
                 (p.x_sign, p.z_sign, p.y_sign),
                 (x_sign, z_sign, y_sign),
@@ -456,19 +406,13 @@ mod tests {
         p.conjugate_cnot(0, 1);
         assert_eq!(p.pauli_on(0), Pauli::Z);
         assert_eq!(p.pauli_on(1), Pauli::Z);
-        // SWAP exchanges wires.
-        let mut p = SymplecticPauli::IDENTITY;
-        p.compose(0, Pauli::Y);
-        p.conjugate_swap(0, 2);
-        assert_eq!(p.pauli_on(0), Pauli::I);
-        assert_eq!(p.pauli_on(2), Pauli::Y);
         // Composition is the Klein four-group per qubit.
         let mut p = SymplecticPauli::IDENTITY;
         p.compose(3, Pauli::X);
         p.compose(3, Pauli::Y);
         assert_eq!(p.pauli_on(3), Pauli::Z);
         p.compose(3, Pauli::Z);
-        assert!(p.is_identity());
+        assert_eq!(p, SymplecticPauli::IDENTITY);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod workers;
 pub use backend::{BackendKind, SimBackend};
 pub use clifford::{Clifford1Q, SymplecticPauli};
 pub use complex::Complex;
-pub use engine::{EngineOptions, TierCounts, TieredEngine};
+pub use engine::{TierCounts, TieredEngine};
 pub use noise::NoiseModel;
 pub use program::{KrausTable, TrialEvent, TrialOp, TrialProgram, TrialScratch};
 pub use result::SimulationResult;

@@ -105,8 +105,8 @@ impl Pauli {
     }
 
     /// The symplectic `(x, z)` bits of the Pauli: `P = X^x Z^z` up to
-    /// global phase — the coordinate system of the tier-0 propagation
-    /// tableau ([`crate::clifford::SymplecticPauli`]).
+    /// global phase — the coordinate system of Pauli strings
+    /// ([`crate::clifford::SymplecticPauli`]) and of the stabilizer tableau.
     pub fn symplectic(self) -> (bool, bool) {
         match self {
             Pauli::I => (false, false),

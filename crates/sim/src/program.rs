@@ -33,7 +33,9 @@
 //! ([`crate::engine`]) can classify trials by their first error site before
 //! doing any state work: error-free trials skip evolution entirely, and
 //! trials whose first error occurs deep in the program resume from a shared
-//! ideal-prefix checkpoint.
+//! ideal-prefix checkpoint. Each of those shortcuts makes the same draws and
+//! floating-point operations as [`TrialProgram::run_trial`], so the dense
+//! engine's outcomes equal that reference trial for trial.
 //!
 //! Determinism contract: a trial's outcome is a pure function of
 //! `(program, base_seed, trial_index)`. Replay order inside a trial is the
@@ -263,10 +265,6 @@ impl TrialEvent {
     }
 }
 
-// (The two-qubit symplectic arithmetic a SWAP's interleaved errors are
-// conjugated with now lives in [`crate::clifford::SymplecticPauli`], shared
-// with the engine's tier-0 Pauli-propagation path.)
-
 /// One Bernoulli gate of the program's flattened error-draw sequence: which
 /// noise site (and, for SWAP sites, which internal CNOT group) it belongs
 /// to, which channel it gates, and where the site group's draws end.
@@ -317,18 +315,10 @@ pub struct TrialProgram {
     /// non-Clifford unitaries and for every non-`Unitary` op. Parallel to
     /// `ops`.
     clifford_actions: Vec<Option<Clifford1Q>>,
-    /// The program's Clifford-suffix table, collapsed to its one defining
-    /// number: the smallest op index from which every single-qubit unitary
-    /// is Clifford. An error site at op `i` has an all-Clifford suffix —
-    /// and is eligible for the engine's tier-0 Pauli propagation — exactly
-    /// when `i >= clifford_suffix_from` (CNOTs, SWAPs, noise injections and
-    /// measurements are all symplectic-compatible, so only non-Clifford
-    /// unitaries bound the suffix).
-    clifford_suffix_from: usize,
     /// The simulation backend serving this program's trials, selected
     /// automatically at lowering time: the bit-packed stabilizer tableau
-    /// when every single-qubit unitary classified as Clifford
-    /// (`clifford_suffix_from == 0`), the dense state vector otherwise.
+    /// when every single-qubit unitary classified as Clifford and no
+    /// Kraus channel is bound, the dense state vector otherwise.
     backend: BackendKind,
 }
 
@@ -704,9 +694,8 @@ impl TrialProgram {
             }
         }
 
-        // Clifford classification (tier-0): match every fused unitary
-        // against the 24 single-qubit Cliffords, then mark the longest
-        // all-Clifford suffix (two-qubit gates are Clifford by
+        // Clifford classification: match every fused unitary against the
+        // 24 single-qubit Cliffords (two-qubit gates are Clifford by
         // construction: CNOT exactly, SWAP as a relabeling).
         let clifford_actions: Vec<Option<Clifford1Q>> = ops
             .iter()
@@ -715,11 +704,10 @@ impl TrialProgram {
                 _ => None,
             })
             .collect();
-        let clifford_suffix_from = ops
+        let all_clifford = ops
             .iter()
             .zip(&clifford_actions)
-            .rposition(|(op, action)| matches!(op, TrialOp::Unitary { .. }) && action.is_none())
-            .map_or(0, |i| i + 1);
+            .all(|(op, action)| !matches!(op, TrialOp::Unitary { .. }) || action.is_some());
 
         // Backend selection: a program that is Clifford end to end (every
         // fused unitary classified; CNOT/SWAP/Pauli noise/measurement are
@@ -727,7 +715,7 @@ impl TrialProgram {
         // non-Clifford gate — or any state-dependent Kraus channel, whose
         // branch probabilities no tableau can evaluate — selects the dense
         // state vector.
-        let backend = if clifford_suffix_from == 0 && kraus_tables.is_empty() {
+        let backend = if all_clifford && kraus_tables.is_empty() {
             BackendKind::Tableau
         } else {
             BackendKind::Dense
@@ -747,7 +735,6 @@ impl TrialProgram {
             kraus_tables,
             num_clbits: physical.num_clbits(),
             clifford_actions,
-            clifford_suffix_from,
             backend,
         }
     }
@@ -779,19 +766,10 @@ impl TrialProgram {
         &self.touched
     }
 
-    /// The smallest op index from which every single-qubit unitary matched
-    /// a Clifford — the program's Clifford-suffix boundary. Error sites at
-    /// or past this index qualify for tier-0 Pauli propagation; for a
-    /// fully-Clifford program (the BV family) this is 0.
-    pub fn clifford_suffix_from(&self) -> usize {
-        self.clifford_suffix_from
-    }
-
     /// The simulation backend selected for this program at lowering time.
     /// Selection is automatic: [`BackendKind::Tableau`] for fully-Clifford
-    /// programs, [`BackendKind::Dense`] otherwise. The simulator honours
-    /// this except under [`crate::EngineOptions::exact`], which pins the
-    /// dense bit-exact path.
+    /// programs, [`BackendKind::Dense`] otherwise. The simulator always
+    /// runs the program on this backend.
     pub fn backend_kind(&self) -> BackendKind {
         self.backend
     }
@@ -805,7 +783,7 @@ impl TrialProgram {
     /// Whether the program contains state-dependent Kraus channel sites.
     /// When true the backend is always dense and every trial replays in
     /// full: branch probabilities depend on the live amplitudes, so no
-    /// shared prefix, checkpoint or Pauli propagation applies.
+    /// shared prefix or checkpoint applies.
     pub fn has_kraus(&self) -> bool {
         !self.kraus_tables.is_empty()
     }
@@ -814,15 +792,6 @@ impl TrialProgram {
     /// Clifford (`None` for non-Clifford unitaries and non-unitary ops).
     pub fn clifford_action(&self, op: usize) -> Option<Clifford1Q> {
         self.clifford_actions[op]
-    }
-
-    /// Probability that a trial samples no error anywhere (the tail of the
-    /// survival table). `1.0` for noiseless programs. The engine's
-    /// single-error memo gates itself on this: memoization only pays below
-    /// an expected error count of about one, i.e. while this stays above
-    /// `e^{-1}`.
-    pub fn survival_probability(&self) -> f64 {
-        self.survival.last().copied().unwrap_or(1.0)
     }
 
     /// Allocates the reusable per-worker scratch for [`Self::run_trial`].
@@ -1153,91 +1122,6 @@ impl TrialProgram {
         }
     }
 
-    /// Advances `scratch` over `self.ops[from_op..to_op]` with pre-drawn
-    /// `events` injected (the slice is positioned at the first noise site
-    /// at or after `from_op`) — the deterministic, measurement-free segment
-    /// of an error trial's replay. Applies exactly the state operations
-    /// [`TrialProgram::replay_from`] would over the same range and consumes
-    /// **no** RNG draws, so a replay resumed from the advanced scratch is
-    /// bit-identical to one that ran straight through. This is how the
-    /// engine's single-error suffix memo builds its shared checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range contains a measurement (measurement outcomes are
-    /// per-trial randomness and can never be part of a shared evolution).
-    pub fn advance_noisy<B: SimBackend>(
-        &self,
-        backend: &mut B,
-        from_op: usize,
-        to_op: usize,
-        events: &[TrialEvent],
-    ) {
-        let mut site = 0usize;
-        for op in &self.ops[from_op..to_op] {
-            match *op {
-                TrialOp::Unitary { qubit, ref matrix } => backend.fuse_unitary(qubit, matrix),
-                TrialOp::Cnot { control, target } => backend.cnot(control, target),
-                TrialOp::Swap { a, b, ref noise } => {
-                    let event = if noise.is_some() {
-                        let e = events[site];
-                        site += 1;
-                        e
-                    } else {
-                        TrialEvent::Clean
-                    };
-                    backend.swap_relabel(a, b);
-                    match event {
-                        TrialEvent::Clean => {}
-                        TrialEvent::Swap(ra, rb) => {
-                            backend.inject_pauli(a, ra);
-                            backend.inject_pauli(b, rb);
-                        }
-                        other => unreachable!("swap site pre-sampled {other:?}"),
-                    }
-                }
-                TrialOp::GateNoise { qubit, .. } => {
-                    let event = events[site];
-                    site += 1;
-                    if let TrialEvent::Gate(pauli) = event {
-                        backend.inject_pauli(qubit, pauli);
-                    }
-                }
-                TrialOp::CnotNoise {
-                    control, target, ..
-                } => {
-                    let event = events[site];
-                    site += 1;
-                    if let TrialEvent::Cnot(pc, pt) = event {
-                        backend.inject_pauli(control, pc);
-                        backend.inject_pauli(target, pt);
-                    }
-                }
-                TrialOp::ChannelNoise { qubit, .. } => {
-                    let event = events[site];
-                    site += 1;
-                    if let TrialEvent::Gate(pauli) = event {
-                        backend.inject_pauli(qubit, pauli);
-                    }
-                }
-                TrialOp::ChannelNoise2 { a, b, .. } => {
-                    let event = events[site];
-                    site += 1;
-                    if let TrialEvent::Cnot(pa, pb) = event {
-                        backend.inject_pauli(a, pa);
-                        backend.inject_pauli(b, pb);
-                    }
-                }
-                TrialOp::KrausChannel { .. } => {
-                    unreachable!("Kraus programs replay every trial in full")
-                }
-                TrialOp::Measure { .. } | TrialOp::TerminalSample { .. } => {
-                    unreachable!("shared noisy advances never cross a measurement")
-                }
-            }
-        }
-    }
-
     /// Replays the program once against `scratch` (which is reset first),
     /// returning the measured classical bits packed into a `u128` (bit `i`
     /// = clbit `i`).
@@ -1345,19 +1229,6 @@ impl TrialScratch {
             Pauli::X => self.fuse(qubit, &PAULI_X_MATRIX),
             Pauli::Y => self.fuse(qubit, &PAULI_Y_MATRIX),
             Pauli::Z => self.fuse(qubit, &PAULI_Z_MATRIX),
-        }
-    }
-
-    /// Composes an n-qubit Pauli string onto the pending matrices, qubit by
-    /// qubit (a Pauli string is a tensor product of single-qubit Paulis up
-    /// to global phase) — how the engine materializes a propagated tier-0
-    /// error onto a restored checkpoint when a measure draw diverges.
-    pub(crate) fn fuse_symplectic(&mut self, pauli: &SymplecticPauli) {
-        let mut live = pauli.x | pauli.z;
-        while live != 0 {
-            let qubit = live.trailing_zeros() as u8;
-            live &= live - 1;
-            self.fuse_pauli(qubit, pauli.pauli_on(qubit));
         }
     }
 

@@ -1,5 +1,5 @@
 use crate::backend::BackendKind;
-use crate::engine::{with_engine_scratch, EngineOptions, TierCounts, TieredEngine};
+use crate::engine::{with_engine_scratch, TierCounts, TieredEngine};
 use crate::noise::NoiseModel;
 use crate::program::TrialProgram;
 use crate::result::SimulationResult;
@@ -30,9 +30,6 @@ pub struct SimulatorConfig {
     pub noise: NoiseModel,
     /// Number of worker threads (trials are embarrassingly parallel).
     pub threads: usize,
-    /// Trial-engine tuning: tier-0 Pauli propagation (statistically
-    /// equivalent, on by default) and the exact single-error suffix memo.
-    pub engine: EngineOptions,
 }
 
 impl Default for SimulatorConfig {
@@ -42,7 +39,6 @@ impl Default for SimulatorConfig {
             seed: 0,
             noise: NoiseModel::full(),
             threads: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
-            engine: EngineOptions::default(),
         }
     }
 }
@@ -134,18 +130,16 @@ impl<'m> Simulator<'m> {
 
     /// Runs the configured number of trials of an already-lowered program.
     ///
-    /// Trials are executed by the four-tier engine (see [`TieredEngine`]):
-    /// error patterns are pre-sampled per trial, error-free trials are
-    /// served from the precomputed ideal terminal distribution, errors
-    /// with an all-Clifford suffix are conjugated symplectically onto that
-    /// distribution (tier 0), trials whose first error fires before the
-    /// Clifford boundary resume from a shared ideal-prefix checkpoint (with
-    /// single-error suffixes memoized), and only the rest replay in full.
-    /// Results are bit-for-bit deterministic for a seed and independent of
-    /// the thread count; with [`EngineOptions::pauli_prop`] disabled they
-    /// are additionally bit-identical to a [`TrialProgram::run_trial`]
-    /// loop (tier-0 outcomes are statistically equivalent instead — see
-    /// [`crate::engine`]).
+    /// The program's [`BackendKind`] picks the engine. Dense programs run
+    /// on the three-tier [`TieredEngine`]: error patterns are pre-sampled
+    /// per trial, error-free trials are served from the precomputed ideal
+    /// terminal distribution, error trials resume from a shared
+    /// ideal-prefix checkpoint, and only the rest replay in full; outcomes
+    /// are bit-identical to a [`TrialProgram::run_trial`] loop.
+    /// Fully-Clifford programs run on the stabilizer tableau
+    /// ([`crate::tableau`]), whose outcomes match that loop in
+    /// distribution. Either way results are bit-for-bit deterministic for
+    /// a seed and independent of the thread count.
     pub fn run_program(&self, program: &TrialProgram) -> SimulationResult {
         self.run_program_with_stats(program).0
     }
@@ -155,30 +149,17 @@ impl<'m> Simulator<'m> {
     pub fn run_program_with_stats(&self, program: &TrialProgram) -> (SimulationResult, TierCounts) {
         let trials = self.config.trials;
         let seed = self.config.seed;
-        // Backend dispatch: fully-Clifford programs run on the stabilizer
-        // tableau unless the caller demanded bit-exactness — the tableau is
-        // statistically equivalent to the dense engine, so it sits behind
-        // the same `pauli_prop` gate as tier 0 and `EngineOptions::exact()`
-        // pins the dense bit-exact path.
-        let engine =
-            if program.backend_kind() == BackendKind::Tableau && self.config.engine.pauli_prop {
-                ChunkEngine::Tableau(TableauEngine::new(program))
-            } else {
-                assert!(
-                    program.num_qubits() <= 24,
-                    "program touches more than 24 qubits, which only the tableau backend can \
-                 simulate; it was forced onto the dense path (EngineOptions::exact() or \
-                 pauli_prop = false)"
-                );
-                ChunkEngine::Dense(TieredEngine::with_options(program, self.config.engine))
-            };
+        let engine = match program.backend_kind() {
+            BackendKind::Dense => ChunkEngine::Dense(TieredEngine::new(program)),
+            BackendKind::Tableau => ChunkEngine::Tableau(TableauEngine::new(program)),
+        };
 
         // Workers pull fixed-size chunks from one cursor, so *everything*
-        // the engine reports — outcomes and the per-chunk memo hit counters
-        // alike — is a pure function of (program, seed, trials), whatever
-        // the thread count and whichever worker runs which chunk. The
-        // cursor publishes no data (counts come back through the workers'
-        // join), so `Relaxed` suffices.
+        // the engine reports — outcomes and tier counts alike — is a pure
+        // function of (program, seed, trials), whatever the thread count
+        // and whichever worker runs which chunk. The cursor publishes no
+        // data (counts come back through the workers' join), so `Relaxed`
+        // suffices.
         let chunks = trials.div_ceil(TRIAL_CHUNK);
         let next = AtomicU32::new(0);
         let threads = self.config.threads.min(chunks as usize);
@@ -236,7 +217,7 @@ impl<'m> Simulator<'m> {
 }
 
 /// The per-program engine a run dispatches its chunks through: the dense
-/// four-tier engine, or the stabilizer-tableau engine for fully-Clifford
+/// three-tier engine, or the stabilizer-tableau engine for fully-Clifford
 /// programs.
 #[derive(Debug)]
 enum ChunkEngine<'p> {

@@ -16,7 +16,7 @@
 //!   ops touching `O(n/64)` words per wire, and a relabeling SWAP is a
 //!   permutation update with zero data movement. It implements
 //!   [`SimBackend`], so the generic replay walker drives it unchanged.
-//! * [`TableauEngine`]: the per-program trial engine. One ideal pass over
+//! * `TableauEngine`: the per-program trial engine. One ideal pass over
 //!   the ops computes every mid-measure's deterministic outcome and reduces
 //!   the terminal state to an *affine sampler* (see below); one backward
 //!   pass precomputes, for every noise site, the clbit-key perturbation an
@@ -50,7 +50,7 @@
 //! the support of `|ψ⟩` by `P`'s X-mask — phases never touch measurement
 //! statistics. So a single backward pass over the ops suffices to tabulate,
 //! per noise site and wire, the final-key image of an `X` and of a `Z`
-//! injected there ([`SiteMask`]). An error trial is then the error-free
+//! injected there (`SiteMask`). An error trial is then the error-free
 //! sample XOR the masks of whatever fired — `O(1)` per fired Pauli instead
 //! of an `O(ops)` propagation walk.
 //!
@@ -58,10 +58,11 @@
 //!
 //! The tableau backend is *statistically equivalent* to the dense engine —
 //! same outcome distribution for every `(program, noise)` — but not
-//! bit-identical draw-for-draw, which is why the simulator gates it behind
-//! the same statistical-equivalence flag as tier 0
-//! ([`EngineOptions::pauli_prop`](crate::EngineOptions)); outcomes remain a
-//! pure function of `(program, seed, trial)` and thread-count invariant.
+//! bit-identical draw-for-draw. It is the one engine path that matches
+//! [`TrialProgram::run_trial`] only in distribution, so the test suite
+//! bounds the total variation between the two at fixed seeds. Outcomes
+//! remain a pure function of `(program, seed, trial)` and thread-count
+//! invariant.
 
 use crate::backend::{BackendKind, SimBackend};
 use crate::clifford::{classify, Clifford1Q};
@@ -633,7 +634,7 @@ impl<'p> TableauEngine<'p> {
     /// Simulates trials `[start, end)` of the stream derived from `seed`,
     /// accumulating bit-packed outcome counts and tier occupancy — the
     /// tableau counterpart of [`TieredEngine::run_chunk`](crate::TieredEngine::run_chunk).
-    /// Error-free trials count as `error_free`, propagated error trials as
+    /// Error-free trials count as `error_free`, masked error trials as
     /// `pauli_prop`, and slow-path replays as `full_replay`.
     pub fn run_chunk(
         &self,

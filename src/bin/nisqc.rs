@@ -3,77 +3,11 @@
 //! Reads an OpenQASM 2.0 program, compiles it for a calibrated machine with
 //! one of the paper's mapping algorithms, prints a compilation report, and
 //! optionally writes the hardware executable and measures its simulated
-//! success rate.
-//!
-//! ```text
-//! Usage: nisqc <input.qasm> [options]
-//!        nisqc --benchmark BV4 [options]
-//!        nisqc sweep [sweep options]
-//!        nisqc sweep --validate report.json [--expect-cells N]
-//!        nisqc serve [serve options]
-//!
-//! Options:
-//!   --mapper <name>    qiskit | t-smt | t-smt-star | r-smt-star |
-//!                      greedy-v | greedy-e              (default: r-smt-star)
-//!   --omega <w>        readout weight for r-smt-star    (default: 0.5)
-//!   --day <d>          calibration day index            (default: 0)
-//!   --seed <s>         machine calibration seed         (default: 2019)
-//!   --trials <n>       simulate n noisy trials          (default: 0 = skip)
-//!   --expected <bits>  correct answer, e.g. 1101, for success-rate reporting
-//!   --output <path>    write the compiled OpenQASM here
-//!
-//! Sweep options (execute a declarative plan, emit a JSON report):
-//!   --benchmarks <l>   comma list of Table-2 names, "all", "representative"
-//!                      or "none" (with --qasm)          (default: representative)
-//!   --qasm <path>      add a custom OpenQASM circuit to the plan (repeatable)
-//!   --mappers <l>      comma list of mapper names or "table1"
-//!                                                       (default: r-smt-star)
-//!   --omega <w>        readout weight for r-smt-star    (default: 0.5)
-//!   --days <l>         comma list and/or a..b ranges    (default: 0)
-//!   --topology <t>     ibmq16 | grid-MxN | ring-N | heavy-hex-RxC
-//!                                                       (default: ibmq16)
-//!   --trials <n>       noisy trials per cell            (default: 0 = compile only)
-//!   --noise <path>     add a JSON noise spec as a sweep-axis point
-//!                      (repeatable; cells multiply)     (default: calibration noise only)
-//!   --machine-seed <s> machine calibration seed         (default: 2019)
-//!   --sim-seed <s>     fixed simulation seed            (default: per-cell seeds)
-//!   --journal <path>   stream finished cells to a fresh crash-safe journal
-//!   --resume <path>    resume from an existing journal: completed cells load
-//!                      without recomputation, new cells keep appending
-//!   --reuse <path>     absorb completed cells from another run's journal into
-//!                      this run's journal (requires --journal or --resume);
-//!                      matching is purely by cell fingerprint
-//!   --canonicalize <p> print a report's canonical single-line JSON
-//!                      (runtime provenance zeroed) for byte-wise comparison
-//!   --output <path>    write the JSON report here       (default: stdout)
-//!   --validate <path>  parse an emitted report instead of running a sweep
-//!   --expect-cells <n> require exactly n cells (after a sweep or --validate)
-//!
-//! Serve options (run the persistent compile-and-simulate daemon):
-//!   --listen <addr>    TCP listen address               (default: 127.0.0.1:7878)
-//!   --unix <path>      listen on a Unix socket instead of TCP
-//!   --queue <n>        per-client work-queue capacity   (default: 32)
-//!   --timeout-ms <n>   per-request wall-clock budget    (default: 30000)
-//!   --max-cells <n>    largest plan a request may send  (default: 4096)
-//!   --max-trials <n>   largest per-cell trial count     (default: 65536)
-//!   --max-qubits <n>   largest machine a request builds (default: 256)
-//!   --threads <n>      session worker threads           (default: auto)
-//!   --journal-dir <d>  accept journaled requests; per-request journals are
-//!                      kept here, keyed by the request's resume_key
-//!   --workers <n>      run n process-isolated worker shards behind a
-//!                      supervisor (0 = single-process)   (default: 0)
-//!   --runtime-dir <d>  directory for the shards' private Unix sockets
-//!                      (default: a per-process tmp dir)
-//!   --compact-threshold <n>  auto-compact a request's journal once it holds
-//!                      n dead records (0 = never)        (default: 64)
-//!
-//! Journal maintenance (inspect and compact sweep journals):
-//!   nisqc journal inspect <path>   summarize a journal: schema, record and
-//!                      cell counts, orphan intents, dead records, torn tail.
-//!                      Exits nonzero for corrupt or torn journals.
-//!   nisqc journal compact <path>   rewrite the journal keeping only the
-//!                      last write per cell (atomic tmp + rename)
-//! ```
+//! success rate. The `sweep`, `serve` and `journal` subcommands execute
+//! declarative experiment plans, run the persistent compile-and-simulate
+//! daemon, and maintain sweep journals. `nisqc --help` and
+//! `nisqc <subcommand> --help` print each command's usage (the `USAGE`,
+//! `SWEEP_USAGE`, `SERVE_USAGE` and `JOURNAL_USAGE` texts below).
 
 use nisq::exp::names::{config_for, parse_benchmarks, parse_days, parse_mappers, parse_topology};
 use nisq::prelude::*;
@@ -98,10 +32,122 @@ enum Input {
     Benchmark(Benchmark),
 }
 
-fn usage() -> String {
-    "usage: nisqc <input.qasm> [--mapper NAME] [--omega W] [--day D] [--seed S] \
-     [--trials N] [--expected BITS] [--output PATH]\n       nisqc --benchmark NAME [...]"
-        .to_string()
+/// `nisqc --help`: single-circuit compilation, plus the subcommand index.
+const USAGE: &str = "\
+usage: nisqc <input.qasm> [options]
+       nisqc --benchmark <name> [options]
+       nisqc sweep [sweep options]            (see nisqc sweep --help)
+       nisqc serve [serve options]            (see nisqc serve --help)
+       nisqc journal inspect|compact <path>   (see nisqc journal --help)
+
+Compiles one circuit for a calibrated IBMQ16 machine, prints a compilation
+report, and optionally writes the executable and measures its simulated
+success rate.
+
+Options:
+  --benchmark <name> compile a built-in Table-2 benchmark instead of a file
+  --mapper <name>    qiskit | t-smt | t-smt-star | r-smt-star |
+                     greedy-v | greedy-e              (default: r-smt-star)
+  --omega <w>        readout weight for r-smt-star    (default: 0.5)
+  --day <d>          calibration day index            (default: 0)
+  --seed <s>         machine calibration seed         (default: 2019)
+  --trials <n>       simulate n noisy trials          (default: 0 = skip)
+  --expected <bits>  correct answer, e.g. 1101, for success-rate reporting
+  --output <path>    write the compiled OpenQASM here
+  --help             print this help
+";
+
+/// `nisqc sweep --help`.
+const SWEEP_USAGE: &str = "\
+usage: nisqc sweep [sweep options]
+       nisqc sweep --validate <report.json> [--expect-cells <n>]
+       nisqc sweep --canonicalize <report.json> [--output <path>]
+
+Executes a declarative plan (circuits x mappers x days x noise specs) and
+emits a JSON report.
+
+Sweep options:
+  --benchmarks <l>   comma list of Table-2 names, \"all\", \"representative\"
+                     or \"none\" (with --qasm)          (default: representative)
+  --qasm <path>      add a custom OpenQASM circuit to the plan (repeatable)
+  --mappers <l>      comma list of mapper names or \"table1\"
+                                                      (default: r-smt-star)
+  --omega <w>        readout weight for r-smt-star    (default: 0.5)
+  --days <l>         comma list and/or a..b ranges    (default: 0)
+  --topology <t>     ibmq16 | grid-MxN | ring-N | heavy-hex-RxC
+                                                      (default: ibmq16)
+  --trials <n>       noisy trials per cell            (default: 0 = compile only)
+  --noise <path>     add a JSON noise spec as a sweep-axis point
+                     (repeatable; cells multiply)     (default: calibration noise only)
+  --machine-seed <s> machine calibration seed         (default: 2019)
+  --sim-seed <s>     fixed simulation seed            (default: per-cell seeds)
+  --journal <path>   stream finished cells to a fresh crash-safe journal
+  --resume <path>    resume from an existing journal: completed cells load
+                     without recomputation, new cells keep appending
+  --reuse <path>     absorb completed cells from another run's journal into
+                     this run's journal (requires --journal or --resume);
+                     matching is purely by cell fingerprint
+  --canonicalize <p> print a report's canonical single-line JSON
+                     (runtime provenance zeroed) for byte-wise comparison
+  --output <path>    write the JSON report here       (default: stdout)
+  --validate <path>  parse an emitted report instead of running a sweep
+  --expect-cells <n> require exactly n cells (after a sweep or --validate)
+  --help             print this help
+";
+
+/// `nisqc serve --help`.
+const SERVE_USAGE: &str = "\
+usage: nisqc serve [serve options]
+
+Runs the persistent compile-and-simulate daemon until SIGINT, SIGTERM or a
+shutdown request drains it.
+
+Serve options:
+  --listen <addr>    TCP listen address               (default: 127.0.0.1:7878)
+  --unix <path>      listen on a Unix socket instead of TCP
+  --queue <n>        per-client work-queue capacity   (default: 32)
+  --timeout-ms <n>   per-request wall-clock budget    (default: 30000)
+  --max-cells <n>    largest plan a request may send  (default: 4096)
+  --max-trials <n>   largest per-cell trial count     (default: 65536)
+  --max-qubits <n>   largest machine a request builds (default: 256)
+  --threads <n>      session worker threads           (default: auto)
+  --journal-dir <d>  accept journaled requests; per-request journals are
+                     kept here, keyed by the request's resume_key
+  --workers <n>      run n process-isolated worker shards behind a
+                     supervisor (0 = single-process)   (default: 0)
+  --runtime-dir <d>  directory for the shards' private Unix sockets
+                     (default: a per-process tmp dir)
+  --compact-threshold <n>  auto-compact a request's journal once it holds
+                     n dead records (0 = never)        (default: 64)
+  --help             print this help
+";
+
+/// `nisqc journal --help`.
+const JOURNAL_USAGE: &str = "\
+usage: nisqc journal inspect <path>
+       nisqc journal compact <path>
+
+Journal maintenance:
+  inspect <path>     summarize a journal: schema, record and cell counts,
+                     orphan intents, dead records, torn tail. Exits nonzero
+                     for corrupt or torn journals.
+  compact <path>     rewrite the journal keeping only the last write per
+                     cell (atomic tmp + rename)
+";
+
+/// The usage text a command line asks for with `--help` (or `-h`), or
+/// `None` when it asks for no help: a subcommand's own usage after
+/// `sweep`, `serve` or `journal`, the top-level usage otherwise.
+fn help_for(args: &[String]) -> Option<&'static str> {
+    let (usage, rest) = match args.first().map(String::as_str) {
+        Some("sweep") => (SWEEP_USAGE, &args[1..]),
+        Some("serve") => (SERVE_USAGE, &args[1..]),
+        Some("journal") => (JOURNAL_USAGE, &args[1..]),
+        _ => (USAGE, args),
+    };
+    rest.iter()
+        .any(|arg| arg == "--help" || arg == "-h")
+        .then_some(usage)
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -169,16 +215,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| format!("unknown benchmark {name}"))?;
                 input = Some(Input::Benchmark(benchmark));
             }
-            "--help" | "-h" => return Err(usage()),
             other if !other.starts_with("--") => {
                 input = Some(Input::QasmFile(other.to_string()));
             }
-            other => return Err(format!("unknown option {other}\n{}", usage())),
+            other => return Err(format!("unknown option {other} (see nisqc --help)")),
         }
         i += 1;
     }
 
-    options.input = input.ok_or_else(usage)?;
+    options.input = input.ok_or_else(|| {
+        "no input: pass <input.qasm> or --benchmark <name> (see nisqc --help)".to_string()
+    })?;
     Ok(options)
 }
 
@@ -324,7 +371,11 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
             "--journal" => journal_new = Some(take_value(&mut i)?),
             "--resume" => journal_resume = Some(take_value(&mut i)?),
             "--reuse" => journal_reuse = Some(take_value(&mut i)?),
-            other => return Err(format!("unknown sweep option {other}\n{}", usage())),
+            other => {
+                return Err(format!(
+                    "unknown sweep option {other} (see nisqc sweep --help)"
+                ))
+            }
         }
         i += 1;
     }
@@ -380,7 +431,7 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
         }
         println!(
             "{path}: valid report ({} cells, {} compiles, {} compile hits, {} placement passes; \
-             tiers {} error-free / {} pauli-prop / {} checkpointed / {} full, memo {}/{} hits; \
+             tiers {} error-free / {} pauli-prop / {} checkpointed / {} full; \
              backends {} dense / {} tableau cells)",
             report.cells.len(),
             report.cache.compile_requests,
@@ -390,8 +441,6 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
             report.tiers.pauli_prop,
             report.tiers.checkpointed,
             report.tiers.full_replay,
-            report.tiers.memo_hits,
-            report.tiers.memo_hits + report.tiers.memo_misses,
             dense_cells,
             tableau_cells,
         );
@@ -551,7 +600,11 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 config.journal_compact_threshold =
                     parse(take_value(&mut i)?, "compact-threshold")? as usize
             }
-            other => return Err(format!("unknown serve option {other}\n{}", usage())),
+            other => {
+                return Err(format!(
+                    "unknown serve option {other} (see nisqc serve --help)"
+                ))
+            }
         }
         i += 1;
     }
@@ -640,10 +693,9 @@ fn run_supervised(
 /// Runs the `journal` subcommand: read-only inspection or last-write-wins
 /// compaction of a sweep journal.
 fn run_journal(args: &[String]) -> Result<(), String> {
-    let journal_usage = "usage: nisqc journal inspect <path>\n       nisqc journal compact <path>";
     let (verb, path) = match (args.first(), args.get(1)) {
         (Some(verb), Some(path)) if args.len() == 2 => (verb.as_str(), path.as_str()),
-        _ => return Err(journal_usage.to_string()),
+        _ => return Err(JOURNAL_USAGE.to_string()),
     };
     match verb {
         "inspect" => {
@@ -691,12 +743,16 @@ fn run_journal(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        other => Err(format!("unknown journal verb {other:?}\n{journal_usage}")),
+        other => Err(format!("unknown journal verb {other:?}\n{JOURNAL_USAGE}")),
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(usage) = help_for(&args) {
+        print!("{usage}");
+        return ExitCode::SUCCESS;
+    }
     let subcommand = |body: fn(&[String]) -> Result<(), String>, args: &[String]| match body(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -963,6 +1019,49 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("invalid noise spec"), "{err}");
         assert!(run_sweep(&args(&["--noise", "/nonexistent/n.json"])).is_err());
+    }
+
+    #[test]
+    fn top_level_help_prints_the_compile_usage() {
+        for flag in ["--help", "-h"] {
+            assert_eq!(help_for(&args(&[flag])), Some(USAGE));
+        }
+        assert_eq!(
+            help_for(&args(&["--benchmark", "BV4", "--help"])),
+            Some(USAGE)
+        );
+        assert!(USAGE.starts_with("usage: nisqc <input.qasm>"));
+        assert_eq!(help_for(&args(&["--benchmark", "BV4"])), None);
+        assert_eq!(help_for(&args(&[])), None);
+    }
+
+    #[test]
+    fn sweep_help_prints_the_sweep_usage() {
+        assert_eq!(help_for(&args(&["sweep", "--help"])), Some(SWEEP_USAGE));
+        assert_eq!(
+            help_for(&args(&["sweep", "--benchmarks", "all", "-h"])),
+            Some(SWEEP_USAGE)
+        );
+        assert!(SWEEP_USAGE.starts_with("usage: nisqc sweep"));
+        assert_eq!(help_for(&args(&["sweep", "--benchmarks", "all"])), None);
+    }
+
+    #[test]
+    fn serve_help_prints_the_serve_usage() {
+        assert_eq!(help_for(&args(&["serve", "--help"])), Some(SERVE_USAGE));
+        assert!(SERVE_USAGE.starts_with("usage: nisqc serve"));
+        assert_eq!(help_for(&args(&["serve", "--workers", "2"])), None);
+    }
+
+    #[test]
+    fn journal_help_prints_the_journal_usage() {
+        assert_eq!(help_for(&args(&["journal", "--help"])), Some(JOURNAL_USAGE));
+        assert_eq!(
+            help_for(&args(&["journal", "inspect", "-h"])),
+            Some(JOURNAL_USAGE)
+        );
+        assert!(JOURNAL_USAGE.starts_with("usage: nisqc journal"));
+        assert_eq!(help_for(&args(&["journal", "inspect", "a.journal"])), None);
     }
 
     #[test]

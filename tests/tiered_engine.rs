@@ -1,32 +1,29 @@
-//! Acceptance properties of the four-tier trial engine:
+//! Acceptance properties of the simulator's trial engines:
 //!
-//! * **exactness** — with tier-0 Pauli propagation disabled
-//!   ([`EngineOptions::exact`]), the engine (error-pattern pre-sampling,
-//!   tier-1 multinomial shortcut, ideal-prefix / dominant-path checkpoints,
-//!   single-error suffix memoization) is bit-identical to the single-trial
-//!   reference path ([`TrialProgram::run_trial`]) on every workload shape,
-//!   including mid-circuit measurements and divergence fallbacks;
-//! * **memo exactness** — memoized single-error trials are bit-identical
-//!   to cold ones (memo on vs. off changes nothing but the hit counters);
-//! * **tier-0 statistical equivalence** — Pauli-propagated trials sample
-//!   the same outcome distribution as the numeric reference: total
-//!   variation between the two engines' empirical distributions stays
-//!   within the documented sampling bound at fixed seeds;
+//! * **exactness** — on every dense program the default simulator
+//!   (error-pattern pre-sampling, tier-1 multinomial shortcut, ideal-prefix
+//!   / dominant-path checkpoints) is bit-identical to the single-trial
+//!   reference path ([`TrialProgram::run_trial`]), including mid-circuit
+//!   measurements and divergence fallbacks, at any thread count;
+//! * **tableau statistical equivalence** — the stabilizer tableau, which
+//!   serves fully-Clifford programs, samples the same outcome distribution
+//!   as the reference replay: total variation between the two empirical
+//!   distributions stays within the documented sampling bound at fixed
+//!   seeds;
 //! * **statistical equivalence of the engine as a whole** — success rates
 //!   agree (within sampling tolerance) with a fully independent
 //!   interleaved-draw replayer built on the public state-vector API;
 //! * **determinism** — a seed reproduces a report bit-for-bit, at the
-//!   simulator and at the `Session` level, on all four tiers;
-//! * **thread invariance** — outcome counts *and* tier/memo occupancy are
-//!   independent of the worker-thread count, with tier 0 and the memo
-//!   enabled;
+//!   simulator and at the `Session` level, on every tier;
+//! * **thread invariance** — outcome counts *and* tier occupancy are
+//!   independent of the worker-thread count on both backends;
 //! * **occupancy accounting** — the four tier counts partition the trial
 //!   budget and aggregate correctly into `Report` totals (schema v3).
 
 use nisq::prelude::*;
 use nisq_exp::{SweepPlan, TierStats};
 use nisq_ir::{GateKind, Qubit};
-use nisq_sim::{noise, EngineOptions, NoiseModel, StateVector, TierCounts, TrialOp, TrialProgram};
+use nisq_sim::{noise, BackendKind, NoiseModel, StateVector, TierCounts, TrialOp, TrialProgram};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -37,13 +34,16 @@ fn machine() -> Machine {
 /// A physical circuit whose mid-circuit measurement has a genuinely random
 /// outcome (p1 = 0.5) and is *not* sinkable — later gates reference the
 /// measured qubit — so the engine's dominant-path walker diverges on about
-/// half the trials and must fall back to its pre-measure checkpoint.
+/// half the trials and must fall back to its pre-measure checkpoint. The
+/// T gate changes no outcome probability; it keeps the program off the
+/// Clifford-only tableau and on the dense engine.
 fn coin_flip_circuit() -> Circuit {
     let mut c = Circuit::new(3);
     c.h(Qubit(0));
     c.measure(Qubit(0), nisq_ir::Clbit(0));
     c.cnot(Qubit(0), Qubit(1));
     c.h(Qubit(2));
+    c.t(Qubit(2));
     c.cnot(Qubit(2), Qubit(1));
     c.measure(Qubit(1), nisq_ir::Clbit(1));
     c.measure(Qubit(2), nisq_ir::Clbit(2));
@@ -62,17 +62,15 @@ fn reference_counts(program: &TrialProgram, seed: u64, trials: u32) -> HashMap<u
     counts
 }
 
-fn engine_counts_with(
+fn engine_counts(
     machine: &Machine,
     program: &TrialProgram,
     seed: u64,
     trials: u32,
     threads: usize,
-    options: EngineOptions,
 ) -> (HashMap<u128, u32>, TierCounts) {
     let mut config = SimulatorConfig::with_trials(trials, seed);
     config.threads = threads;
-    config.engine = options;
     let sim = Simulator::new(machine, config);
     let (result, tiers) = sim.run_program_with_stats(program);
     let mut counts = HashMap::new();
@@ -86,23 +84,6 @@ fn engine_counts_with(
         *counts.entry(key).or_insert(0) += n;
     }
     (counts, tiers)
-}
-
-fn engine_counts(
-    machine: &Machine,
-    program: &TrialProgram,
-    seed: u64,
-    trials: u32,
-    threads: usize,
-) -> (HashMap<u128, u32>, TierCounts) {
-    engine_counts_with(
-        machine,
-        program,
-        seed,
-        trials,
-        threads,
-        EngineOptions::default(),
-    )
 }
 
 /// Total variation distance between two empirical outcome distributions.
@@ -125,10 +106,10 @@ fn total_variation(a: &HashMap<u128, u32>, b: &HashMap<u128, u32>, trials: u32) 
 fn exact_engine_is_bit_identical_to_reference_replay() {
     let m = machine();
     let mut programs: Vec<(String, TrialProgram)> = Vec::new();
-    // Compiled paper benchmarks: swap-back executables with mid-circuit
-    // measurements (BV8/qiskit) and terminal-sample-only programs.
+    // Compiled paper benchmarks with T gates: swap-back executables whose
+    // late errors fall in an all-Clifford suffix (Toffoli/qiskit) and a
+    // deeper terminal-sample-only program.
     for (benchmark, config) in [
-        (Benchmark::Bv8, CompilerConfig::qiskit()),
         (Benchmark::Toffoli, CompilerConfig::qiskit()),
         (Benchmark::Adder, CompilerConfig::r_smt_star(0.5)),
     ] {
@@ -148,25 +129,39 @@ fn exact_engine_is_bit_identical_to_reference_replay() {
             TrialProgram::lower(&coin_flip_circuit(), &m, &noise_model),
         ));
     }
+    // 2^12 amplitudes, with errors on both sides of a random mid-measure.
+    programs.push((
+        "deep-12q".into(),
+        TrialProgram::lower(
+            &deep_nonclifford_circuit(),
+            &m,
+            &NoiseModel::cnot_and_readout_only(),
+        ),
+    ));
 
     for (name, program) in &programs {
+        assert_eq!(program.backend_kind(), BackendKind::Dense, "{name}");
         for seed in [1u64, 42] {
             let reference = reference_counts(program, seed, 1536);
-            let (engine, tiers) =
-                engine_counts_with(&m, program, seed, 1536, 4, EngineOptions::exact());
-            assert_eq!(&engine, &reference, "{name} seed {seed} diverged");
-            assert_eq!(tiers.total(), 1536, "{name}: tiers must partition trials");
-            assert_eq!(tiers.pauli_prop, 0, "{name}: tier 0 was disabled");
+            for threads in [1, 2, 7] {
+                let (engine, tiers) = engine_counts(&m, program, seed, 1536, threads);
+                assert_eq!(
+                    &engine, &reference,
+                    "{name} seed {seed} diverged at {threads} threads"
+                );
+                assert_eq!(tiers.total(), 1536, "{name}: tiers must partition trials");
+                assert_eq!(tiers.backend, BackendKind::Dense, "{name}");
+                assert_eq!(tiers.pauli_prop, 0, "{name}: dense trials take no masks");
+            }
         }
     }
 }
 
 /// A deep 12-qubit non-Clifford circuit (T gates in every layer) with one
-/// unsinkable mid-circuit measurement: wide enough for the memo's
-/// state-size gate, non-Clifford so tier 0 cannot absorb its error trials,
-/// and shaped to exercise *both* memo entry kinds — errors before the mid
-/// measure cache a pre-measure checkpoint, errors after it cache a
-/// perturbed terminal CDF.
+/// unsinkable mid-circuit measurement: errors before the measure replay
+/// across it from the shared prefix, errors after it resume behind the
+/// dominant path, and trials that leave the dominant path restore the
+/// pre-measure checkpoint.
 fn deep_nonclifford_circuit() -> Circuit {
     let qubits = 12;
     let mut c = Circuit::new(qubits);
@@ -192,76 +187,17 @@ fn deep_nonclifford_circuit() -> Circuit {
 }
 
 #[test]
-fn memoized_trials_are_bit_identical_to_cold() {
-    let m = machine();
-    // Modest error mass (CNOT+readout noise keeps λ < 1) so the memo
-    // engages. Seeds are fixed: the memo is deterministic, so hit counts
-    // are reproducible.
-    {
-        let benchmark = "deep-12q";
-        let program = TrialProgram::lower(
-            &deep_nonclifford_circuit(),
-            &m,
-            &NoiseModel::cnot_and_readout_only(),
-        );
-        assert!(
-            program.survival_probability() > (-1.0f64).exp(),
-            "memo λ-gate would disable: survival {}",
-            program.survival_probability()
-        );
-        let memoized = EngineOptions {
-            pauli_prop: false,
-            suffix_memo: true,
-        };
-        let cold = EngineOptions {
-            pauli_prop: false,
-            suffix_memo: false,
-        };
-        let (with_memo, memo_tiers) = engine_counts_with(&m, &program, 7, 4096, 2, memoized);
-        let (without, cold_tiers) = engine_counts_with(&m, &program, 7, 4096, 2, cold);
-        assert_eq!(
-            with_memo, without,
-            "{benchmark}: memoized outcomes diverged from cold"
-        );
-        assert_eq!(cold_tiers.memo_hits + cold_tiers.memo_misses, 0);
-        assert_eq!(
-            (
-                memo_tiers.error_free,
-                memo_tiers.pauli_prop,
-                memo_tiers.checkpointed,
-                memo_tiers.full_replay
-            ),
-            (
-                cold_tiers.error_free,
-                cold_tiers.pauli_prop,
-                cold_tiers.checkpointed,
-                cold_tiers.full_replay
-            ),
-            "{benchmark}: memoization must not move trials between tiers"
-        );
-        assert!(
-            memo_tiers.memo_misses > 0,
-            "{benchmark}: memo never engaged — the test is vacuous"
-        );
-        assert!(
-            memo_tiers.memo_hits > 0,
-            "{benchmark}: no memo hits at this seed — pick another workload"
-        );
-    }
-}
-
-#[test]
-fn tier0_outcomes_match_numeric_reference_within_tv_bound() {
+fn tableau_outcomes_match_reference_replay_within_tv_bound() {
     // These benchmarks compile to fully-Clifford executables, so the
-    // default engine serves them on the stabilizer-tableau backend:
-    // error-free trials sample the terminal affine subspace, error trials
-    // twist it with the propagated Pauli's X mask. The per-trial outcome
-    // distribution is identical to the dense engine's (a Pauli permutes
-    // basis probabilities, and the affine sampler draws the exact
+    // simulator serves them on the stabilizer-tableau backend: error-free
+    // trials sample the terminal affine subspace, error trials shift it by
+    // the fired Paulis' precomputed outcome masks. The per-trial outcome
+    // distribution is identical to the reference replay's (a Pauli
+    // permutes basis probabilities, and the affine sampler draws the exact
     // stabilizer-support distribution), but the draw-to-outcome mapping
-    // differs on *every* trial, so the two engines produce different —
-    // equally distributed — outcome streams. This is the cross-backend
-    // equivalence gate: tableau vs. dense-exact at fixed seeds.
+    // differs on *every* trial, so the two produce different — equally
+    // distributed — outcome streams. This is the cross-backend equivalence
+    // gate: tableau vs. the `run_trial` loop at fixed seeds.
     //
     // Tolerance: the runs are independent samples of the same
     // distribution, so the empirical TV concentrates around
@@ -281,29 +217,30 @@ fn tier0_outcomes_match_numeric_reference_within_tv_bound() {
             .unwrap();
         let program = TrialProgram::lower(compiled.physical_circuit(), &m, &NoiseModel::full());
         assert_eq!(
-            program.clifford_suffix_from(),
-            0,
+            program.backend_kind(),
+            BackendKind::Tableau,
             "{benchmark} compiles to a Clifford-only executable"
         );
         let trials = 8192u32;
         for seed in [11u64, 23] {
-            let (fast, fast_tiers) =
-                engine_counts_with(&m, &program, seed, trials, 4, EngineOptions::default());
-            let (exact, exact_tiers) =
-                engine_counts_with(&m, &program, seed, trials, 4, EngineOptions::exact());
+            let (fast, fast_tiers) = engine_counts(&m, &program, seed, trials, 4);
+            let exact = reference_counts(&program, seed, trials);
             assert!(
                 fast_tiers.pauli_prop > 0,
-                "{benchmark}: tier 0 never engaged"
+                "{benchmark}: the error masks never engaged"
             );
-            // The default engine must have selected the tableau backend
-            // for a Clifford-only program; exact() must force dense.
-            assert_eq!(fast_tiers.backend, nisq_sim::BackendKind::Tableau);
-            assert_eq!(exact_tiers.backend, nisq_sim::BackendKind::Dense);
-            // Tier 0 absorbs exactly the trials the exact engine served
-            // from checkpoints/full replays after its own divergences.
+            assert_eq!(fast_tiers.backend, BackendKind::Tableau);
+            // Every trial with an error pattern takes the error masks;
+            // the rest are error-free.
             assert_eq!(fast_tiers.total(), u64::from(trials));
-            assert_eq!(exact_tiers.total(), u64::from(trials));
-            assert_eq!(fast_tiers.error_free, exact_tiers.error_free);
+            let mut events = Vec::new();
+            let error_free = (0..trials)
+                .filter(|&t| {
+                    let mut rng = TrialProgram::trial_rng(seed, t);
+                    program.pre_sample(&mut events, &mut rng).is_none()
+                })
+                .count();
+            assert_eq!(fast_tiers.error_free, error_free as u64);
 
             let tv = total_variation(&fast, &exact, trials);
             assert!(
@@ -319,8 +256,8 @@ fn aliased_mid_measure_clbits_agree_across_backends() {
     // Regression (formerly examples/alias_repro.rs): a fully-Clifford
     // circuit whose two mid-circuit measures write the SAME clbit. The
     // second write must shadow the first identically on the tableau fast
-    // path and the dense-exact engine — the bug class this pins is the
-    // fast path resolving aliased clbit writes in a different order.
+    // path and in the `run_trial` reference — the bug class this pins is
+    // the fast path resolving aliased clbit writes in a different order.
     let m = machine();
     let mut c = Circuit::with_clbits(2, 2);
     c.x(Qubit(0));
@@ -335,12 +272,9 @@ fn aliased_mid_measure_clbits_agree_across_backends() {
     let program = TrialProgram::lower(&c, &m, &NoiseModel::full());
 
     let trials = 32768u32;
-    let (fast, fast_tiers) =
-        engine_counts_with(&m, &program, 42, trials, 4, EngineOptions::default());
-    let (exact, exact_tiers) =
-        engine_counts_with(&m, &program, 42, trials, 4, EngineOptions::exact());
-    assert_eq!(fast_tiers.backend, nisq_sim::BackendKind::Tableau);
-    assert_eq!(exact_tiers.backend, nisq_sim::BackendKind::Dense);
+    let (fast, fast_tiers) = engine_counts(&m, &program, 42, trials, 4);
+    let exact = reference_counts(&program, 42, trials);
+    assert_eq!(fast_tiers.backend, BackendKind::Tableau);
     let tv = total_variation(&fast, &exact, trials);
     assert!(
         tv < 0.03,
@@ -476,12 +410,11 @@ fn interleaved_success_rate(
 #[test]
 fn engine_statistically_matches_interleaved_reference() {
     // The engine restructures every trial's draw order (error pattern
-    // first, measurements after) and — with tier 0 — the draw-to-outcome
-    // mapping of Clifford-suffix error trials. The simulated distribution
-    // must not move: success rates of the engine and of a naive
-    // interleaved-draw replayer agree within sampling noise at 8192 trials
-    // (~3 sigma of a Bernoulli at p ~ 0.5 is about 0.017; 0.03 leaves
-    // headroom).
+    // first, measurements after) and — on the tableau — the draw-to-outcome
+    // mapping of every trial. The simulated distribution must not move:
+    // success rates of the engine and of a naive interleaved-draw replayer
+    // agree within sampling noise at 8192 trials (~3 sigma of a Bernoulli
+    // at p ~ 0.5 is about 0.017; 0.03 leaves headroom).
     let m = machine();
     for (benchmark, config) in [
         (Benchmark::Bv8, CompilerConfig::qiskit()),
@@ -535,11 +468,10 @@ fn same_seed_reproduces_the_report_bit_for_bit() {
 #[test]
 fn counts_and_occupancy_are_thread_count_invariant() {
     let m = machine();
-    // BV8/qiskit is Clifford-only with mid-circuit measures: tier 0 serves
-    // every error trial, so this pins the tier-0 path itself. The deep
-    // 12-qubit T-gate circuit has a live memo (wide enough for the
-    // state-size gate): pins the memoized tier-2 path. Both run with the
-    // default (tier 0 + memo) options.
+    // BV8/qiskit is Clifford-only with mid-circuit measures: the tableau's
+    // error masks serve every error trial, so this pins that path. The
+    // deep 12-qubit T-gate circuit runs on the dense engine: pins the
+    // checkpointed tier at 2^12 amplitudes.
     let bv8 = Compiler::new(&m, CompilerConfig::qiskit())
         .compile(&Benchmark::Bv8.circuit())
         .unwrap();
@@ -559,15 +491,14 @@ fn counts_and_occupancy_are_thread_count_invariant() {
             false,
         ),
     ];
-    for (benchmark, program, expect_tier0) in &programs {
-        let expect_tier0 = *expect_tier0;
+    for (benchmark, program, tableau) in &programs {
         let (serial, serial_tiers) = engine_counts(&m, program, 5, 3073, 1);
-        if expect_tier0 {
-            assert!(serial_tiers.pauli_prop > 0, "expected tier-0 occupancy");
+        if *tableau {
+            assert!(serial_tiers.pauli_prop > 0, "expected error-mask occupancy");
         } else {
             assert!(
-                serial_tiers.memo_hits + serial_tiers.memo_misses > 0,
-                "expected memo activity, got {serial_tiers:?}"
+                serial_tiers.checkpointed > 0,
+                "expected checkpointed trials, got {serial_tiers:?}"
             );
         }
         for threads in [2, 3, 8] {
@@ -607,10 +538,22 @@ fn multinomial_aggregation_is_thread_count_invariant() {
     }
 }
 
+/// Op indices of the program's single-qubit unitaries that did not
+/// classify as Clifford.
+fn non_clifford_unitaries(program: &TrialProgram) -> Vec<usize> {
+    (0..program.ops().len())
+        .filter(|&i| {
+            matches!(program.ops()[i], TrialOp::Unitary { .. })
+                && program.clifford_action(i).is_none()
+        })
+        .collect()
+}
+
 #[test]
 fn clifford_suffix_classification_follows_the_gate_set() {
     let m = machine();
-    // H + CNOT only: the whole program is Clifford.
+    // H + S + CNOT only: every unitary classifies, so the whole program is
+    // Clifford and runs on the tableau.
     let mut clifford = Circuit::new(3);
     clifford.h(Qubit(0)).s(Qubit(1));
     clifford.cnot(Qubit(0), Qubit(1));
@@ -619,10 +562,11 @@ fn clifford_suffix_classification_follows_the_gate_set() {
     clifford.cnot(Qubit(1), Qubit(2));
     clifford.measure_all();
     let program = TrialProgram::lower(&clifford, &m, &NoiseModel::full());
-    assert_eq!(program.clifford_suffix_from(), 0);
+    assert_eq!(program.backend_kind(), BackendKind::Tableau);
+    assert!(non_clifford_unitaries(&program).is_empty());
 
-    // A T in the middle bounds the suffix: the boundary falls after the
-    // unitary op that fused the T.
+    // One T in the middle: only the unitary op that fused the T fails to
+    // classify, and it alone sends the program to the dense engine.
     let mut with_t = Circuit::new(3);
     with_t.h(Qubit(0));
     with_t.cnot(Qubit(0), Qubit(1));
@@ -632,16 +576,14 @@ fn clifford_suffix_classification_follows_the_gate_set() {
     with_t.cnot(Qubit(0), Qubit(2));
     with_t.measure_all();
     let program = TrialProgram::lower(&with_t, &m, &NoiseModel::full());
-    let boundary = program.clifford_suffix_from();
-    assert!(boundary > 0, "the fused T must bound the suffix");
-    for (i, op) in program.ops().iter().enumerate().skip(boundary) {
-        if matches!(op, TrialOp::Unitary { .. }) {
-            assert!(
-                program.clifford_action(i).is_some(),
-                "op {i} past the boundary must be Clifford"
-            );
-        }
-    }
+    assert_eq!(program.backend_kind(), BackendKind::Dense);
+    let non_clifford = non_clifford_unitaries(&program);
+    assert_eq!(non_clifford.len(), 1, "{non_clifford:?}");
+    let t_matrix = nisq_sim::gates::single_qubit_matrix(GateKind::T);
+    assert!(matches!(
+        program.ops()[non_clifford[0]],
+        TrialOp::Unitary { ref matrix, .. } if *matrix == t_matrix
+    ));
 }
 
 #[test]
@@ -670,8 +612,8 @@ fn tier_occupancy_partitions_trials_and_aggregates_into_reports() {
     assert!(tiers.error_free > 0, "{tiers:?}");
     assert!(tiers.checkpointed > 0, "{tiers:?}");
 
-    // A Clifford-only executable under full noise: tier 0 absorbs the
-    // error trials (checkpoints still serve mid-measure divergences).
+    // A Clifford-only executable under full noise: the tableau's error
+    // masks absorb the error trials, and nothing replays.
     let bv = Compiler::new(&m, CompilerConfig::qiskit())
         .compile(&Benchmark::Bv8.circuit())
         .unwrap();
