@@ -6,8 +6,9 @@
 //! * **Pauli-diagonal** channels ([`Channel::pauli_form`] returns `Some`) —
 //!   depolarizing, bit-flip, phase-flip, Pauli-weighted. Their action is
 //!   "with probability `p_fire`, apply one non-identity Pauli", which is
-//!   exactly the shape of the pre-sampler's gating table, so they keep the
-//!   fast execution tiers and the tableau backend's precomputed error masks.
+//!   exactly the shape of the simulator's pre-sampled Pauli noise sites, so
+//!   they keep the fast execution tiers and the tableau backend's
+//!   precomputed error masks.
 //! * **General Kraus** channels ([`Channel::kraus_ops`] returns `Some`) —
 //!   amplitude damping and explicit operator lists. Their branch
 //!   probabilities depend on the quantum state, so every trial must replay
@@ -78,8 +79,8 @@ pub enum Channel {
 }
 
 /// The Pauli-diagonal form of a channel: one firing probability plus the
-/// conditional severity distribution, the exact inputs the pre-sampler's
-/// gating table wants.
+/// conditional distribution over the Paulis it applies, the exact inputs of
+/// a pre-sampled Pauli noise site.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PauliForm {
     /// Single-qubit: conditional weights over X/Y/Z (summing to 1 whenever

@@ -13,8 +13,7 @@
 //!   stabilizer-tableau backend consumes the signs for its phase column.
 //! * [`SymplecticPauli`] is an n-qubit Pauli string (n ≤ 24) bit-packed as
 //!   an X row and a Z row in one `u32` each, with conjugation through CNOT
-//!   and composition with freshly sampled error Paulis — the arithmetic
-//!   that folds a SWAP's interleaved CNOT errors into one residual pair.
+//!   and composition with single-qubit Paulis.
 //!
 //! Matching is *exact up to phase* with a tight tolerance
 //! ([`MATCH_TOLERANCE`]): fused products of Clifford generators accumulate

@@ -2,9 +2,6 @@
 //! depolarizing noise after gates, dephasing over time, and classical
 //! readout bit-flips.
 
-use nisq_ir::GateKind;
-use rand::Rng;
-
 /// Which error channels the simulator injects.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
@@ -52,20 +49,10 @@ impl NoiseModel {
             decoherence: false,
         }
     }
-
-    /// Whether any channel is enabled.
-    pub fn is_noisy(&self) -> bool {
-        self.cnot_noise || self.single_qubit_noise || self.readout_noise || self.decoherence
-    }
 }
 
-impl Default for NoiseModel {
-    fn default() -> Self {
-        NoiseModel::full()
-    }
-}
-
-/// A Pauli operator used for stochastic error injection.
+/// A Pauli operator used for stochastic error injection. The declaration
+/// order I, X, Y, Z is the index order of noise-site Pauli pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pauli {
     /// Identity (no error).
@@ -79,16 +66,6 @@ pub enum Pauli {
 }
 
 impl Pauli {
-    /// The corresponding gate kind, or `None` for the identity.
-    pub fn gate_kind(&self) -> Option<GateKind> {
-        match self {
-            Pauli::I => None,
-            Pauli::X => Some(GateKind::X),
-            Pauli::Y => Some(GateKind::Y),
-            Pauli::Z => Some(GateKind::Z),
-        }
-    }
-
     /// Composes two Pauli errors into the single Pauli with the same action
     /// on the state up to global phase (the Pauli group modulo phase is the
     /// Klein four-group). Global phase never affects measurement statistics,
@@ -107,7 +84,7 @@ impl Pauli {
     /// The symplectic `(x, z)` bits of the Pauli: `P = X^x Z^z` up to
     /// global phase — the coordinate system of Pauli strings
     /// ([`crate::clifford::SymplecticPauli`]) and of the stabilizer tableau.
-    pub fn symplectic(self) -> (bool, bool) {
+    pub const fn symplectic(self) -> (bool, bool) {
         match self {
             Pauli::I => (false, false),
             Pauli::X => (true, false),
@@ -118,7 +95,7 @@ impl Pauli {
 
     /// The Pauli with the given symplectic bits (inverse of
     /// [`Pauli::symplectic`], up to global phase).
-    pub fn from_symplectic(x: bool, z: bool) -> Pauli {
+    pub const fn from_symplectic(x: bool, z: bool) -> Pauli {
         match (x, z) {
             (false, false) => Pauli::I,
             (true, false) => Pauli::X,
@@ -127,7 +104,8 @@ impl Pauli {
         }
     }
 
-    fn from_index(i: usize) -> Pauli {
+    /// The Pauli at `i` in the order I, X, Y, Z (indices above 3 give Z).
+    pub(crate) const fn from_index(i: usize) -> Pauli {
         match i {
             0 => Pauli::I,
             1 => Pauli::X,
@@ -137,58 +115,15 @@ impl Pauli {
     }
 }
 
-/// Samples a single-qubit depolarizing error with probability `p`: with
-/// probability `p`, a uniformly random non-identity Pauli.
-pub fn depolarizing_1q<R: Rng + ?Sized>(p: f64, rng: &mut R) -> Pauli {
-    if rng.gen_bool(p.clamp(0.0, 1.0)) {
-        fired_depol_1q(rng)
-    } else {
-        Pauli::I
-    }
-}
-
-/// The severity draw of a single-qubit depolarizing error that is known to
-/// have fired: a uniformly random non-identity Pauli.
-pub(crate) fn fired_depol_1q<R: Rng + ?Sized>(rng: &mut R) -> Pauli {
-    Pauli::from_index(rng.gen_range(1..4))
-}
-
-/// The severity draw of a two-qubit depolarizing error that is known to
-/// have fired: a uniformly random non-identity pair of Paulis.
-pub(crate) fn fired_depol_2q<R: Rng + ?Sized>(rng: &mut R) -> (Pauli, Pauli) {
-    let idx = rng.gen_range(1..16usize);
-    (Pauli::from_index(idx / 4), Pauli::from_index(idx % 4))
-}
-
-/// Samples a two-qubit depolarizing error with probability `p`: with
-/// probability `p`, a uniformly random non-identity pair of Paulis.
-pub fn depolarizing_2q<R: Rng + ?Sized>(p: f64, rng: &mut R) -> (Pauli, Pauli) {
-    if rng.gen_bool(p.clamp(0.0, 1.0)) {
-        // Uniform over the 15 non-identity two-qubit Paulis.
-        fired_depol_2q(rng)
-    } else {
-        (Pauli::I, Pauli::I)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn noise_model_presets() {
-        assert!(NoiseModel::full().is_noisy());
-        assert!(!NoiseModel::ideal().is_noisy());
         let paper = NoiseModel::cnot_and_readout_only();
         assert!(paper.cnot_noise && paper.readout_noise);
         assert!(!paper.single_qubit_noise && !paper.decoherence);
-    }
-
-    #[test]
-    fn pauli_gate_kinds_are_correct() {
-        assert_eq!(Pauli::I.gate_kind(), None);
-        assert_eq!(Pauli::X.gate_kind(), Some(GateKind::X));
-        assert_eq!(Pauli::Z.gate_kind(), Some(GateKind::Z));
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! A trial splits into two phases that consume one RNG stream in a fixed
 //! order:
 //!
-//! 1. **Pre-sampling** ([`TrialProgram::pre_sample`]): every stochastic
-//!    error of the program — depolarizing draws, dephasing draws, the three
-//!    CNOT error groups of each SWAP — is drawn *without touching the
-//!    state*, in program order, into a flat [`TrialEvent`] buffer. The
-//!    index of the first non-identity event (if any) is returned.
+//! 1. **Pre-sampling** ([`TrialProgram::pre_sample`]): every Pauli noise
+//!    site of the program ([`TrialOp::PauliSite`]) draws its Pauli pair
+//!    from the fixed distribution lowering computed for it — built-in
+//!    depolarizing composed with dephasing, a bound spec channel, or one of
+//!    a SWAP's three internal CNOTs — *without touching the state*, in
+//!    program order, into a flat [`TrialEvent`] buffer. The index of the
+//!    first site that fired (if any) is returned.
 //! 2. **Replay** ([`TrialProgram::replay_from`]): the state evolution
 //!    replays the ops, injecting the pre-drawn events instead of drawing,
 //!    and only then consumes measurement/readout draws.
@@ -46,10 +48,10 @@
 //! invariant under how trials are distributed over threads.
 
 use crate::backend::{BackendKind, SimBackend};
-use crate::clifford::{self, Clifford1Q, SymplecticPauli};
+use crate::clifford::{self, Clifford1Q};
 use crate::complex::Complex;
 use crate::gates::{single_qubit_matrix, Matrix2};
-use crate::noise::{self, NoiseModel, Pauli};
+use crate::noise::{NoiseModel, Pauli};
 use crate::rng::TrialRng;
 use crate::state::StateVector;
 use nisq_ir::{Circuit, GateKind};
@@ -82,71 +84,31 @@ pub enum TrialOp {
     },
     /// A SWAP between two compact qubits, physically three back-to-back
     /// CNOTs on the edge. Its unitary part is a basis permutation, so the
-    /// replay realizes it by relabeling qubit indices — zero state passes —
-    /// unless one of the three CNOTs' error draws fires, in which case the
-    /// exact interleaved CNOT+error sequence is materialized.
+    /// replay realizes it by relabeling qubit indices — zero state passes.
+    /// A noisy SWAP is followed by three [`TrialOp::PauliSite`]s on
+    /// `(a, b)`, one per internal CNOT, whose pairs are pre-conjugated onto
+    /// the SWAP's output wires.
     Swap {
         /// First compact qubit.
         a: u8,
         /// Second compact qubit.
         b: u8,
-        /// Noise of the 3-CNOT decomposition; `None` when every channel
-        /// relevant to this edge is disabled.
-        noise: Option<SwapNoise>,
     },
-    /// Stochastic error injection after a single-qubit gate: depolarizing
-    /// with probability `p_depol`, then dephasing with `p_dephase`; the two
-    /// sampled Paulis are composed (up to global phase) and applied with at
-    /// most one kernel pass.
-    GateNoise {
-        /// Compact qubit index.
-        qubit: u8,
-        /// Pre-fetched single-qubit depolarizing probability.
-        p_depol: f64,
-        /// Pre-computed dephasing probability over the gate's duration.
-        p_dephase: f64,
-    },
-    /// Stochastic error injection after a CNOT: two-qubit depolarizing with
-    /// probability `p_depol`, then per-qubit dephasing over the CNOT's
-    /// calibrated duration.
-    CnotNoise {
-        /// Compact control index.
-        control: u8,
-        /// Compact target index.
-        target: u8,
-        /// Pre-fetched per-edge CNOT depolarizing probability.
-        p_depol: f64,
-        /// Pre-computed control-qubit dephasing probability.
-        p_dephase_control: f64,
-        /// Pre-computed target-qubit dephasing probability.
-        p_dephase_target: f64,
-    },
-    /// A Pauli-diagonal channel bound by a [`NoiseSpec`] to a single-qubit
-    /// gate (emitted after it) or a measurement (emitted before it): with
-    /// probability `p_fire`, one non-identity Pauli drawn from the
-    /// cumulative severity weights. Pre-sampled exactly like the built-in
-    /// channels, so bound Pauli channels keep the fast tiers and the
-    /// tableau backend.
-    ChannelNoise {
-        /// Compact qubit index.
-        qubit: u8,
-        /// Probability any error fires at this site.
-        p_fire: f64,
-        /// P(X | fired).
-        cum_x: f64,
-        /// P(X or Y | fired); the remainder is Z.
-        cum_xy: f64,
-    },
-    /// A two-qubit depolarizing channel bound by a [`NoiseSpec`] to a CNOT
-    /// or SWAP edge (emitted after the gate): with probability `p_fire`, a
-    /// uniformly random non-identity Pauli pair.
-    ChannelNoise2 {
-        /// First compact qubit (CNOT control / SWAP `a`).
+    /// A Pauli noise site: with the site's firing probability, one
+    /// non-identity Pauli pair drawn from its fixed distribution is
+    /// injected on `a` (and `b`). Every Pauli-diagonal channel lowers to
+    /// these sites — the built-in calibration noise after each gate
+    /// (depolarizing composed with dephasing over the gate's duration) and
+    /// a [`NoiseSpec`]'s Pauli bindings alike — so they are pre-sampled,
+    /// keep the fast tiers and keep the tableau backend. The distribution
+    /// lives in the program's site table, parallel to
+    /// [`TrialProgram::noise_sites`].
+    PauliSite {
+        /// Compact qubit receiving the pair's first Pauli.
         a: u8,
-        /// Second compact qubit (CNOT target / SWAP `b`).
-        b: u8,
-        /// Probability any error fires at this site.
-        p_fire: f64,
+        /// Compact qubit receiving the second Pauli; `None` for one-wire
+        /// sites, whose second Pauli is always the identity.
+        b: Option<u8>,
     },
     /// A state-dependent (non-Pauli) channel bound by a [`NoiseSpec`]:
     /// amplitude damping or a general Kraus channel. Branch probabilities
@@ -184,17 +146,6 @@ pub enum TrialOp {
     },
 }
 
-/// Pre-fetched error probabilities for one SWAP's 3-CNOT decomposition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwapNoise {
-    /// Per-CNOT depolarizing probability on the edge.
-    pub p_depol: f64,
-    /// Per-CNOT dephasing probability of qubit `a`.
-    pub p_dephase_a: f64,
-    /// Per-CNOT dephasing probability of qubit `b`.
-    pub p_dephase_b: f64,
-}
-
 /// The precomputed operators of one [`TrialOp::KrausChannel`] site: the
 /// branch operators `A_k` (the channel's Kraus operators, with the
 /// preceding fused gate unitary baked in when the channel follows a gate)
@@ -228,63 +179,154 @@ impl KrausTable {
     }
 }
 
-/// One pre-sampled stochastic outcome of a noise site, produced by
-/// [`TrialProgram::pre_sample`] and consumed by
+/// One pre-sampled outcome of a [`TrialOp::PauliSite`]: the Paulis it
+/// injects on the site's wires `a` and `b` (the second is `I` on one-wire
+/// sites). Produced by [`TrialProgram::pre_sample`] and consumed by
 /// [`TrialProgram::replay_from`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrialEvent {
-    /// Every draw of the site came up identity: the site is a no-op on the
-    /// state.
-    Clean,
-    /// Composed (depolarizing ∘ dephasing) Pauli after a single-qubit gate.
-    Gate(Pauli),
-    /// Composed per-qubit Paulis after a CNOT (control, target).
-    Cnot(Pauli, Pauli),
-    /// The residual Pauli pair of a noisy SWAP, in program-qubit `(a, b)`
-    /// order, to be applied *after* the relabeling.
-    ///
-    /// The three per-CNOT error pairs of the SWAP's 3-CNOT decomposition
-    /// are conjugated through the remaining internal CNOTs at sampling
-    /// time (Paulis are closed under CNOT conjugation up to global phase,
-    /// which never affects measurement statistics), so even an erroneous
-    /// SWAP replays as a zero-pass relabeling plus at most one fused Pauli
-    /// per wire — never as three materialized CNOT passes.
-    Swap(Pauli, Pauli),
-}
+pub struct TrialEvent(pub Pauli, pub Pauli);
 
 impl TrialEvent {
+    /// The outcome of a site that did not fire.
+    pub const CLEAN: TrialEvent = TrialEvent(Pauli::I, Pauli::I);
+
+    /// The pair with index `4·a + b` (Paulis ordered I, X, Y, Z).
+    fn from_pair(pair: u8) -> Self {
+        TrialEvent(
+            Pauli::from_index(usize::from(pair >> 2)),
+            Pauli::from_index(usize::from(pair & 3)),
+        )
+    }
+
     /// Whether the event perturbs the state.
     pub fn is_error(&self) -> bool {
-        !matches!(
-            self,
-            TrialEvent::Clean
-                | TrialEvent::Gate(Pauli::I)
-                | TrialEvent::Cnot(Pauli::I, Pauli::I)
-                | TrialEvent::Swap(Pauli::I, Pauli::I)
-        )
+        *self != TrialEvent::CLEAN
     }
 }
 
-/// One Bernoulli gate of the program's flattened error-draw sequence: which
-/// noise site (and, for SWAP sites, which internal CNOT group) it belongs
-/// to, which channel it gates, and where the site group's draws end.
+/// The fixed Pauli-pair distribution of one [`TrialOp::PauliSite`],
+/// computed once at lowering.
+///
+/// Pairs are indexed `4·a + b` with Paulis ordered I, X, Y, Z. In that
+/// order the XOR of two indices is the index of the pair product up to
+/// phase, so independent channels on a site compose by XOR convolution of
+/// their 16-entry distributions (index 0 is the identity).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct GatingEntry {
-    /// Noise-site index the draw belongs to.
-    site: u32,
-    /// Internal CNOT group for SWAP sites (0 otherwise).
-    swap_k: u8,
-    /// Channel: 0 = depolarizing, 1 = first dephasing, 2 = second
-    /// dephasing (in the group's draw order).
-    sub: u8,
-    /// Gating index just past this draw's group — where inversion sampling
-    /// resumes after the group is resolved.
-    group_end: u32,
-    /// The draw's firing probability — used by the sequential fallback
-    /// when the survival product has collapsed to zero (a certain-fire
-    /// channel earlier in the program).
-    prob: f64,
+struct SiteDist {
+    /// Probability the site injects a non-identity pair.
+    p_fire: f64,
+    /// `cdf[k]` = P(slot ≤ k | fired). Slot `k` is pair `k + 1` of the
+    /// frame the distribution was drawn in; every slot from the last one
+    /// with positive probability on holds exactly 1.
+    cdf: [f64; 15],
+    /// The pair index each slot injects on the site's wires `(a, b)`: the
+    /// slot's own pair, or for a SWAP's CNOT sites that pair conjugated
+    /// through the SWAP's later CNOTs ([`SWAP_MAPS`]).
+    pairs: [u8; 15],
 }
+
+impl SiteDist {
+    /// The site drawing from the 16-entry pair distribution `dist`, or
+    /// `None` when it can never fire.
+    fn new(dist: &[f64; 16]) -> Option<Self> {
+        let p_fire: f64 = dist[1..].iter().sum();
+        let last = (1..16).rev().find(|&k| dist[k] > 0.0)?;
+        let mut cdf = [1.0; 15];
+        let mut acc = 0.0;
+        for k in 1..last {
+            acc += dist[k];
+            cdf[k - 1] = acc / p_fire;
+        }
+        Some(SiteDist {
+            p_fire: p_fire.min(1.0),
+            cdf,
+            pairs: std::array::from_fn(|k| k as u8 + 1),
+        })
+    }
+
+    /// The same distribution with every slot's pair sent through `map`.
+    fn mapped(mut self, map: &[u8; 16]) -> Self {
+        for pair in &mut self.pairs {
+            *pair = map[usize::from(*pair)];
+        }
+        self
+    }
+
+    /// Draws the pair of a site known to have fired: one uniform against
+    /// the CDF.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> TrialEvent {
+        let u: f64 = rng.gen();
+        TrialEvent::from_pair(self.pairs[self.cdf.partition_point(|&c| c <= u)])
+    }
+}
+
+/// Single-qubit depolarizing with probability `p` on wire `a`.
+fn one_qubit_depolarizing(p: f64) -> [f64; 16] {
+    let mut dist = [0.0; 16];
+    dist[0] = 1.0 - p;
+    for pauli in 1..4 {
+        dist[4 * pauli] = p / 3.0;
+    }
+    dist
+}
+
+/// Two-qubit depolarizing with probability `p`: uniform over the 15
+/// non-identity pairs.
+fn two_qubit_depolarizing(p: f64) -> [f64; 16] {
+    let mut dist = [p / 15.0; 16];
+    dist[0] = 1.0 - p;
+    dist
+}
+
+/// Pair index of a Z on wire `a` and of a Z on wire `b`.
+const Z_ON_A: usize = 12;
+const Z_ON_B: usize = 3;
+
+/// Composes `dist` with an independent Z (pair index `z`) of probability
+/// `q`: the XOR convolution with the two-point distribution `{I: 1-q, z: q}`.
+fn dephase(dist: &mut [f64; 16], z: usize, q: f64) {
+    if q > 0.0 {
+        let d = *dist;
+        for (k, slot) in dist.iter_mut().enumerate() {
+            *slot = (1.0 - q) * d[k] + q * d[k ^ z];
+        }
+    }
+}
+
+/// The pair index `4·a + b` conjugated through a CNOT whose control is
+/// wire `a` (`a_controls`) or wire `b`: X spreads from control to target,
+/// Z from target to control.
+const fn conjugate_cnot(pair: usize, a_controls: bool) -> usize {
+    let (mut xa, mut za) = Pauli::from_index(pair >> 2).symplectic();
+    let (mut xb, mut zb) = Pauli::from_index(pair & 3).symplectic();
+    if a_controls {
+        xb ^= xa;
+        za ^= zb;
+    } else {
+        xa ^= xb;
+        zb ^= za;
+    }
+    4 * Pauli::from_symplectic(xa, za) as usize + Pauli::from_symplectic(xb, zb) as usize
+}
+
+/// `SWAP_MAPS[k][pair]`: where a `pair` drawn after internal CNOT `k` of a
+/// SWAP, in that CNOT's own (control, target) frame, lands on the SWAP's
+/// wires `(a, b)` after the whole `cnot(a,b) cnot(b,a) cnot(a,b)`
+/// sequence. The last CNOT's frame is `(a, b)` with nothing after it, so it
+/// needs no map.
+const SWAP_MAPS: [[u8; 16]; 2] = {
+    let mut maps = [[0u8; 16]; 2];
+    let mut pair = 0;
+    while pair < 16 {
+        // CNOT 0 is cnot(a, b): through cnot(b, a), then cnot(a, b).
+        maps[0][pair] = conjugate_cnot(conjugate_cnot(pair, false), true) as u8;
+        // CNOT 1 is cnot(b, a), drawn as (b, a): reorder to (a, b), then
+        // through cnot(a, b).
+        maps[1][pair] = conjugate_cnot((pair & 3) << 2 | pair >> 2, true) as u8;
+        pair += 1;
+    }
+    maps
+};
 
 /// A physical circuit lowered against one machine snapshot and noise model,
 /// ready for cheap repeated trials. See the module docs for what lowering
@@ -292,17 +334,15 @@ struct GatingEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialProgram {
     ops: Vec<TrialOp>,
-    /// Op index of every noise site (op that consumes error draws), in
-    /// program order — the coordinate system of pre-sampled
-    /// [`TrialEvent`]s.
+    /// Op index of every [`TrialOp::PauliSite`], in program order — the
+    /// coordinate system of pre-sampled [`TrialEvent`]s.
     noise_sites: Vec<u32>,
-    /// The flattened Bernoulli-gate sequence of one trial's error pattern,
-    /// in draw order (identical for a native-SWAP program and its 3-CNOT
-    /// expansion).
-    gating: Vec<GatingEntry>,
-    /// `survival[i]` = probability that no gate at index `<= i` fires —
+    /// The distribution of each site, parallel to `noise_sites` (identical
+    /// for a native-SWAP program and its 3-CNOT expansion).
+    sites: Vec<SiteDist>,
+    /// `survival[i]` = probability that no site at index `<= i` fires —
     /// the inversion-sampling table that lets [`TrialProgram::pre_sample`]
-    /// jump straight to the next firing draw with one uniform.
+    /// jump straight to the next firing site with one uniform.
     survival: Vec<f64>,
     /// Hardware qubit of each compact index (sorted ascending).
     touched: Vec<usize>,
@@ -338,9 +378,9 @@ impl TrialProgram {
 
     /// Like [`TrialProgram::lower`], additionally lowering the channel
     /// bindings of a declarative [`NoiseSpec`] (validated; binding filters
-    /// name *hardware* qubit indices). Pauli-diagonal channels join the
-    /// built-in channels in the pre-sampled gating table, so a Pauli-only
-    /// spec keeps every fast tier and the tableau backend; amplitude
+    /// name *hardware* qubit indices). Pauli-diagonal channels lower to
+    /// pre-sampled [`TrialOp::PauliSite`]s like the built-in channels, so a
+    /// Pauli-only spec keeps every fast tier and the tableau backend; amplitude
     /// damping and general Kraus channels become state-dependent
     /// [`TrialOp::KrausChannel`] sites, which force the dense backend and
     /// full per-trial replay. `spec = None` is bit-identical to
@@ -391,25 +431,22 @@ impl TrialProgram {
         let mean_cnot_error = calibration.mean_cnot_error();
         let single_slots = calibration.durations.single_qubit_slots;
 
-        // Per-qubit noise parameters, fetched once.
-        let p_depol_1q: Vec<f64> = touched
+        // The built-in site after a single-qubit gate on each qubit:
+        // depolarizing composed with dephasing over the gate's duration.
+        let gate_sites: Vec<Option<SiteDist>> = touched
             .iter()
             .map(|&hw| {
-                if noise.single_qubit_noise {
+                let p_depol = if noise.single_qubit_noise {
                     calibration.single_qubit_error(HwQubit(hw))
                 } else {
                     0.0
-                }
-            })
-            .collect();
-        let p_dephase_1q: Vec<f64> = touched
-            .iter()
-            .map(|&hw| {
+                };
+                let mut dist = one_qubit_depolarizing(p_depol.clamp(0.0, 1.0));
                 if noise.decoherence {
-                    calibration.dephasing_probability(HwQubit(hw), single_slots)
-                } else {
-                    0.0
+                    let q = calibration.dephasing_probability(HwQubit(hw), single_slots);
+                    dephase(&mut dist, Z_ON_A, q);
                 }
+                SiteDist::new(&dist)
             })
             .collect();
         let p_readout: Vec<f64> = touched
@@ -426,35 +463,38 @@ impl TrialProgram {
         let mut lowering = Lowering {
             ops: Vec::with_capacity(physical.len()),
             pending: vec![None; touched.len()],
+            sites: Vec::new(),
         };
 
-        // Pre-fetched noise of one physical CNOT on the edge `(hw_a, hw_b)`:
-        // depolarizing probability plus per-endpoint dephasing over the
-        // edge's calibrated duration. Shared by the CNOT and SWAP arms so
-        // their fallbacks can never diverge. Returns `None` when every
-        // probability is zero (no noise op needs emitting).
-        let edge_noise = |hw_a: usize, hw_b: usize| -> Option<(f64, f64, f64)> {
+        // The built-in site after one physical CNOT on the edge
+        // `(hw_c, hw_t)`, in the CNOT's (control, target) frame: two-qubit
+        // depolarizing composed with dephasing of each endpoint over the
+        // edge's calibrated duration. Shared by the CNOT and SWAP arms, so
+        // a native SWAP draws exactly what its 3-CNOT expansion draws.
+        let cnot_site = |hw_c: usize, hw_t: usize| -> Option<SiteDist> {
             if !noise.cnot_noise && !noise.decoherence {
                 return None;
             }
-            let params = calibration.edge_params(HwQubit(hw_a), HwQubit(hw_b));
+            let params = calibration.edge_params(HwQubit(hw_c), HwQubit(hw_t));
             let p_depol = if noise.cnot_noise {
                 params.map_or(mean_cnot_error, |p| p.cnot_error)
             } else {
                 0.0
             };
-            let slots = params
-                .and_then(|p| p.cnot_slots)
-                .unwrap_or(DEFAULT_CNOT_SLOTS);
-            let (p_da, p_db) = if noise.decoherence {
-                (
-                    calibration.dephasing_probability(HwQubit(hw_a), slots),
-                    calibration.dephasing_probability(HwQubit(hw_b), slots),
-                )
-            } else {
-                (0.0, 0.0)
-            };
-            (p_depol > 0.0 || p_da > 0.0 || p_db > 0.0).then_some((p_depol, p_da, p_db))
+            let mut dist = two_qubit_depolarizing(p_depol.clamp(0.0, 1.0));
+            if noise.decoherence {
+                let slots = params
+                    .and_then(|p| p.cnot_slots)
+                    .unwrap_or(DEFAULT_CNOT_SLOTS);
+                for (hw, z) in [(hw_c, Z_ON_A), (hw_t, Z_ON_B)] {
+                    dephase(
+                        &mut dist,
+                        z,
+                        calibration.dephasing_probability(HwQubit(hw), slots),
+                    );
+                }
+            }
+            SiteDist::new(&dist)
         };
 
         // Declarative spec bindings. Filters name hardware qubit indices;
@@ -464,7 +504,7 @@ impl TrialProgram {
         let bindings: &[Binding] = spec.map_or(&[][..], |s| s.bindings());
         let mut kraus_tables: Vec<KrausTable> = Vec::new();
         // The calibrated rate a cnot/swap binding's `{"calibration": f}`
-        // scales: the edge's CNOT error, mean fallback as in `edge_noise`.
+        // scales: the edge's CNOT error, mean fallback as in `cnot_site`.
         let edge_calibrated = |hw_a: usize, hw_b: usize| -> f64 {
             calibration
                 .edge_params(HwQubit(hw_a), HwQubit(hw_b))
@@ -483,14 +523,8 @@ impl TrialProgram {
                         control: c,
                         target: t,
                     });
-                    if let Some((p_depol, p_dc, p_dt)) = edge_noise(hw_c, hw_t) {
-                        lowering.ops.push(TrialOp::CnotNoise {
-                            control: c,
-                            target: t,
-                            p_depol,
-                            p_dephase_control: p_dc,
-                            p_dephase_target: p_dt,
-                        });
+                    if let Some(site) = cnot_site(hw_c, hw_t) {
+                        lowering.push_site(c, Some(t), site);
                     }
                     for binding in bindings {
                         if binding.on == GateSel::Cnot
@@ -510,23 +544,26 @@ impl TrialProgram {
                     let hw_a = gate.qubits()[0].0;
                     let hw_b = gate.qubits()[1].0;
                     let (a, b) = (compact[hw_a], compact[hw_b]);
-                    let swap_noise =
-                        edge_noise(hw_a, hw_b).map(|(p_depol, p_da, p_db)| SwapNoise {
-                            p_depol,
-                            p_dephase_a: p_da,
-                            p_dephase_b: p_db,
-                        });
                     // Flush so the emitted op order matches program order;
                     // at *runtime* unitaries still cross relabeling swaps
                     // cheaply, because TrialScratch's pending matrices
                     // travel with the relabeling.
                     lowering.flush(a);
                     lowering.flush(b);
-                    lowering.ops.push(TrialOp::Swap {
-                        a,
-                        b,
-                        noise: swap_noise,
-                    });
+                    lowering.ops.push(TrialOp::Swap { a, b });
+                    // One site per internal CNOT of `cnot(a,b) cnot(b,a)
+                    // cnot(a,b)`, drawn in that CNOT's frame and mapped onto
+                    // the SWAP's output wires.
+                    let ab = cnot_site(hw_a, hw_b);
+                    let ba = cnot_site(hw_b, hw_a);
+                    let swap_sites = [
+                        ab.map(|s| s.mapped(&SWAP_MAPS[0])),
+                        ba.map(|s| s.mapped(&SWAP_MAPS[1])),
+                        ab,
+                    ];
+                    for site in swap_sites.into_iter().flatten() {
+                        lowering.push_site(a, Some(b), site);
+                    }
                     for binding in bindings {
                         if binding.on == GateSel::Swap
                             && binding.applies_to_edge(hw_a as u32, hw_b as u32)
@@ -569,15 +606,9 @@ impl TrialProgram {
                     let hw = gate.qubits()[0].0;
                     let q = compact[hw];
                     lowering.fuse(q, &single_qubit_matrix(kind));
-                    let p_depol = p_depol_1q[usize::from(q)];
-                    let p_dephase = p_dephase_1q[usize::from(q)];
-                    if p_depol > 0.0 || p_dephase > 0.0 {
+                    if let Some(site) = gate_sites[usize::from(q)] {
                         lowering.flush(q);
-                        lowering.ops.push(TrialOp::GateNoise {
-                            qubit: q,
-                            p_depol,
-                            p_dephase,
-                        });
+                        lowering.push_site(q, None, site);
                     }
                     for binding in bindings {
                         if binding.on == GateSel::SingleQubit && binding.applies_to_qubit(hw as u32)
@@ -598,101 +629,26 @@ impl TrialProgram {
         // or entangled again, so they cannot influence any recorded outcome
         // and are dropped (dead-gate elimination).
 
-        let mut ops = lowering.ops;
+        let Lowering { mut ops, sites, .. } = lowering;
         sink_measures(&mut ops);
 
+        // Sinking moves only measurements, so the sites keep their emission
+        // order and `sites` stays parallel to `noise_sites`.
         let noise_sites: Vec<u32> = ops
             .iter()
             .enumerate()
-            .filter(|(_, op)| {
-                matches!(
-                    op,
-                    TrialOp::GateNoise { .. }
-                        | TrialOp::CnotNoise { .. }
-                        | TrialOp::Swap { noise: Some(_), .. }
-                        | TrialOp::ChannelNoise { .. }
-                        | TrialOp::ChannelNoise2 { .. }
-                )
-            })
+            .filter(|(_, op)| matches!(op, TrialOp::PauliSite { .. }))
             .map(|(i, _)| i as u32)
             .collect();
-
-        // Flatten every stochastic channel into the trial's Bernoulli-gate
-        // sequence and its running survival product. Draw order matches the
-        // sequential sampling of one trial exactly (per group: depolarizing
-        // gate, then each non-zero dephasing gate), so a native-SWAP
-        // program and its 3-CNOT expansion produce identical tables.
-        let mut gating: Vec<GatingEntry> = Vec::new();
-        let mut survival: Vec<f64> = Vec::new();
+        debug_assert_eq!(noise_sites.len(), sites.len());
         let mut alive = 1.0f64;
-        for (site, &op_index) in noise_sites.iter().enumerate() {
-            let mut push_group = |gating: &mut Vec<GatingEntry>,
-                                  survival: &mut Vec<f64>,
-                                  swap_k: u8,
-                                  probs: [f64; 3]| {
-                let start = gating.len();
-                for (sub, &p) in probs.iter().enumerate() {
-                    if p > 0.0 {
-                        let prob = p.clamp(0.0, 1.0);
-                        gating.push(GatingEntry {
-                            site: site as u32,
-                            swap_k,
-                            sub: sub as u8,
-                            group_end: 0,
-                            prob,
-                        });
-                        alive *= 1.0 - prob;
-                        survival.push(alive);
-                    }
-                }
-                let end = gating.len() as u32;
-                for entry in &mut gating[start..] {
-                    entry.group_end = end;
-                }
-            };
-            match ops[op_index as usize] {
-                TrialOp::GateNoise {
-                    p_depol, p_dephase, ..
-                } => push_group(&mut gating, &mut survival, 0, [p_depol, p_dephase, 0.0]),
-                TrialOp::CnotNoise {
-                    p_depol,
-                    p_dephase_control,
-                    p_dephase_target,
-                    ..
-                } => push_group(
-                    &mut gating,
-                    &mut survival,
-                    0,
-                    [p_depol, p_dephase_control, p_dephase_target],
-                ),
-                TrialOp::ChannelNoise { p_fire, .. } => {
-                    push_group(&mut gating, &mut survival, 0, [p_fire, 0.0, 0.0])
-                }
-                TrialOp::ChannelNoise2 { p_fire, .. } => {
-                    push_group(&mut gating, &mut survival, 0, [p_fire, 0.0, 0.0])
-                }
-                TrialOp::Swap {
-                    noise: Some(ref n), ..
-                } => {
-                    for k in 0..3u8 {
-                        // The middle CNOT runs reversed, so its dephasing
-                        // draws come in (b, a) order.
-                        let (p_first, p_second) = if k == 1 {
-                            (n.p_dephase_b, n.p_dephase_a)
-                        } else {
-                            (n.p_dephase_a, n.p_dephase_b)
-                        };
-                        push_group(
-                            &mut gating,
-                            &mut survival,
-                            k,
-                            [n.p_depol, p_first, p_second],
-                        );
-                    }
-                }
-                _ => unreachable!("noise_sites point at stochastic ops"),
-            }
-        }
+        let survival: Vec<f64> = sites
+            .iter()
+            .map(|site| {
+                alive *= 1.0 - site.p_fire;
+                alive
+            })
+            .collect();
 
         // Clifford classification: match every fused unitary against the
         // 24 single-qubit Cliffords (two-qubit gates are Clifford by
@@ -729,7 +685,7 @@ impl TrialProgram {
         TrialProgram {
             ops,
             noise_sites,
-            gating,
+            sites,
             survival,
             touched,
             kraus_tables,
@@ -744,9 +700,9 @@ impl TrialProgram {
         &self.ops
     }
 
-    /// Op index of every noise site (op that consumes error draws), in
-    /// program order. Pre-sampled [`TrialEvent`]s use positions in this
-    /// list as their coordinates.
+    /// Op index of every noise site ([`TrialOp::PauliSite`]), in program
+    /// order. Pre-sampled [`TrialEvent`]s use positions in this list as
+    /// their coordinates.
     pub fn noise_sites(&self) -> &[u32] {
         &self.noise_sites
     }
@@ -809,29 +765,30 @@ impl TrialProgram {
     /// noise site). Returns the index of the first error event, or `None`
     /// for an error-free trial.
     ///
-    /// Instead of one Bernoulli draw per stochastic channel, the position
-    /// of the next *firing* draw is inversion-sampled from the precomputed
-    /// survival table with a single uniform (then the firing group is
-    /// resolved with its severity draws, and sampling resumes past it).
-    /// An error-free trial — the overwhelmingly common case at calibrated
-    /// error rates — costs exactly one uniform draw, independent of
-    /// program length.
+    /// Instead of one Bernoulli draw per site, the position of the next
+    /// *firing* site is inversion-sampled from the precomputed survival
+    /// table with a single uniform; a second uniform picks the fired
+    /// site's pair from its CDF, and sampling resumes past it. A fired
+    /// site never injects the identity, so the first firing site is the
+    /// first error. An error-free trial — the overwhelmingly common case
+    /// at calibrated error rates — costs exactly one uniform draw,
+    /// independent of program length.
     ///
     /// The draws consumed here are a prefix of the trial's RNG stream; the
     /// replay phase continues from the same `rng`. A native-SWAP program
-    /// and its 3-CNOT expansion share identical gating tables and resolve
-    /// groups with identical draw sequences, so the two remain bit-for-bit
-    /// interchangeable.
+    /// and its 3-CNOT expansion have identical site distributions (up to
+    /// the pair each slot injects), so they draw identical sequences and
+    /// remain bit-for-bit interchangeable.
     pub fn pre_sample<R: Rng + ?Sized>(
         &self,
         events: &mut Vec<TrialEvent>,
         rng: &mut R,
     ) -> Option<u32> {
         events.clear();
-        events.resize(self.noise_sites.len(), TrialEvent::Clean);
-        let mut fired_any = false;
-        let mut cursor = 0usize; // next gating index to consider
-        while cursor < self.gating.len() {
+        events.resize(self.sites.len(), TrialEvent::CLEAN);
+        let mut first = None;
+        let mut cursor = 0usize; // next site to consider
+        while cursor < self.sites.len() {
             // Inversion step: P(next fire at j | survived past cursor-1) has
             // CDF 1 - survival[j]/prev, so u maps to the first j whose
             // survival drops below prev * (1 - u). No such j: no more fires.
@@ -846,122 +803,24 @@ impl TrialProgram {
                 cursor + self.survival[cursor..].partition_point(|&s| s >= threshold)
             } else {
                 // The survival product collapsed to zero (a certain-fire
-                // channel, or underflow on an extreme program): the
+                // site, or underflow on an extreme program): the
                 // conditional distribution is no longer resolvable from
                 // the products, so fall back to one Bernoulli per
-                // remaining gate.
+                // remaining site.
                 let mut j = cursor;
-                while j < self.gating.len() && !rng.gen_bool(self.gating[j].prob) {
+                while j < self.sites.len() && !rng.gen_bool(self.sites[j].p_fire) {
                     j += 1;
                 }
                 j
             };
-            if j >= self.gating.len() {
+            if j >= self.sites.len() {
                 break;
             }
-            fired_any = true;
-            let entry = self.gating[j];
-            self.resolve_fire(events, entry, rng);
-            cursor = entry.group_end as usize;
+            first.get_or_insert(j as u32);
+            events[j] = self.sites[j].draw(rng);
+            cursor = j + 1;
         }
-        if !fired_any {
-            return None;
-        }
-        // A fired draw is never the identity, but a SWAP residual can
-        // cancel across the site's groups — scan for the first event that
-        // actually perturbs the state.
-        events
-            .iter()
-            .position(TrialEvent::is_error)
-            .map(|i| i as u32)
-    }
-
-    /// Resolves the group of a fired gating draw: draws its severity (the
-    /// depolarizing Pauli choice) and the group's remaining dephasing
-    /// gates sequentially — the exact draws sequential sampling would make
-    /// past the firing point — and writes the group's contribution into
-    /// `events`.
-    fn resolve_fire<R: Rng + ?Sized>(
-        &self,
-        events: &mut [TrialEvent],
-        entry: GatingEntry,
-        rng: &mut R,
-    ) {
-        let site = entry.site as usize;
-        match self.ops[self.noise_sites[site] as usize] {
-            TrialOp::GateNoise { p_dephase, .. } => {
-                let composed = if entry.sub == 0 {
-                    noise::fired_depol_1q(rng).compose(sample_dephase(p_dephase, rng))
-                } else {
-                    Pauli::Z
-                };
-                events[site] = TrialEvent::Gate(composed);
-            }
-            TrialOp::CnotNoise {
-                p_dephase_control,
-                p_dephase_target,
-                ..
-            } => {
-                let (ec, et) = resolve_group(entry.sub, p_dephase_control, p_dephase_target, rng);
-                events[site] = TrialEvent::Cnot(ec, et);
-            }
-            TrialOp::ChannelNoise { cum_x, cum_xy, .. } => {
-                // One severity uniform against the cumulative X/Y/Z weights
-                // (drawn even for degenerate single-Pauli channels, keeping
-                // the draw count independent of the weights).
-                let u: f64 = rng.gen();
-                let pauli = if u < cum_x {
-                    Pauli::X
-                } else if u < cum_xy {
-                    Pauli::Y
-                } else {
-                    Pauli::Z
-                };
-                events[site] = TrialEvent::Gate(pauli);
-            }
-            TrialOp::ChannelNoise2 { .. } => {
-                let (pa, pb) = noise::fired_depol_2q(rng);
-                events[site] = TrialEvent::Cnot(pa, pb);
-            }
-            TrialOp::Swap {
-                noise: Some(ref n), ..
-            } => {
-                let k = entry.swap_k;
-                // The middle CNOT runs reversed: control is wire `b`.
-                let (p_first, p_second) = if k == 1 {
-                    (n.p_dephase_b, n.p_dephase_a)
-                } else {
-                    (n.p_dephase_a, n.p_dephase_b)
-                };
-                let (e_control, e_target) = resolve_group(entry.sub, p_first, p_second, rng);
-                let (e_a, e_b) = if k == 1 {
-                    (e_target, e_control)
-                } else {
-                    (e_control, e_target)
-                };
-                // Conjugate the group's pair through the SWAP's remaining
-                // internal CNOTs (U_2 = cnot(b,a), U_3 = cnot(a,b)), then
-                // compose onto the site's residual — Pauli composition is
-                // XOR in symplectic bits, so per-group contributions
-                // combine independently of firing order. Wire `a` is
-                // tableau qubit 0, wire `b` qubit 1.
-                let mut contribution = SymplecticPauli::IDENTITY;
-                contribution.compose(0, e_a);
-                contribution.compose(1, e_b);
-                if k == 0 {
-                    contribution.conjugate_cnot(1, 0);
-                    contribution.conjugate_cnot(0, 1);
-                } else if k == 1 {
-                    contribution.conjugate_cnot(0, 1);
-                }
-                if let TrialEvent::Swap(ra, rb) = events[site] {
-                    contribution.compose(0, ra);
-                    contribution.compose(1, rb);
-                }
-                events[site] = TrialEvent::Swap(contribution.pauli_on(0), contribution.pauli_on(1));
-            }
-            _ => unreachable!("noise_sites point at stochastic ops"),
-        }
+        first
     }
 
     /// Phase 2 of a trial: replays `self.ops[start_op..]` against `backend`
@@ -1000,56 +859,12 @@ impl TrialProgram {
                 TrialOp::Cnot { control, target } => {
                     backend.cnot(control, target);
                 }
-                TrialOp::Swap { a, b, ref noise } => {
-                    let event = if noise.is_some() {
-                        let e = events[site];
-                        site += 1;
-                        e
-                    } else {
-                        TrialEvent::Clean
-                    };
-                    // Every SWAP — noisy or not — is a zero-pass
-                    // relabeling; a sampled error only injects the residual
-                    // (pre-conjugated) Pauli pair onto the relabeled wires.
-                    backend.swap_relabel(a, b);
-                    match event {
-                        TrialEvent::Clean => {}
-                        TrialEvent::Swap(ra, rb) => {
-                            backend.inject_pauli(a, ra);
-                            backend.inject_pauli(b, rb);
-                        }
-                        other => unreachable!("swap site pre-sampled {other:?}"),
-                    }
-                }
-                TrialOp::GateNoise { qubit, .. } => {
-                    let event = events[site];
+                TrialOp::Swap { a, b } => backend.swap_relabel(a, b),
+                TrialOp::PauliSite { a, b } => {
+                    let TrialEvent(pa, pb) = events[site];
                     site += 1;
-                    if let TrialEvent::Gate(pauli) = event {
-                        backend.inject_pauli(qubit, pauli);
-                    }
-                }
-                TrialOp::CnotNoise {
-                    control, target, ..
-                } => {
-                    let event = events[site];
-                    site += 1;
-                    if let TrialEvent::Cnot(pc, pt) = event {
-                        backend.inject_pauli(control, pc);
-                        backend.inject_pauli(target, pt);
-                    }
-                }
-                TrialOp::ChannelNoise { qubit, .. } => {
-                    let event = events[site];
-                    site += 1;
-                    if let TrialEvent::Gate(pauli) = event {
-                        backend.inject_pauli(qubit, pauli);
-                    }
-                }
-                TrialOp::ChannelNoise2 { a, b, .. } => {
-                    let event = events[site];
-                    site += 1;
-                    if let TrialEvent::Cnot(pa, pb) = event {
-                        backend.inject_pauli(a, pa);
+                    backend.inject_pauli(a, pa);
+                    if let Some(b) = b {
                         backend.inject_pauli(b, pb);
                     }
                 }
@@ -1107,11 +922,8 @@ impl TrialProgram {
             match *op {
                 TrialOp::Unitary { qubit, ref matrix } => backend.fuse_unitary(qubit, matrix),
                 TrialOp::Cnot { control, target } => backend.cnot(control, target),
-                TrialOp::Swap { a, b, .. } => backend.swap_relabel(a, b),
-                TrialOp::GateNoise { .. }
-                | TrialOp::CnotNoise { .. }
-                | TrialOp::ChannelNoise { .. }
-                | TrialOp::ChannelNoise2 { .. } => {}
+                TrialOp::Swap { a, b } => backend.swap_relabel(a, b),
+                TrialOp::PauliSite { .. } => {}
                 TrialOp::KrausChannel { .. } => {
                     unreachable!("Kraus programs replay every trial in full")
                 }
@@ -1455,10 +1267,12 @@ const PAULI_Z_MATRIX: Matrix2 = [
     Complex { re: -1.0, im: 0.0 },
 ];
 
-/// Accumulates ops while fusing runs of single-qubit unitaries per qubit.
+/// Accumulates ops while fusing runs of single-qubit unitaries per qubit,
+/// and the distribution of every emitted noise site.
 struct Lowering {
     ops: Vec<TrialOp>,
     pending: Vec<Option<Matrix2>>,
+    sites: Vec<SiteDist>,
 }
 
 impl Lowering {
@@ -1476,6 +1290,12 @@ impl Lowering {
         if let Some(matrix) = self.pending[usize::from(qubit)].take() {
             self.ops.push(TrialOp::Unitary { qubit, matrix });
         }
+    }
+
+    /// Emits a noise site on `a` (and `b`) drawing from `site`.
+    fn push_site(&mut self, a: u8, b: Option<u8>, site: SiteDist) {
+        self.ops.push(TrialOp::PauliSite { a, b });
+        self.sites.push(site);
     }
 }
 
@@ -1513,10 +1333,10 @@ fn intern_kraus(tables: &mut Vec<KrausTable>, ops: Vec<Matrix2>) -> u16 {
 
 /// Emits the trial op realizing one single-qubit binding at a site whose
 /// calibrated error rate is `calibrated`. Pauli-diagonalizable channels
-/// become a pre-samplable [`TrialOp::ChannelNoise`] gate (the fast tiers
-/// keep working); amplitude damping and general Kraus channels take the
-/// wire's pending unitary with them (`A_k = K_k · U`, one fused pass) and
-/// become a state-dependent [`TrialOp::KrausChannel`].
+/// become a pre-samplable [`TrialOp::PauliSite`] (the fast tiers keep
+/// working); amplitude damping and general Kraus channels take the wire's
+/// pending unitary with them (`A_k = K_k · U`, one fused pass) and become a
+/// state-dependent [`TrialOp::KrausChannel`].
 fn emit_1q_channel(
     lowering: &mut Lowering,
     kraus_tables: &mut Vec<KrausTable>,
@@ -1526,18 +1346,19 @@ fn emit_1q_channel(
 ) {
     let channel = binding.channel_at(calibrated);
     match channel.pauli_form() {
-        Some(PauliForm::One { p_fire, wx, wy, .. }) => {
-            if p_fire > 0.0 {
+        Some(PauliForm::One { p_fire, wx, wy, wz }) => {
+            let p = p_fire.clamp(0.0, 1.0);
+            let mut dist = [0.0; 16];
+            dist[0] = 1.0 - p;
+            for (pauli, w) in [wx, wy, wz].into_iter().enumerate() {
+                dist[4 * (pauli + 1)] = p * w;
+            }
+            if let Some(site) = SiteDist::new(&dist) {
                 // Flush so the error lands *after* the gate it is bound to
                 // (pending unitaries would otherwise materialize later in
                 // the op stream, inverting the order).
                 lowering.flush(qubit);
-                lowering.ops.push(TrialOp::ChannelNoise {
-                    qubit,
-                    p_fire: p_fire.clamp(0.0, 1.0),
-                    cum_x: wx,
-                    cum_xy: wx + wy,
-                });
+                lowering.push_site(qubit, None, site);
             }
         }
         Some(PauliForm::TwoUniform { .. }) => {
@@ -1569,18 +1390,14 @@ fn emit_1q_channel(
     }
 }
 
-/// Emits the trial op realizing one cnot/swap binding on the (compact)
+/// Emits the noise site realizing one cnot/swap binding on the (compact)
 /// wire pair. Spec validation guarantees the bound shape is two-qubit
 /// depolarizing — always pre-samplable.
 fn emit_2q_channel(lowering: &mut Lowering, binding: &Binding, a: u8, b: u8, calibrated: f64) {
     match binding.channel_at(calibrated).pauli_form() {
         Some(PauliForm::TwoUniform { p_fire }) => {
-            if p_fire > 0.0 {
-                lowering.ops.push(TrialOp::ChannelNoise2 {
-                    a,
-                    b,
-                    p_fire: p_fire.clamp(0.0, 1.0),
-                });
+            if let Some(site) = SiteDist::new(&two_qubit_depolarizing(p_fire.clamp(0.0, 1.0))) {
+                lowering.push_site(a, Some(b), site);
             }
         }
         _ => unreachable!("spec validation restricts cnot/swap bindings to depolarizing-2q"),
@@ -1627,24 +1444,23 @@ fn sink_measures(ops: &mut Vec<TrialOp>) {
         }
         match op {
             TrialOp::Unitary { qubit, .. }
-            | TrialOp::GateNoise { qubit, .. }
-            | TrialOp::ChannelNoise { qubit, .. }
-            | TrialOp::KrausChannel { qubit, .. } => {
+            | TrialOp::KrausChannel { qubit, .. }
+            | TrialOp::Measure { qubit, .. } => {
                 mark(&mut used_later, qubit);
             }
-            TrialOp::Measure { qubit, .. } => {
-                mark(&mut used_later, qubit);
+            TrialOp::Cnot {
+                control: a,
+                target: b,
             }
-            TrialOp::Cnot { control, target }
-            | TrialOp::CnotNoise {
-                control, target, ..
-            } => {
-                mark(&mut used_later, control);
-                mark(&mut used_later, target);
-            }
-            TrialOp::Swap { a, b, .. } | TrialOp::ChannelNoise2 { a, b, .. } => {
+            | TrialOp::Swap { a, b } => {
                 mark(&mut used_later, a);
                 mark(&mut used_later, b);
+            }
+            TrialOp::PauliSite { a, b } => {
+                mark(&mut used_later, a);
+                if let Some(b) = b {
+                    mark(&mut used_later, b);
+                }
             }
             TrialOp::TerminalSample { .. } => {
                 unreachable!("sinking runs before any terminal sample exists")
@@ -1669,39 +1485,10 @@ fn sink_measures(ops: &mut Vec<TrialOp>) {
     }
 }
 
-pub(crate) fn sample_dephase<R: Rng + ?Sized>(p: f64, rng: &mut R) -> Pauli {
-    if p > 0.0 && rng.gen_bool(p) {
-        Pauli::Z
-    } else {
-        Pauli::I
-    }
-}
-
-/// Resolves one two-qubit noise group — a depolarizing gate followed by a
-/// control and a target dephasing gate — given which of the three fired
-/// first: the fired gate's severity plus the group's remaining gates are
-/// drawn sequentially, gates before the fired one are known identity.
-fn resolve_group<R: Rng + ?Sized>(
-    sub: u8,
-    p_dephase_control: f64,
-    p_dephase_target: f64,
-    rng: &mut R,
-) -> (Pauli, Pauli) {
-    match sub {
-        0 => {
-            let (pc, pt) = noise::fired_depol_2q(rng);
-            let dc = sample_dephase(p_dephase_control, rng);
-            let dt = sample_dephase(p_dephase_target, rng);
-            (pc.compose(dc), pt.compose(dt))
-        }
-        1 => (Pauli::Z, sample_dephase(p_dephase_target, rng)),
-        _ => (Pauli::I, Pauli::Z),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clifford::SymplecticPauli;
     use nisq_ir::{Circuit, Qubit};
 
     fn machine() -> Machine {
@@ -1732,7 +1519,7 @@ mod tests {
         assert!(!program
             .ops()
             .iter()
-            .any(|op| matches!(op, TrialOp::GateNoise { .. } | TrialOp::CnotNoise { .. })));
+            .any(|op| matches!(op, TrialOp::PauliSite { .. })));
         assert!(program.noise_sites().is_empty());
     }
 
@@ -1756,7 +1543,7 @@ mod tests {
         assert!(program
             .ops()
             .iter()
-            .any(|op| matches!(op, TrialOp::CnotNoise { .. })));
+            .any(|op| matches!(op, TrialOp::PauliSite { b: Some(_), .. })));
         assert!(matches!(
             program.ops().last(),
             Some(TrialOp::TerminalSample { measures })
@@ -1772,17 +1559,12 @@ mod tests {
         c.cnot(Qubit(0), Qubit(1));
         c.measure_all();
         let program = TrialProgram::lower(&c, &m, &NoiseModel::full());
+        assert_eq!(program.sites.len(), 2);
+        for site in &program.sites {
+            assert!(site.p_fire > 0.0 && site.p_fire < 1.0);
+        }
         for op in program.ops() {
             match op {
-                TrialOp::GateNoise {
-                    p_depol, p_dephase, ..
-                } => {
-                    assert!(*p_depol > 0.0 && *p_depol < 1.0);
-                    assert!(*p_dephase > 0.0 && *p_dephase < 0.5);
-                }
-                TrialOp::CnotNoise { p_depol, .. } => {
-                    assert!(*p_depol > 0.0 && *p_depol < 1.0);
-                }
                 TrialOp::Measure { p_flip, .. } => {
                     assert!(*p_flip > 0.0 && *p_flip < 1.0);
                 }
@@ -1808,25 +1590,146 @@ mod tests {
         for &site in program.noise_sites() {
             assert!(matches!(
                 program.ops()[site as usize],
-                TrialOp::GateNoise { .. }
-                    | TrialOp::CnotNoise { .. }
-                    | TrialOp::Swap { noise: Some(_), .. }
+                TrialOp::PauliSite { .. }
             ));
         }
         let stochastic = program
             .ops()
             .iter()
-            .filter(|op| {
-                matches!(
-                    op,
-                    TrialOp::GateNoise { .. }
-                        | TrialOp::CnotNoise { .. }
-                        | TrialOp::Swap { noise: Some(_), .. }
-                )
-            })
+            .filter(|op| matches!(op, TrialOp::PauliSite { .. }))
             .count();
         assert_eq!(program.noise_sites().len(), stochastic);
         assert!(stochastic >= 3, "ops: {:?}", program.ops());
+    }
+
+    /// The pair distribution a site should draw, by brute-force enumeration
+    /// of independent per-channel draws: `channels` lists each channel's
+    /// outcomes as `(probability, pair on the frame's wires)`, and every
+    /// combination composes Pauli by Pauli.
+    fn enumerate(channels: &[Vec<(f64, (Pauli, Pauli))>]) -> Vec<(f64, (Pauli, Pauli))> {
+        channels
+            .iter()
+            .fold(vec![(1.0, (Pauli::I, Pauli::I))], |acc, channel| {
+                acc.iter()
+                    .flat_map(|&(p, (a, b))| {
+                        channel
+                            .iter()
+                            .map(move |&(q, (ca, cb))| (p * q, (a.compose(ca), b.compose(cb))))
+                    })
+                    .collect()
+            })
+    }
+
+    #[test]
+    fn site_distributions_match_the_per_channel_draws() {
+        use nisq_ir::Gate;
+        use Pauli::{I, X, Y, Z};
+        const PAULIS: [Pauli; 4] = [I, X, Y, Z];
+        let m = machine();
+        let cal = m.calibration();
+        // Hardware qubits 0-1-2 are a chain on the 8x2 grid.
+        let mut c = Circuit::new(3);
+        c.h(Qubit(0));
+        c.cnot(Qubit(0), Qubit(1));
+        c.push(Gate::swap(Qubit(1), Qubit(2)));
+        c.measure_all();
+        let spec = NoiseSpec::from_json(
+            r#"{"name": "exact", "bindings": [
+                {"on": "sq", "rate": 0.2,
+                 "channel": {"kind": "pauli-weighted", "wx": 1, "wy": 1, "wz": 2}},
+                {"on": "cnot", "rate": {"calibration": 2.0},
+                 "channel": {"kind": "depolarizing-2q"}}]}"#,
+        )
+        .unwrap();
+        let program = TrialProgram::lower_with_spec(&c, &m, &NoiseModel::full(), Some(&spec));
+
+        // The channels of the parent's per-channel sampling.
+        let depol_1q = |p: f64| {
+            let mut outcomes = vec![(1.0 - p, (I, I))];
+            outcomes.extend([X, Y, Z].map(|e| (p / 3.0, (e, I))));
+            outcomes
+        };
+        let depol_2q = |p: f64| {
+            let mut outcomes = vec![(1.0 - p, (I, I))];
+            for k in 1..16 {
+                outcomes.push((p / 15.0, (PAULIS[k / 4], PAULIS[k % 4])));
+            }
+            outcomes
+        };
+        let dephase = |q: f64, on_b: bool| {
+            let z = if on_b { (I, Z) } else { (Z, I) };
+            vec![(1.0 - q, (I, I)), (q, z)]
+        };
+        let cnot_draws = |hw_c: usize, hw_t: usize| {
+            let params = cal.edge_params(HwQubit(hw_c), HwQubit(hw_t)).unwrap();
+            let slots = params.cnot_slots.unwrap_or(DEFAULT_CNOT_SLOTS);
+            enumerate(&[
+                depol_2q(params.cnot_error),
+                dephase(cal.dephasing_probability(HwQubit(hw_c), slots), false),
+                dephase(cal.dephasing_probability(HwQubit(hw_t), slots), true),
+            ])
+        };
+        // A SWAP group's pair, drawn in its CNOT's frame, stepped through
+        // the SWAP's remaining CNOTs (wire a is qubit 0, wire b qubit 1).
+        let swap_group = |k: usize, draws: Vec<(f64, (Pauli, Pauli))>| {
+            draws
+                .into_iter()
+                .map(|(p, (control, target))| {
+                    let mut residual = SymplecticPauli::IDENTITY;
+                    if k == 1 {
+                        residual.compose(0, target);
+                        residual.compose(1, control);
+                        residual.conjugate_cnot(0, 1);
+                    } else {
+                        residual.compose(0, control);
+                        residual.compose(1, target);
+                        if k == 0 {
+                            residual.conjugate_cnot(1, 0);
+                            residual.conjugate_cnot(0, 1);
+                        }
+                    }
+                    (p, (residual.pauli_on(0), residual.pauli_on(1)))
+                })
+                .collect::<Vec<_>>()
+        };
+        let single_slots = cal.durations.single_qubit_slots;
+        let expected = [
+            enumerate(&[
+                depol_1q(cal.single_qubit_error(HwQubit(0))),
+                dephase(cal.dephasing_probability(HwQubit(0), single_slots), false),
+            ]),
+            vec![(0.8, (I, I)), (0.05, (X, I)), (0.05, (Y, I)), (0.1, (Z, I))],
+            cnot_draws(0, 1),
+            depol_2q(2.0 * cal.edge_params(HwQubit(0), HwQubit(1)).unwrap().cnot_error),
+            swap_group(0, cnot_draws(1, 2)),
+            swap_group(1, cnot_draws(2, 1)),
+            swap_group(2, cnot_draws(1, 2)),
+        ];
+        assert_eq!(program.sites.len(), expected.len());
+
+        let index = |(a, b): (Pauli, Pauli)| 4 * a as usize + b as usize;
+        for (i, (site, draws)) in program.sites.iter().zip(&expected).enumerate() {
+            let mut want = [0.0; 16];
+            for &(p, pair) in draws {
+                want[index(pair)] += p;
+            }
+            let mut got = [0.0; 16];
+            let mut below = 0.0;
+            for (&cum, &pair) in site.cdf.iter().zip(&site.pairs) {
+                got[usize::from(pair)] += site.p_fire * (cum - below);
+                below = cum;
+            }
+            let want_fire: f64 = want[1..].iter().sum();
+            assert!((site.p_fire - want_fire).abs() < 1e-12, "site {i}: p_fire");
+            for pair in 1..16 {
+                assert!(
+                    (got[pair] - want[pair]).abs() < 1e-12,
+                    "site {i} pair {pair}: {} vs {}",
+                    got[pair],
+                    want[pair]
+                );
+            }
+        }
     }
 
     #[test]

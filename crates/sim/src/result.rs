@@ -1,41 +1,31 @@
-use std::collections::BTreeMap;
+use rustc_hash::FxHashMap;
 use std::fmt;
 
 /// Aggregated outcomes of a multi-trial simulation: how many times each
-/// classical bit-string was observed.
+/// classical bit-string was observed, keyed by the engine's bit-packed
+/// outcome (bit `i` of a key is classical bit `i`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimulationResult {
-    counts: BTreeMap<Vec<bool>, u32>,
+    counts: FxHashMap<u128, u32>,
+    num_clbits: usize,
     trials: u32,
 }
 
 impl SimulationResult {
-    /// Creates a result from raw counts.
-    pub fn new(counts: BTreeMap<Vec<bool>, u32>) -> Self {
-        let trials = counts.values().sum();
-        SimulationResult { counts, trials }
-    }
-
-    /// Creates a result from `u128`-bit-packed outcome counts (bit `i` of a
-    /// key is classical bit `i`), the aggregation format of the simulator's
-    /// hot loop. Unpacking happens once per *distinct* outcome, not per
-    /// trial.
-    pub fn from_bitpacked(
-        counts: impl IntoIterator<Item = (u128, u32)>,
-        num_clbits: usize,
-    ) -> Self {
+    /// Creates a result from `u128`-bit-packed outcome counts over
+    /// `num_clbits` classical bits, the aggregation format of the
+    /// simulator's hot loop. The keys are kept as they are.
+    pub fn from_bitpacked(counts: FxHashMap<u128, u32>, num_clbits: usize) -> Self {
         assert!(
             num_clbits <= 128,
             "bit-packed outcomes hold at most 128 bits"
         );
-        let unpacked: BTreeMap<Vec<bool>, u32> = counts
-            .into_iter()
-            .map(|(key, count)| {
-                let bits: Vec<bool> = (0..num_clbits).map(|i| key >> i & 1 == 1).collect();
-                (bits, count)
-            })
-            .collect();
-        SimulationResult::new(unpacked)
+        let trials = counts.values().sum();
+        SimulationResult {
+            counts,
+            num_clbits,
+            trials,
+        }
     }
 
     /// Total number of trials.
@@ -43,32 +33,24 @@ impl SimulationResult {
         self.trials
     }
 
-    /// The raw counts, keyed by classical bit-string (index = classical bit).
-    pub fn counts(&self) -> &BTreeMap<Vec<bool>, u32> {
+    /// The raw counts, keyed by bit-packed outcome (bit `i` = classical
+    /// bit `i`).
+    pub fn counts(&self) -> &FxHashMap<u128, u32> {
         &self.counts
     }
 
-    /// Fraction of trials that produced exactly `bits` — the paper's
-    /// success-rate metric when `bits` is the known correct answer.
+    /// Fraction of trials that produced exactly `bits` (index = classical
+    /// bit) — the paper's success-rate metric when `bits` is the known
+    /// correct answer. A query of the wrong length matches no trial.
     pub fn probability_of(&self, bits: &[bool]) -> f64 {
-        if self.trials == 0 {
+        if self.trials == 0 || bits.len() != self.num_clbits {
             return 0.0;
         }
-        *self.counts.get(bits).unwrap_or(&0) as f64 / self.trials as f64
-    }
-
-    /// The most frequently observed bit-string (ties broken towards the
-    /// lexicographically smallest), or `None` when no trials were run.
-    pub fn most_frequent(&self) -> Option<&[bool]> {
-        self.counts
+        let key = bits
             .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(bits, _)| bits.as_slice())
-    }
-
-    /// Number of distinct observed bit-strings.
-    pub fn distinct_outcomes(&self) -> usize {
-        self.counts.len()
+            .enumerate()
+            .fold(0u128, |key, (i, &b)| key | u128::from(b) << i);
+        f64::from(self.counts.get(&key).copied().unwrap_or(0)) / f64::from(self.trials)
     }
 }
 
@@ -80,9 +62,19 @@ impl fmt::Display for SimulationResult {
             self.trials,
             self.counts.len()
         )?;
-        for (bits, count) in &self.counts {
-            let s: String = bits.iter().map(|&b| if b { '1' } else { '0' }).collect();
-            writeln!(f, "  {s}: {count}")?;
+        let mut rows: Vec<(String, u32)> = self
+            .counts
+            .iter()
+            .map(|(&key, &count)| {
+                let bits = (0..self.num_clbits)
+                    .map(|i| if key >> i & 1 == 1 { '1' } else { '0' })
+                    .collect();
+                (bits, count)
+            })
+            .collect();
+        rows.sort_unstable();
+        for (bits, count) in rows {
+            writeln!(f, "  {bits}: {count}")?;
         }
         Ok(())
     }
@@ -93,11 +85,11 @@ mod tests {
     use super::*;
 
     fn sample() -> SimulationResult {
-        let mut counts = BTreeMap::new();
-        counts.insert(vec![true, true], 60u32);
-        counts.insert(vec![false, true], 30u32);
-        counts.insert(vec![false, false], 10u32);
-        SimulationResult::new(counts)
+        // Keys 0b11 = [true, true], 0b10 = [false, true], 0b00.
+        let counts = [(0b11u128, 60u32), (0b10, 30), (0b00, 10)]
+            .into_iter()
+            .collect();
+        SimulationResult::from_bitpacked(counts, 2)
     }
 
     #[test]
@@ -106,36 +98,32 @@ mod tests {
         assert_eq!(r.trials(), 100);
         assert!((r.probability_of(&[true, true]) - 0.6).abs() < 1e-12);
         assert_eq!(r.probability_of(&[true, false]), 0.0);
-    }
-
-    #[test]
-    fn most_frequent_is_the_mode() {
-        let r = sample();
-        assert_eq!(r.most_frequent(), Some([true, true].as_slice()));
-        assert_eq!(r.distinct_outcomes(), 3);
+        assert_eq!(r.probability_of(&[true, true, false]), 0.0);
     }
 
     #[test]
     fn bitpacked_counts_unpack_little_endian() {
         // 0b01 -> [true, false], 0b10 -> [false, true].
-        let r = SimulationResult::from_bitpacked([(0b01u128, 3u32), (0b10, 7)], 2);
+        let counts = [(0b01u128, 3u32), (0b10, 7)].into_iter().collect();
+        let r = SimulationResult::from_bitpacked(counts, 2);
         assert_eq!(r.trials(), 10);
-        assert_eq!(r.counts().get(&vec![true, false]), Some(&3));
-        assert_eq!(r.counts().get(&vec![false, true]), Some(&7));
+        assert!((r.probability_of(&[true, false]) - 0.3).abs() < 1e-12);
+        assert!((r.probability_of(&[false, true]) - 0.7).abs() < 1e-12);
+        assert_eq!(r.counts().get(&0b01), Some(&3));
     }
 
     #[test]
     fn empty_result_behaves() {
-        let r = SimulationResult::new(BTreeMap::new());
+        let r = SimulationResult::from_bitpacked(FxHashMap::default(), 1);
         assert_eq!(r.trials(), 0);
         assert_eq!(r.probability_of(&[true]), 0.0);
-        assert_eq!(r.most_frequent(), None);
     }
 
     #[test]
     fn display_renders_bitstrings() {
         let text = sample().to_string();
         assert!(text.contains("11: 60"));
+        assert!(text.contains("01: 30"));
         assert!(text.contains("100 trials"));
     }
 }

@@ -514,8 +514,7 @@ struct TerminalAffine {
 
 /// Per-noise-site error masks (module docs, "error trials"): the clbit-key
 /// perturbation caused by each single-Pauli component a site can inject.
-/// One-wire sites (gate noise) use only the `a*` pair; two-wire sites
-/// (CNOT noise: control/target, SWAP residuals: a/b) use both.
+/// One-wire sites use only the `a*` pair; two-wire sites use both.
 #[derive(Debug, Clone, Copy, Default)]
 struct SiteMask {
     ax: u128,
@@ -572,11 +571,8 @@ impl<'p> TableauEngine<'p> {
                     tab.apply_clifford1q(qubit, &action);
                 }
                 TrialOp::Cnot { control, target } => tab.apply_cnot(control, target),
-                TrialOp::Swap { a, b, .. } => tab.swap_relabel(a, b),
-                TrialOp::GateNoise { .. }
-                | TrialOp::CnotNoise { .. }
-                | TrialOp::ChannelNoise { .. }
-                | TrialOp::ChannelNoise2 { .. } => {}
+                TrialOp::Swap { a, b } => tab.swap_relabel(a, b),
+                TrialOp::PauliSite { .. } => {}
                 TrialOp::KrausChannel { .. } => {
                     unreachable!("Kraus channels force the dense backend at lowering")
                 }
@@ -714,33 +710,18 @@ impl<'p> TableauEngine<'p> {
 /// then shifts its key.
 fn error_delta(first_site: usize, events: &[TrialEvent], masks: &[SiteMask]) -> u128 {
     let mut delta = 0u128;
-    for (event, mask) in events[first_site..].iter().zip(&masks[first_site..]) {
-        match *event {
-            TrialEvent::Clean => {}
-            TrialEvent::Gate(p) => {
-                let (x, z) = p.symplectic();
-                if x {
-                    delta ^= mask.ax;
-                }
-                if z {
-                    delta ^= mask.az;
-                }
+    for (&event, mask) in events[first_site..].iter().zip(&masks[first_site..]) {
+        if event == TrialEvent::CLEAN {
+            continue;
+        }
+        let TrialEvent(pa, pb) = event;
+        for (pauli, x_mask, z_mask) in [(pa, mask.ax, mask.az), (pb, mask.bx, mask.bz)] {
+            let (x, z) = pauli.symplectic();
+            if x {
+                delta ^= x_mask;
             }
-            TrialEvent::Cnot(pa, pb) | TrialEvent::Swap(pa, pb) => {
-                let (x, z) = pa.symplectic();
-                if x {
-                    delta ^= mask.ax;
-                }
-                if z {
-                    delta ^= mask.az;
-                }
-                let (x, z) = pb.symplectic();
-                if x {
-                    delta ^= mask.bx;
-                }
-                if z {
-                    delta ^= mask.bz;
-                }
+            if z {
+                delta ^= z_mask;
             }
         }
     }
@@ -791,49 +772,19 @@ fn build_site_masks(program: &TrialProgram, terminal: Option<&TerminalAffine>) -
                 mask_x[usize::from(control)] ^= mask_x[usize::from(target)];
                 mask_z[usize::from(target)] ^= mask_z[usize::from(control)];
             }
-            TrialOp::Swap { a, b, ref noise } => {
-                // Residual Paulis fire *after* the swap, so the site
-                // records the post-swap masks; only then does the wire
-                // relabeling move them.
-                if noise.is_some() {
-                    site -= 1;
-                    masks[site] = SiteMask {
-                        ax: mask_x[usize::from(a)],
-                        az: mask_z[usize::from(a)],
-                        bx: mask_x[usize::from(b)],
-                        bz: mask_z[usize::from(b)],
-                    };
-                }
+            TrialOp::Swap { a, b } => {
                 mask_x.swap(usize::from(a), usize::from(b));
                 mask_z.swap(usize::from(a), usize::from(b));
             }
-            TrialOp::GateNoise { qubit, .. } | TrialOp::ChannelNoise { qubit, .. } => {
+            TrialOp::PauliSite { a, b } => {
                 site -= 1;
-                masks[site] = SiteMask {
-                    ax: mask_x[usize::from(qubit)],
-                    az: mask_z[usize::from(qubit)],
-                    bx: 0,
-                    bz: 0,
-                };
-            }
-            TrialOp::CnotNoise {
-                control, target, ..
-            } => {
-                site -= 1;
-                masks[site] = SiteMask {
-                    ax: mask_x[usize::from(control)],
-                    az: mask_z[usize::from(control)],
-                    bx: mask_x[usize::from(target)],
-                    bz: mask_z[usize::from(target)],
-                };
-            }
-            TrialOp::ChannelNoise2 { a, b, .. } => {
-                site -= 1;
+                let (bx, bz) =
+                    b.map_or((0, 0), |b| (mask_x[usize::from(b)], mask_z[usize::from(b)]));
                 masks[site] = SiteMask {
                     ax: mask_x[usize::from(a)],
                     az: mask_z[usize::from(a)],
-                    bx: mask_x[usize::from(b)],
-                    bz: mask_z[usize::from(b)],
+                    bx,
+                    bz,
                 };
             }
             TrialOp::KrausChannel { .. } => {

@@ -36,7 +36,17 @@ fn run_counts(
     config.noise = NoiseModel::ideal();
     let sim = Simulator::new(machine, config);
     let (result, tiers) = sim.run_program_with_stats(program);
-    (result.counts().clone().into_iter().collect(), tiers)
+    let counts = result
+        .counts()
+        .iter()
+        .map(|(&key, &n)| (unpack(key, program.num_clbits()), n))
+        .collect();
+    (counts, tiers)
+}
+
+/// The classical bits of a packed outcome key (index = classical bit).
+fn unpack(key: u128, num_clbits: usize) -> Vec<bool> {
+    (0..num_clbits).map(|i| key >> i & 1 == 1).collect()
 }
 
 /// Runs every trial through the single-trial reference path.
@@ -46,10 +56,7 @@ fn reference_counts(program: &TrialProgram, seed: u64, trials: u32) -> HashMap<V
     for trial in 0..trials {
         let mut rng = TrialProgram::trial_rng(seed, trial);
         let key = program.run_trial(&mut scratch, &mut rng);
-        let bits = (0..program.num_clbits())
-            .map(|i| key >> i & 1 == 1)
-            .collect();
-        *counts.entry(bits).or_insert(0) += 1;
+        *counts.entry(unpack(key, program.num_clbits())).or_insert(0) += 1;
     }
     counts
 }

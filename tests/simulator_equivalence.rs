@@ -17,7 +17,7 @@ use nisq_ir::{random_circuit, Gate, GateKind, Qubit, RandomCircuitConfig};
 use nisq_sim::{BackendKind, NoiseModel, StateVector, TrialProgram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 fn machine() -> Machine {
     Machine::ibmq16_on_day(2019, 0)
@@ -126,30 +126,28 @@ fn native_swaps_match_expanded_swaps_bit_for_bit() {
 }
 
 #[test]
-fn bitpacked_aggregation_matches_vec_bool_reference() {
+fn packed_aggregation_matches_run_trial_keys() {
     let m = machine();
     let circuit = random_circuit_with_swaps(4, 32, 3);
     let config = SimulatorConfig::with_trials(1024, 17);
     let sim = Simulator::new(&m, config);
 
-    // Reference: replay each trial directly and aggregate Vec<bool> keys.
+    // Reference: replay each trial directly and aggregate its packed key.
     // Bit-level comparison holds on the dense engine (the tableau matches
     // the reference in distribution only — see tests/tiered_engine.rs).
     let program = sim.prepare(&circuit);
     assert_eq!(program.backend_kind(), BackendKind::Dense);
     let mut scratch = program.make_scratch();
-    let mut reference: BTreeMap<Vec<bool>, u32> = BTreeMap::new();
+    let mut reference: HashMap<u128, u32> = HashMap::new();
     for trial in 0..config.trials {
         let mut rng = TrialProgram::trial_rng(config.seed, trial);
         let key = program.run_trial(&mut scratch, &mut rng);
-        let bits: Vec<bool> = (0..program.num_clbits())
-            .map(|i| key >> i & 1 == 1)
-            .collect();
-        *reference.entry(bits).or_insert(0) += 1;
+        *reference.entry(key).or_insert(0) += 1;
     }
 
     let result = sim.run(&circuit);
-    assert_eq!(result.counts(), &reference);
+    let counts: HashMap<u128, u32> = result.counts().clone().into_iter().collect();
+    assert_eq!(counts, reference);
     assert_eq!(result.trials(), config.trials);
 }
 

@@ -12,7 +12,8 @@
 //!   seeds;
 //! * **statistical equivalence of the engine as a whole** — success rates
 //!   agree (within sampling tolerance) with a fully independent
-//!   interleaved-draw replayer built on the public state-vector API;
+//!   interleaved-draw replayer that walks the physical circuit gate by gate
+//!   with calibration lookups, built on the public state-vector API;
 //! * **determinism** — a seed reproduces a report bit-for-bit, at the
 //!   simulator and at the `Session` level, on every tier;
 //! * **thread invariance** — outcome counts *and* tier occupancy are
@@ -23,7 +24,7 @@
 use nisq::prelude::*;
 use nisq_exp::{SweepPlan, TierStats};
 use nisq_ir::{GateKind, Qubit};
-use nisq_sim::{noise, BackendKind, NoiseModel, StateVector, TierCounts, TrialOp, TrialProgram};
+use nisq_sim::{BackendKind, NoiseModel, StateVector, TierCounts, TrialOp, TrialProgram, TrialRng};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -73,17 +74,7 @@ fn engine_counts(
     config.threads = threads;
     let sim = Simulator::new(machine, config);
     let (result, tiers) = sim.run_program_with_stats(program);
-    let mut counts = HashMap::new();
-    for (bits, n) in result.counts() {
-        let mut key = 0u128;
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                key |= 1u128 << i;
-            }
-        }
-        *counts.entry(key).or_insert(0) += n;
-    }
-    (counts, tiers)
+    (result.counts().clone().into_iter().collect(), tiers)
 }
 
 /// Total variation distance between two empirical outcome distributions.
@@ -282,121 +273,85 @@ fn aliased_mid_measure_clbits_agree_across_backends() {
     );
 }
 
-/// An interleaved-draw replayer with no fusion, no relabeling, no
-/// pre-sampling and no measurement sinking: every gate and error is applied
-/// directly through the public [`StateVector`] API, drawing stochastic
-/// outcomes at the point they occur (the pre-rework trial semantics).
-/// Different RNG stream layout than the engine, so only distributions can
-/// be compared.
+/// An interleaved-draw replayer over the physical circuit, sharing no code
+/// with lowering: every gate is applied one by one through the public
+/// [`StateVector`] API, with its calibration noise drawn at the point it
+/// occurs — depolarizing then dephasing over the gate's duration after
+/// each gate (a SWAP as three noisy CNOTs) and a readout flip after each
+/// measurement. Different RNG stream layout than the engine, so only
+/// distributions can be compared.
 fn interleaved_success_rate(
-    program: &TrialProgram,
+    machine: &Machine,
+    physical: &Circuit,
     expected_key: u64,
     seed: u64,
     trials: u32,
 ) -> f64 {
-    let n = program.num_qubits();
+    const PAULIS: [GateKind; 3] = [GateKind::X, GateKind::Y, GateKind::Z];
+    let cal = machine.calibration();
+    let mut touched: Vec<usize> = physical
+        .iter()
+        .flat_map(|g| g.qubits().iter().map(|q| q.0))
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let wire = |hw: usize| touched.binary_search(&hw).unwrap();
+    let dephase = |state: &mut StateVector, rng: &mut TrialRng, hw: usize, slots: u32| {
+        if rng.gen_bool(cal.dephasing_probability(HwQubit(hw), slots)) {
+            state.apply_single(wire(hw), GateKind::Z);
+        }
+    };
+    let noisy_cnot = |state: &mut StateVector, rng: &mut TrialRng, c: usize, t: usize| {
+        state.apply_cnot(wire(c), wire(t));
+        let edge = cal
+            .edge_params(HwQubit(c), HwQubit(t))
+            .expect("compiled CNOTs act on coupled qubits");
+        if rng.gen_bool(edge.cnot_error) {
+            let pair = rng.gen_range(1..16usize);
+            for (hw, pauli) in [(c, pair / 4), (t, pair % 4)] {
+                if pauli > 0 {
+                    state.apply_single(wire(hw), PAULIS[pauli - 1]);
+                }
+            }
+        }
+        let slots = edge.cnot_slots.unwrap_or(4);
+        dephase(state, rng, c, slots);
+        dephase(state, rng, t, slots);
+    };
+
     let mut hits = 0u32;
     for trial in 0..trials {
         let mut rng = TrialProgram::trial_rng(seed ^ 0x5eed, trial);
-        let mut state = StateVector::new(n);
+        let mut state = StateVector::new(touched.len());
         let mut clbits = 0u64;
-        let apply_pauli = |state: &mut StateVector, q: u8, p: noise::Pauli| {
-            if let Some(kind) = p.gate_kind() {
-                state.apply_single(usize::from(q), kind);
-            }
-        };
-        for op in program.ops() {
-            match *op {
-                TrialOp::Unitary { qubit, ref matrix } => {
-                    state.apply_matrix(usize::from(qubit), matrix);
+        for gate in physical.iter() {
+            let qubits = gate.qubits();
+            match gate.kind() {
+                GateKind::Cnot => noisy_cnot(&mut state, &mut rng, qubits[0].0, qubits[1].0),
+                GateKind::Swap => {
+                    let (a, b) = (qubits[0].0, qubits[1].0);
+                    noisy_cnot(&mut state, &mut rng, a, b);
+                    noisy_cnot(&mut state, &mut rng, b, a);
+                    noisy_cnot(&mut state, &mut rng, a, b);
                 }
-                TrialOp::Cnot { control, target } => {
-                    state.apply_cnot(usize::from(control), usize::from(target));
-                }
-                TrialOp::Swap {
-                    a,
-                    b,
-                    noise: ref swap_noise,
-                } => match swap_noise {
-                    None => state.apply_swap(usize::from(a), usize::from(b)),
-                    Some(sn) => {
-                        for k in 0..3 {
-                            let (c, t) = if k == 1 { (b, a) } else { (a, b) };
-                            state.apply_cnot(usize::from(c), usize::from(t));
-                            let (pc, pt) = noise::depolarizing_2q(sn.p_depol, &mut rng);
-                            let (p_dc, p_dt) = if k == 1 {
-                                (sn.p_dephase_b, sn.p_dephase_a)
-                            } else {
-                                (sn.p_dephase_a, sn.p_dephase_b)
-                            };
-                            apply_pauli(&mut state, c, pc);
-                            apply_pauli(&mut state, t, pt);
-                            if p_dc > 0.0 && rng.gen_bool(p_dc) {
-                                state.apply_single(usize::from(c), GateKind::Z);
-                            }
-                            if p_dt > 0.0 && rng.gen_bool(p_dt) {
-                                state.apply_single(usize::from(t), GateKind::Z);
-                            }
-                        }
-                    }
-                },
-                TrialOp::GateNoise {
-                    qubit,
-                    p_depol,
-                    p_dephase,
-                } => {
-                    let p = noise::depolarizing_1q(p_depol, &mut rng);
-                    apply_pauli(&mut state, qubit, p);
-                    if p_dephase > 0.0 && rng.gen_bool(p_dephase) {
-                        state.apply_single(usize::from(qubit), GateKind::Z);
-                    }
-                }
-                TrialOp::CnotNoise {
-                    control,
-                    target,
-                    p_depol,
-                    p_dephase_control,
-                    p_dephase_target,
-                } => {
-                    let (pc, pt) = noise::depolarizing_2q(p_depol, &mut rng);
-                    apply_pauli(&mut state, control, pc);
-                    apply_pauli(&mut state, target, pt);
-                    if p_dephase_control > 0.0 && rng.gen_bool(p_dephase_control) {
-                        state.apply_single(usize::from(control), GateKind::Z);
-                    }
-                    if p_dephase_target > 0.0 && rng.gen_bool(p_dephase_target) {
-                        state.apply_single(usize::from(target), GateKind::Z);
-                    }
-                }
-                TrialOp::Measure {
-                    qubit,
-                    clbit,
-                    p_flip,
-                } => {
-                    let mut outcome = state.measure(usize::from(qubit), &mut rng);
-                    if p_flip > 0.0 && rng.gen_bool(p_flip) {
+                GateKind::Measure => {
+                    let hw = qubits[0].0;
+                    let mut outcome = state.measure(wire(hw), &mut rng);
+                    if rng.gen_bool(cal.readout_error(HwQubit(hw))) {
                         outcome = !outcome;
                     }
                     if outcome {
-                        clbits |= 1u64 << clbit;
+                        clbits |= 1u64 << gate.clbits()[0].0;
                     }
                 }
-                TrialOp::ChannelNoise { .. }
-                | TrialOp::ChannelNoise2 { .. }
-                | TrialOp::KrausChannel { .. } => {
-                    unreachable!("these programs are lowered without a noise spec")
-                }
-                TrialOp::TerminalSample { ref measures } => {
-                    let basis = state.sample_basis(&mut rng);
-                    for &(qubit, clbit, p_flip) in measures {
-                        let mut outcome = basis >> qubit & 1 == 1;
-                        if p_flip > 0.0 && rng.gen_bool(p_flip) {
-                            outcome = !outcome;
-                        }
-                        if outcome {
-                            clbits |= 1u64 << clbit;
-                        }
+                GateKind::Barrier => {}
+                kind => {
+                    let hw = qubits[0].0;
+                    state.apply_single(wire(hw), kind);
+                    if rng.gen_bool(cal.single_qubit_error(HwQubit(hw))) {
+                        state.apply_single(wire(hw), PAULIS[rng.gen_range(0..3usize)]);
                     }
+                    dephase(&mut state, &mut rng, hw, cal.durations.single_qubit_slots);
                 }
             }
         }
@@ -435,7 +390,8 @@ fn engine_statistically_matches_interleaved_reference() {
         let trials = 8192u32;
         let sim = Simulator::new(&m, SimulatorConfig::with_trials(trials, 11));
         let engine_rate = sim.run_program(&program).probability_of(&expected);
-        let interleaved_rate = interleaved_success_rate(&program, expected_key, 11, trials);
+        let interleaved_rate =
+            interleaved_success_rate(&m, compiled.physical_circuit(), expected_key, 11, trials);
         assert!(
             (engine_rate - interleaved_rate).abs() < 0.03,
             "{benchmark}: engine {engine_rate} vs interleaved {interleaved_rate}"
