@@ -7,8 +7,7 @@
 //! [`Session`](nisq_exp::Session), and renders the resulting
 //! [`Report`](nisq_exp::Report) as a text table. This library holds the
 //! pieces they share: the canonical machine/calibration helpers, the
-//! single-cell compile-then-simulate path, and text-table / statistics
-//! helpers.
+//! golden compiler snapshot, and text-table / statistics helpers.
 //!
 //! The experiments substitute a noisy simulator driven by synthetic
 //! calibration data for the paper's real IBMQ16 runs, so absolute numbers
@@ -19,10 +18,8 @@
 #![warn(missing_docs)]
 
 use nisq_core::{Compiler, CompilerConfig};
-use nisq_ir::{Benchmark, Circuit};
+use nisq_ir::Benchmark;
 use nisq_machine::{Calibration, CalibrationGenerator, GridTopology, Machine};
-use nisq_sim::{Simulator, SimulatorConfig};
-use std::time::Duration;
 
 /// The default machine seed used across the experiment binaries, so the
 /// whole evaluation refers to one consistent synthetic device (re-exported
@@ -36,18 +33,6 @@ pub const DEFAULT_TRIALS: u32 = 8192;
 /// Builds the IBMQ16-like machine for a given calibration day.
 pub fn ibmq16_on_day(day: usize) -> Machine {
     Machine::ibmq16_on_day(DEFAULT_MACHINE_SEED, day)
-}
-
-/// Builds a machine with at least `num_qubits` qubits (square-ish grid) for
-/// the scalability experiments, with calibration for day 0.
-pub fn machine_with_qubits(num_qubits: usize) -> Machine {
-    let topology = GridTopology::at_least(num_qubits);
-    let calibration = CalibrationGenerator::new(topology.clone(), DEFAULT_MACHINE_SEED).day(0);
-    Machine::new(
-        format!("synthetic-{}q", topology.num_qubits()),
-        topology,
-        calibration,
-    )
 }
 
 /// The first `days` calibration snapshots of the default synthetic IBMQ16
@@ -64,73 +49,6 @@ pub fn trials_from_env(default: u32) -> u32 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// The result of compiling and simulating one benchmark under one
-/// configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutcome {
-    /// Fraction of simulated trials that returned the correct answer.
-    pub success_rate: f64,
-    /// Analytic reliability estimate from the compiler.
-    pub estimated_reliability: f64,
-    /// Execution duration in hardware timeslots.
-    pub duration_slots: u32,
-    /// One-way SWAPs inserted by the router.
-    pub swap_count: usize,
-    /// Wall-clock compilation time.
-    pub compile_time: Duration,
-}
-
-/// Compiles `benchmark` with `config` on `machine` and measures its success
-/// rate over `trials` simulated runs.
-///
-/// # Panics
-///
-/// Panics if compilation fails (the standard benchmarks always fit on the
-/// 16-qubit machine).
-pub fn run_benchmark(
-    machine: &Machine,
-    config: CompilerConfig,
-    benchmark: Benchmark,
-    trials: u32,
-    sim_seed: u64,
-) -> RunOutcome {
-    run_circuit(
-        machine,
-        config,
-        &benchmark.circuit(),
-        &benchmark.expected_output(),
-        trials,
-        sim_seed,
-    )
-}
-
-/// Compiles an arbitrary circuit and measures success against `expected`.
-///
-/// # Panics
-///
-/// Panics if compilation fails (circuit too large for the machine).
-pub fn run_circuit(
-    machine: &Machine,
-    config: CompilerConfig,
-    circuit: &Circuit,
-    expected: &[bool],
-    trials: u32,
-    sim_seed: u64,
-) -> RunOutcome {
-    let compiled = Compiler::new(machine, config)
-        .compile(circuit)
-        .expect("benchmark compiles on the target machine");
-    let simulator = Simulator::new(machine, SimulatorConfig::with_trials(trials, sim_seed));
-    let success_rate = simulator.success_rate(&compiled, expected);
-    RunOutcome {
-        success_rate,
-        estimated_reliability: compiled.estimated_reliability(),
-        duration_slots: compiled.duration_slots(),
-        swap_count: compiled.swap_count(),
-        compile_time: compiled.compile_time(),
-    }
 }
 
 /// Calibration days snapshotted by the golden equivalence harness (day 0
@@ -263,20 +181,5 @@ mod tests {
         );
         assert!(t.contains("name"));
         assert!(t.lines().count() >= 4);
-    }
-
-    #[test]
-    fn run_benchmark_produces_sane_outcome() {
-        let machine = ibmq16_on_day(0);
-        let outcome = run_benchmark(&machine, CompilerConfig::greedy_e(), Benchmark::Bv4, 256, 1);
-        assert!(outcome.success_rate > 0.0 && outcome.success_rate <= 1.0);
-        assert!(outcome.duration_slots > 0);
-    }
-
-    #[test]
-    fn machine_with_qubits_covers_request() {
-        for n in [4, 32, 128] {
-            assert!(machine_with_qubits(n).num_qubits() >= n);
-        }
     }
 }

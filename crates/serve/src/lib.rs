@@ -22,13 +22,18 @@
 //!   finished prefix bit-identically instead of recomputing it;
 //! - SIGINT/SIGTERM trigger a **graceful drain**: admitted work finishes,
 //!   new work is refused with `shutting-down`, then the process exits 0;
-//! - with `--workers N`, a [`Supervisor`] forks N process-isolated
+//! - with `--workers N`, [`Server::supervise`] forks N process-isolated
 //!   worker shards on private Unix sockets, routes runs by rendezvous
 //!   hash of the plan fingerprint, heartbeats each shard, restarts the
 //!   dead after capped jittered backoff, and re-dispatches in-flight
 //!   requests to a survivor — with a shared journal directory, the
 //!   failover response is canonically bit-identical to an undisturbed
 //!   run.
+//!
+//! Both modes are one [`Server`] behind one front door: the same accept
+//! loop, connection threads, line framing, parsing, control operations,
+//! admission budgets and `accepted`/`rejected` counters. Only what an
+//! admitted run does and the body of the `stats` reply differ.
 //!
 //! Every error travels as a typed [`ServeError`] with a stable wire code,
 //! mirrored by the `code` field of error responses. The `fault-injection`
@@ -56,7 +61,5 @@ pub use request::{
     admit, parse_plan, parse_plan_with_journal, parse_request, Budgets, Op, Request,
 };
 pub use server::{journal_path, Endpoint, Server, ServerConfig, ServerHandle};
-pub use supervisor::{
-    restart_backoff, route_worker, Supervisor, SupervisorConfig, SupervisorHandle,
-};
+pub use supervisor::{restart_backoff, route_worker, SupervisorConfig};
 pub use worker::WorkerSpec;

@@ -9,7 +9,7 @@ use crate::error::ServeError;
 use nisq_exp::json;
 use nisq_exp::RunOutcome;
 
-fn id_json(id: Option<&str>) -> String {
+pub(crate) fn id_json(id: Option<&str>) -> String {
     match id {
         Some(id) => json::write_str(id),
         None => "null".to_string(),

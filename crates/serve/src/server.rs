@@ -1,11 +1,21 @@
-//! The daemon: listeners, connection threads, the worker, and shutdown.
+//! The front door both serve modes share, and the single-session daemon
+//! behind it.
 //!
-//! One worker thread owns the shared [`Session`], consuming a bounded
-//! queue of per-connection lanes drained round-robin — per-client
-//! fairness, and `&mut Session` needs no locking. Each connection gets a
-//! reader thread (parses and admits requests) and a writer thread fed
-//! through a bounded channel (a slow or dead client can stall only its
-//! own writer, never the worker). Requests execute under
+//! A [`Server`] is one front door over one backend. The door owns
+//! everything a request meets before it runs: the accept loop, a reader
+//! and a writer thread per connection, line framing under the
+//! `max_request_bytes` cap, parsing, the control operations (`ping`,
+//! `stats`, `shutdown`), the shutting-down check, the admission budgets
+//! and the front-door counters. Each writer is fed through a bounded
+//! channel, so a slow or dead client can stall only its own writer. The
+//! backend decides only what an admitted run does, the body of the
+//! `stats` reply, and when an idle reader may stop during a drain.
+//! [`Server::bind`] puts the daemon behind the door, and
+//! [`Server::supervise`] a supervised worker fleet.
+//!
+//! The daemon: one worker thread owns the shared [`Session`], consuming a
+//! bounded queue of per-connection lanes drained round-robin — per-client
+//! fairness, and `&mut Session` needs no locking. Requests execute under
 //! [`catch_unwind`]; a panicking request is answered with a structured
 //! error, the shared caches are checked for lock poisoning, and only a
 //! poisoned session is rebuilt — a healthy one keeps its warm caches
@@ -21,7 +31,7 @@ use crate::queue::{FairQueue, PushError};
 use crate::request::{self, Budgets, Op};
 use crate::response;
 use crate::signal;
-use nisq_exp::{fnv64, json, Journal, RunControl, RunOutcome, Session, SweepPlan, TierStats};
+use nisq_exp::{fnv64, Journal, RunControl, RunOutcome, Session, SweepPlan, TierStats};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
@@ -108,76 +118,9 @@ impl ServerConfig {
     }
 }
 
-/// One admitted unit of work.
-struct Job {
-    id: Option<String>,
-    plan: SweepPlan,
-    /// Journal file for this request, when it asked for one and the
-    /// daemon has a journal directory.
-    journal: Option<PathBuf>,
-    enqueued: Instant,
-    deadline: Instant,
-    reply: SyncSender<String>,
-}
-
-/// Monotonic counters of everything the daemon did.
-#[derive(Default)]
-struct Counters {
-    connections: AtomicU64,
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    partials: AtomicU64,
-    timeouts: AtomicU64,
-    compile_errors: AtomicU64,
-    panics: AtomicU64,
-    session_rebuilds: AtomicU64,
-    rejected_invalid: AtomicU64,
-    rejected_budget: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_shutting_down: AtomicU64,
-    responses_dropped: AtomicU64,
-    journal_runs: AtomicU64,
-    journal_corrupt: AtomicU64,
-    journal_degraded: AtomicU64,
-    journal_compactions: AtomicU64,
-    #[cfg(feature = "fault-injection")]
-    pings_answered: AtomicU64,
-}
-
-/// Cumulative session-side totals, published by the worker after every
-/// request so `stats` answers without touching the session.
-#[derive(Default, Clone, Copy)]
-struct SessionTotals {
-    compile_requests: u64,
-    compile_hits: u64,
-    place_hits: u64,
-    place_runs: u64,
-    tiers: TierStats,
-}
-
-struct Shared {
-    queue: FairQueue<Job>,
-    counters: Counters,
-    session_totals: Mutex<SessionTotals>,
-    shutdown: AtomicBool,
-    request_timeout: Duration,
-    max_request_bytes: usize,
-    budgets: Budgets,
-    journal_dir: Option<PathBuf>,
-    journal_compact_threshold: usize,
-    #[cfg(feature = "fault-injection")]
-    fault_plan: Option<FaultPlan>,
-}
-
-impl Shared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::received()
-    }
-}
-
-/// A bidirectional stream the daemon can split into reader and writer
-/// halves — the common face of TCP and Unix sockets.
-pub(crate) trait Conn: Read + Write + Send {
+/// A bidirectional stream the front door can split into reader and
+/// writer halves — the common face of TCP and Unix sockets.
+trait Conn: Read + Write + Send {
     fn split(&self) -> io::Result<Box<dyn Conn>>;
     fn set_timeouts(&self) -> io::Result<()>;
 }
@@ -202,13 +145,13 @@ impl Conn for std::os::unix::net::UnixStream {
     }
 }
 
-pub(crate) enum Listener {
+enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
 }
 
 impl Listener {
-    pub(crate) fn accept(&self) -> io::Result<Box<dyn Conn>> {
+    fn accept(&self) -> io::Result<Box<dyn Conn>> {
         match self {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Box::new(s) as Box<dyn Conn>),
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Box::new(s) as Box<dyn Conn>),
@@ -219,7 +162,7 @@ impl Listener {
 /// Binds a non-blocking listener on `endpoint`, returning the bound TCP
 /// address when there is one. A Unix endpoint's stale socket file is
 /// removed first; the file is removed again when the listener drops.
-pub(crate) fn bind_listener(endpoint: &Endpoint) -> io::Result<(Listener, Option<SocketAddr>)> {
+fn bind_listener(endpoint: &Endpoint) -> io::Result<(Listener, Option<SocketAddr>)> {
     match endpoint {
         Endpoint::Tcp(addr) => {
             let l = TcpListener::bind(addr)?;
@@ -244,21 +187,300 @@ impl Drop for Listener {
     }
 }
 
-/// The serve daemon. Bind, then either [`Server::run`] on the current
-/// thread (the CLI does this) or [`Server::spawn`] for a joinable handle
-/// (tests do this).
+/// The per-connection writer: drains the response channel onto the
+/// socket. Exits when every sender is gone or the socket dies.
+fn write_loop(mut stream: Box<dyn Conn>, responses: &Receiver<String>) {
+    while let Ok(line) = responses.recv() {
+        if stream.write_all(line.as_bytes()).is_err()
+            || stream.write_all(b"\n").is_err()
+            || stream.flush().is_err()
+        {
+            break;
+        }
+    }
+}
+
+/// The counters of the front door: connections, runs that got past every
+/// refusal, and refusals by kind.
+#[derive(Default)]
+pub(crate) struct DoorCounters {
+    pub(crate) connections: AtomicU64,
+    /// Runs that got past every refusal: for the daemon, runs that
+    /// entered its queue; for the supervisor, runs it forwarded to a shard
+    /// (counted once the shard answered or every candidate was lost).
+    pub(crate) accepted: AtomicU64,
+    pub(crate) rejected_invalid: AtomicU64,
+    pub(crate) rejected_budget: AtomicU64,
+    pub(crate) rejected_queue_full: AtomicU64,
+    pub(crate) rejected_shutting_down: AtomicU64,
+    #[cfg(feature = "fault-injection")]
+    pings_answered: AtomicU64,
+}
+
+impl DoorCounters {
+    fn reject(&self, err: &ServeError) {
+        let counter = match err {
+            ServeError::Budget { .. } => &self.rejected_budget,
+            ServeError::QueueFull { .. } => &self.rejected_queue_full,
+            ServeError::ShuttingDown { .. } => &self.rejected_shutting_down,
+            _ => &self.rejected_invalid,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A run request that got past parsing, the shutting-down check and the
+/// admission budgets.
+pub(crate) struct Run<'a> {
+    /// The request line as the client sent it.
+    pub(crate) line: &'a str,
+    pub(crate) id: Option<&'a str>,
+    pub(crate) resume_key: Option<&'a str>,
+    pub(crate) plan: Box<SweepPlan>,
+    pub(crate) timeout_ms: Option<u64>,
+    pub(crate) journal: bool,
+    /// The connection ordinal, which doubles as the daemon's fairness lane.
+    pub(crate) client: u64,
+    /// The connection's reply channel.
+    pub(crate) reply: &'a SyncSender<String>,
+}
+
+/// What a serve mode puts behind the front door.
+pub(crate) trait Backend: Send + Sync + Sized + 'static {
+    /// Starts the backend's own threads.
+    fn start(door: &Arc<Door<Self>>) -> Vec<JoinHandle<()>>;
+
+    /// Takes an admitted run. `Ok(Some(line))` is the reply to send now;
+    /// `Ok(None)` means the backend answers through `run.reply` later. An
+    /// `Err` is a refusal, which the door counts and answers.
+    fn run(&self, run: Run<'_>) -> Result<Option<String>, ServeError>;
+
+    /// The `stats` reply.
+    fn stats_line(&self, id: Option<&str>, door: &DoorCounters) -> String;
+
+    /// Whether a connection's idle reader may stop once shutdown began.
+    fn reader_may_stop(&self) -> bool;
+
+    /// Stops the backend once every connection finished, joining the
+    /// threads [`Backend::start`] returned.
+    fn stop(&self, threads: Vec<JoinHandle<()>>);
+}
+
+/// The front door over backend `B`.
+pub(crate) struct Door<B> {
+    pub(crate) backend: B,
+    counters: DoorCounters,
+    shutdown: AtomicBool,
+    budgets: Budgets,
+    max_request_bytes: usize,
+    #[cfg(feature = "fault-injection")]
+    fault_plan: Option<FaultPlan>,
+}
+
+impl<B: Backend> Door<B> {
+    pub(crate) fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || signal::received()
+    }
+
+    /// The per-connection reader on this thread, the writer on its own.
+    fn handle_connection(&self, stream: Box<dyn Conn>, client: u64) {
+        if stream.set_timeouts().is_err() {
+            return;
+        }
+        let Ok(write_half) = stream.split() else {
+            return;
+        };
+        let (reply, responses) = sync_channel::<String>(16);
+        let writer = std::thread::spawn(move || write_loop(write_half, &responses));
+
+        self.read_requests(stream, &reply, client);
+
+        drop(reply);
+        let _ = writer.join();
+    }
+
+    /// Frames lines (bounded by `max_request_bytes`) and handles each.
+    fn read_requests(&self, mut stream: Box<dyn Conn>, reply: &SyncSender<String>, client: u64) {
+        let mut buffer: Vec<u8> = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => {
+                    buffer.extend_from_slice(&chunk[..n]);
+                    while let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
+                        let line_bytes: Vec<u8> = buffer.drain(..=pos).collect();
+                        let line = String::from_utf8_lossy(&line_bytes[..pos]);
+                        let line = line.trim();
+                        if line.is_empty() {
+                            continue;
+                        }
+                        self.handle_line(line, reply, client);
+                    }
+                    if buffer.len() > self.max_request_bytes {
+                        let err = ServeError::Protocol {
+                            message: format!(
+                                "request line exceeds {} bytes",
+                                self.max_request_bytes
+                            ),
+                        };
+                        self.refuse(None, &err, reply);
+                        return;
+                    }
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut
+                        || e.kind() == io::ErrorKind::Interrupted =>
+                {
+                    if self.shutting_down() && self.backend.reader_may_stop() {
+                        return;
+                    }
+                }
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Parses one line, answers control operations, and admits runs.
+    fn handle_line(&self, line: &str, reply: &SyncSender<String>, client: u64) {
+        let request = match request::parse_request(line) {
+            Ok(request) => request,
+            Err(err) => return self.refuse(None, &err, reply),
+        };
+        let id = request.id.as_deref();
+        match request.op {
+            Op::Ping => {
+                #[cfg(feature = "fault-injection")]
+                if let Some(plan) = &self.fault_plan {
+                    let answered = self.counters.pings_answered.load(Ordering::Relaxed);
+                    if plan.should_wedge_ping(answered) {
+                        // Injected heartbeat wedge: swallow the ping. The
+                        // process stays alive and the socket stays open — only
+                        // the supervisor's liveness deadline can tell.
+                        return;
+                    }
+                }
+                #[cfg(feature = "fault-injection")]
+                self.counters.pings_answered.fetch_add(1, Ordering::Relaxed);
+                let _ = reply.send(response::ping_line(id));
+            }
+            Op::Stats => {
+                let _ = reply.send(self.backend.stats_line(id, &self.counters));
+            }
+            Op::Shutdown => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                let _ = reply.send(response::shutdown_line(id));
+            }
+            Op::Run {
+                plan,
+                timeout_ms,
+                journal,
+            } => {
+                let admitted = if self.shutting_down() {
+                    Err(shutting_down_error(id))
+                } else {
+                    request::admit(&plan, &self.budgets).and_then(|()| {
+                        self.backend.run(Run {
+                            line,
+                            id,
+                            resume_key: request.resume_key.as_deref(),
+                            plan,
+                            timeout_ms,
+                            journal,
+                            client,
+                            reply,
+                        })
+                    })
+                };
+                match admitted {
+                    Ok(answer) => {
+                        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                        if let Some(line) = answer {
+                            let _ = reply.send(line);
+                        }
+                    }
+                    Err(err) => self.refuse(id, &err, reply),
+                }
+            }
+        }
+    }
+
+    fn refuse(&self, id: Option<&str>, err: &ServeError, reply: &SyncSender<String>) {
+        self.counters.reject(err);
+        let _ = reply.send(response::error_line(id, err));
+    }
+}
+
+/// A [`Door`] with its backend type erased, so both modes are one
+/// [`Server`].
+trait Serve: Send + Sync {
+    fn serve(self: Arc<Self>, listener: &Listener) -> io::Result<()>;
+    fn begin_shutdown(&self);
+}
+
+impl<B: Backend> Serve for Door<B> {
+    /// Accepts until shutdown, then drains: stop accepting, join every
+    /// connection, stop the backend. A connection's writer exits only
+    /// after every reply sender dropped, the ones queued jobs hold
+    /// included, so every admitted request is answered before the
+    /// backend stops.
+    fn serve(self: Arc<Self>, listener: &Listener) -> io::Result<()> {
+        let backend_threads = B::start(&self);
+        let mut connections: Vec<JoinHandle<()>> = Vec::new();
+        let mut result = Ok(());
+        while !self.shutting_down() {
+            match listener.accept() {
+                Ok(stream) => {
+                    let client = self.counters.connections.fetch_add(1, Ordering::Relaxed);
+                    let door = self.clone();
+                    connections.push(std::thread::spawn(move || {
+                        door.handle_connection(stream, client)
+                    }));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    // A broken listener cannot serve anyway: drain and
+                    // report.
+                    result = Err(e);
+                    break;
+                }
+            }
+            // Reap finished connection threads so a long-lived server's
+            // registry does not grow without bound.
+            connections.retain(|handle| !handle.is_finished());
+        }
+        self.begin_shutdown();
+        for handle in connections {
+            let _ = handle.join();
+        }
+        self.backend.stop(backend_threads);
+        result
+    }
+
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+}
+
+/// A bound front door: the daemon ([`Server::bind`]) or a supervised
+/// worker fleet ([`Server::supervise`]). Run it on the current thread
+/// with [`Server::run`] (the CLI does this) or get a joinable handle
+/// from [`Server::spawn`] (tests do this).
 pub struct Server {
     listener: Listener,
     local_addr: Option<SocketAddr>,
-    shared: Arc<Shared>,
-    config: ServerConfig,
+    door: Arc<dyn Serve>,
 }
 
 /// A handle onto a spawned server: its address, a shutdown switch, and a
 /// join point.
 pub struct ServerHandle {
     thread: JoinHandle<io::Result<()>>,
-    shared: Arc<Shared>,
+    door: Arc<dyn Serve>,
     local_addr: Option<SocketAddr>,
 }
 
@@ -271,7 +493,7 @@ impl ServerHandle {
     /// Requests graceful shutdown (same path as SIGINT: drain in-flight
     /// work, refuse new work).
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.door.begin_shutdown();
     }
 
     /// Waits for the server to exit.
@@ -288,16 +510,12 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds the listening socket (without accepting yet).
+    /// Binds the daemon's listening socket (without accepting yet).
     ///
     /// # Errors
     ///
-    /// Propagates socket creation failures.
+    /// Propagates socket and journal-directory creation failures.
     pub fn bind(endpoint: &Endpoint, config: ServerConfig) -> io::Result<Server> {
-        let (listener, local_addr) = bind_listener(endpoint)?;
-        if let Some(dir) = &config.journal_dir {
-            std::fs::create_dir_all(dir)?;
-        }
         // Workers supervised across an exec boundary receive their fault
         // plan as environment variables; an explicitly configured plan
         // wins over the environment.
@@ -307,24 +525,43 @@ impl Server {
         if config.fault_plan.is_none() {
             config.fault_plan = FaultPlan::from_env();
         }
-        let shared = Arc::new(Shared {
-            queue: FairQueue::new(config.queue_capacity),
-            counters: Counters::default(),
-            session_totals: Mutex::new(SessionTotals::default()),
+        Server::open(endpoint, &config, || {
+            if let Some(dir) = &config.journal_dir {
+                std::fs::create_dir_all(dir)?;
+            }
+            Ok(Daemon {
+                queue: FairQueue::new(config.queue_capacity),
+                counters: Counters::default(),
+                session_totals: Mutex::new(SessionTotals::default()),
+                request_timeout: config.request_timeout,
+                journal_dir: config.journal_dir.clone(),
+                journal_compact_threshold: config.journal_compact_threshold,
+                threads: config.threads,
+            })
+        })
+    }
+
+    /// Binds `endpoint`, then builds the backend to put behind a door
+    /// enforcing `config`'s budgets and line cap.
+    pub(crate) fn open<B: Backend>(
+        endpoint: &Endpoint,
+        config: &ServerConfig,
+        backend: impl FnOnce() -> io::Result<B>,
+    ) -> io::Result<Server> {
+        let (listener, local_addr) = bind_listener(endpoint)?;
+        let door = Door {
+            backend: backend()?,
+            counters: DoorCounters::default(),
             shutdown: AtomicBool::new(false),
-            request_timeout: config.request_timeout,
-            max_request_bytes: config.max_request_bytes,
             budgets: config.budgets(),
-            journal_dir: config.journal_dir.clone(),
-            journal_compact_threshold: config.journal_compact_threshold,
+            max_request_bytes: config.max_request_bytes,
             #[cfg(feature = "fault-injection")]
             fault_plan: config.fault_plan.clone(),
-        });
+        };
         Ok(Server {
             listener,
             local_addr,
-            shared,
-            config,
+            door: Arc::new(door),
         })
     }
 
@@ -334,86 +571,186 @@ impl Server {
         self.local_addr
     }
 
-    /// Runs the daemon on the current thread until shutdown (SIGINT, a
-    /// `shutdown` request, or a [`ServerHandle::shutdown`]), then drains
-    /// the queue and exits.
+    /// Serves on the current thread until shutdown (SIGINT, a `shutdown`
+    /// request, or a [`ServerHandle::shutdown`]), then drains: every
+    /// admitted request is answered before the backend stops.
     ///
     /// # Errors
     ///
     /// Propagates accept-loop I/O failures other than transient ones.
     pub fn run(self) -> io::Result<()> {
-        let Server {
-            listener,
-            shared,
-            config,
-            ..
-        } = self;
-        let worker = {
-            let shared = shared.clone();
-            let threads = config.threads;
-            #[cfg(feature = "fault-injection")]
-            let fault = config.fault_plan.clone();
-            std::thread::spawn(move || {
-                worker_loop(
-                    &shared,
-                    threads,
-                    #[cfg(feature = "fault-injection")]
-                    fault,
-                )
-            })
-        };
-        let mut connections: Vec<JoinHandle<()>> = Vec::new();
-
-        while !shared.shutting_down() {
-            match listener.accept() {
-                Ok(stream) => {
-                    // The connection ordinal doubles as the fairness lane:
-                    // every request admitted on this socket shares a lane.
-                    let client = shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                    let shared = shared.clone();
-                    connections.push(std::thread::spawn(move || {
-                        handle_connection(stream, &shared, client)
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // A broken listener cannot serve anyway: drain and
-                    // report.
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    shared.queue.close();
-                    let _ = worker.join();
-                    return Err(e);
-                }
-            }
-            // Reap finished connection threads so a long-lived daemon's
-            // registry does not grow without bound.
-            connections.retain(|handle| !handle.is_finished());
-        }
-
-        // Graceful drain: refuse new work, serve everything admitted,
-        // then let every connection flush and exit.
-        shared.shutdown.store(true, Ordering::SeqCst);
-        shared.queue.close();
-        let _ = worker.join();
-        for handle in connections {
-            let _ = handle.join();
-        }
-        drop(listener);
-        Ok(())
+        self.door.serve(&self.listener)
     }
 
     /// Spawns [`Server::run`] on a background thread.
     pub fn spawn(self) -> ServerHandle {
-        let shared = self.shared.clone();
+        let door = self.door.clone();
         let local_addr = self.local_addr;
         let thread = std::thread::spawn(move || self.run());
         ServerHandle {
             thread,
-            shared,
+            door,
             local_addr,
+        }
+    }
+}
+
+/// One admitted unit of work.
+struct Job {
+    id: Option<String>,
+    plan: SweepPlan,
+    /// Journal file for this request, when it asked for one and the
+    /// daemon has a journal directory.
+    journal: Option<PathBuf>,
+    enqueued: Instant,
+    deadline: Instant,
+    reply: SyncSender<String>,
+}
+
+/// Monotonic counters of what the daemon's worker did.
+#[derive(Default)]
+struct Counters {
+    completed: AtomicU64,
+    partials: AtomicU64,
+    timeouts: AtomicU64,
+    compile_errors: AtomicU64,
+    panics: AtomicU64,
+    session_rebuilds: AtomicU64,
+    responses_dropped: AtomicU64,
+    journal_runs: AtomicU64,
+    journal_corrupt: AtomicU64,
+    journal_degraded: AtomicU64,
+    journal_compactions: AtomicU64,
+}
+
+/// Cumulative session-side totals, published by the worker after every
+/// request so `stats` answers without touching the session.
+#[derive(Default, Clone, Copy)]
+struct SessionTotals {
+    compile_requests: u64,
+    compile_hits: u64,
+    place_hits: u64,
+    place_runs: u64,
+    tiers: TierStats,
+}
+
+/// The daemon's backend: the fair queue, and what the worker needs and
+/// counts.
+struct Daemon {
+    queue: FairQueue<Job>,
+    counters: Counters,
+    session_totals: Mutex<SessionTotals>,
+    request_timeout: Duration,
+    journal_dir: Option<PathBuf>,
+    journal_compact_threshold: usize,
+    /// Worker threads of the shared session (0 = the session default).
+    threads: usize,
+}
+
+impl Backend for Daemon {
+    fn start(door: &Arc<Door<Daemon>>) -> Vec<JoinHandle<()>> {
+        let door = door.clone();
+        vec![std::thread::spawn(move || worker_loop(&door))]
+    }
+
+    /// Enqueues the run on its connection's lane.
+    fn run(&self, run: Run<'_>) -> Result<Option<String>, ServeError> {
+        let journal = journal_file(self, run.journal, run.resume_key)?;
+        let timeout = run
+            .timeout_ms
+            .map(Duration::from_millis)
+            .map_or(self.request_timeout, |t| t.min(self.request_timeout));
+        let now = Instant::now();
+        let job = Job {
+            id: run.id.map(str::to_string),
+            plan: *run.plan,
+            journal,
+            enqueued: now,
+            deadline: now + timeout,
+            reply: run.reply.clone(),
+        };
+        match self.queue.try_push(run.client, job) {
+            Ok(()) => Ok(None),
+            // Back-off scaled to how much work is already queued, plus a
+            // deterministic per-request jitter so a herd of rejected
+            // clients does not retry in lockstep.
+            Err(PushError::Full) => Err(ServeError::QueueFull {
+                retry_after_ms: 100 + 150 * self.queue.len() as u64 + retry_jitter_ms(run.id),
+            }),
+            Err(PushError::Closed) => Err(shutting_down_error(run.id)),
+        }
+    }
+
+    fn stats_line(&self, id: Option<&str>, door: &DoorCounters) -> String {
+        let c = &self.counters;
+        let totals = *self
+            .session_totals
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let tiers = totals.tiers;
+        // Per-client lane depths as a JSON object keyed by connection ordinal.
+        let queue_depths = {
+            let entries: Vec<String> = self
+                .queue
+                .depths()
+                .iter()
+                .map(|(client, depth)| format!("\"{client}\": {depth}"))
+                .collect();
+            format!("{{{}}}", entries.join(", "))
+        };
+        format!(
+            "{{\"id\": {}, \"status\": \"ok\", \"op\": \"stats\", \"stats\": {{\
+             \"queue_depth\": {}, \"queue_depths\": {}, \"connections\": {}, \"accepted\": {}, \"completed\": {}, \
+             \"partials\": {}, \"timeouts\": {}, \"compile_errors\": {}, \"panics\": {}, \
+             \"session_rebuilds\": {}, \"responses_dropped\": {}, \
+             \"journal\": {{\"runs\": {}, \"corrupt\": {}, \"degraded\": {}, \"compactions\": {}}}, \
+             \"rejected\": {{\"invalid\": {}, \"budget\": {}, \"queue_full\": {}, \"shutting_down\": {}}}, \
+             \"session\": {{\"compile_requests\": {}, \"compile_hits\": {}, \"place_hits\": {}, \"place_runs\": {}}}, \
+             \"tiers\": {{\"error_free\": {}, \"pauli_prop\": {}, \"checkpointed\": {}, \"full_replay\": {}, \
+             \"memo_hits\": {}, \"memo_misses\": {}}}}}}}",
+            response::id_json(id),
+            self.queue.len(),
+            queue_depths,
+            get(&door.connections),
+            get(&door.accepted),
+            get(&c.completed),
+            get(&c.partials),
+            get(&c.timeouts),
+            get(&c.compile_errors),
+            get(&c.panics),
+            get(&c.session_rebuilds),
+            get(&c.responses_dropped),
+            get(&c.journal_runs),
+            get(&c.journal_corrupt),
+            get(&c.journal_degraded),
+            get(&c.journal_compactions),
+            get(&door.rejected_invalid),
+            get(&door.rejected_budget),
+            get(&door.rejected_queue_full),
+            get(&door.rejected_shutting_down),
+            totals.compile_requests,
+            totals.compile_hits,
+            totals.place_hits,
+            totals.place_runs,
+            tiers.error_free,
+            tiers.pauli_prop,
+            tiers.checkpointed,
+            tiers.full_replay,
+            tiers.memo_hits,
+            tiers.memo_misses,
+        )
+    }
+
+    /// A reader stays while queued work may still need its connection.
+    fn reader_may_stop(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    fn stop(&self, worker: Vec<JoinHandle<()>>) {
+        self.queue.close();
+        for handle in worker {
+            let _ = handle.join();
         }
     }
 }
@@ -445,14 +782,13 @@ pub fn journal_path(dir: &Path, resume_key: &str) -> PathBuf {
 
 /// The single worker: owns the session, serves the queue round-robin
 /// across client lanes until the queue closes and drains.
-fn worker_loop(
-    shared: &Shared,
-    threads: usize,
-    #[cfg(feature = "fault-injection")] fault: Option<FaultPlan>,
-) {
-    let mut session = new_session(threads);
-    let counters = &shared.counters;
-    while let Some(job) = shared.queue.pop() {
+fn worker_loop(door: &Door<Daemon>) {
+    let daemon = &door.backend;
+    #[cfg(feature = "fault-injection")]
+    let fault = &door.fault_plan;
+    let mut session = new_session(daemon.threads);
+    let counters = &daemon.counters;
+    while let Some(job) = daemon.queue.pop() {
         let started = Instant::now();
         let queue_ms = started.duration_since(job.enqueued).as_millis() as u64;
 
@@ -464,7 +800,7 @@ fn worker_loop(
         let control = RunControl::unbounded().with_deadline(job.deadline);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(feature = "fault-injection")]
-            if let Some(f) = &fault {
+            if let Some(f) = fault {
                 if f.should_panic(job.plan.circuits().iter().map(|c| c.name.as_str())) {
                     panic!("injected fault: panic_on_circuit");
                 }
@@ -473,7 +809,7 @@ fn worker_loop(
                 &mut session,
                 &job,
                 &control,
-                shared.journal_compact_threshold,
+                daemon.journal_compact_threshold,
             )
         }));
 
@@ -488,7 +824,7 @@ fn worker_loop(
                 if effects.compacted {
                     counters.journal_compactions.fetch_add(1, Ordering::Relaxed);
                 }
-                publish_totals(shared, &outcome.report);
+                publish_totals(daemon, &outcome.report);
                 if outcome.completed {
                     counters.completed.fetch_add(1, Ordering::Relaxed);
                 } else if outcome.report.cells.is_empty() {
@@ -498,7 +834,7 @@ fn worker_loop(
                         elapsed_ms: elapsed,
                     };
                     let line = response::error_line(job.id.as_deref(), &err);
-                    send_reply(shared, &job.reply, line);
+                    send_reply(daemon, &job.reply, line);
                     continue;
                 } else {
                     counters.partials.fetch_add(1, Ordering::Relaxed);
@@ -521,7 +857,7 @@ fn worker_loop(
                 // unusable, so replace the session. A clean unwind keeps
                 // the warm caches.
                 if session.placement_cache().is_poisoned() {
-                    session = new_session(threads);
+                    session = new_session(daemon.threads);
                     counters.session_rebuilds.fetch_add(1, Ordering::Relaxed);
                 }
                 let err = ServeError::Panic {
@@ -530,7 +866,7 @@ fn worker_loop(
                 response::error_line(job.id.as_deref(), &err)
             }
         };
-        send_reply(shared, &job.reply, line);
+        send_reply(daemon, &job.reply, line);
     }
 }
 
@@ -586,8 +922,8 @@ fn run_job(
     }
 }
 
-fn publish_totals(shared: &Shared, report: &nisq_exp::Report) {
-    let mut totals = shared
+fn publish_totals(daemon: &Daemon, report: &nisq_exp::Report) {
+    let mut totals = daemon
         .session_totals
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
@@ -601,193 +937,12 @@ fn publish_totals(shared: &Shared, report: &nisq_exp::Report) {
 /// Hands a response line to the connection's writer without ever blocking
 /// the worker: a slow consumer's full channel drops the response (counted)
 /// rather than stalling the daemon.
-fn send_reply(shared: &Shared, reply: &SyncSender<String>, line: String) {
+fn send_reply(daemon: &Daemon, reply: &SyncSender<String>, line: String) {
     if reply.try_send(line).is_err() {
-        shared
+        daemon
             .counters
             .responses_dropped
             .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The per-connection writer: drains the response channel onto the
-/// socket. Exits when every sender is gone or the socket dies.
-fn write_loop(mut stream: Box<dyn Conn>, responses: &Receiver<String>) {
-    while let Ok(line) = responses.recv() {
-        if stream.write_all(line.as_bytes()).is_err()
-            || stream.write_all(b"\n").is_err()
-            || stream.flush().is_err()
-        {
-            break;
-        }
-    }
-}
-
-/// The per-connection reader: frames lines (bounded), parses, admits, and
-/// answers control operations inline.
-fn handle_connection(stream: Box<dyn Conn>, shared: &Shared, client: u64) {
-    if stream.set_timeouts().is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.split() else {
-        return;
-    };
-    let (reply, responses) = sync_channel::<String>(16);
-    let writer = std::thread::spawn(move || write_loop(write_half, &responses));
-
-    read_requests(stream, shared, &reply, client);
-
-    drop(reply);
-    let _ = writer.join();
-}
-
-fn read_requests(
-    mut stream: Box<dyn Conn>,
-    shared: &Shared,
-    reply: &SyncSender<String>,
-    client: u64,
-) {
-    let mut buffer: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                buffer.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = buffer.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line_bytes[..pos]);
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    handle_line(line, shared, reply, client);
-                }
-                if buffer.len() > shared.max_request_bytes {
-                    shared
-                        .counters
-                        .rejected_invalid
-                        .fetch_add(1, Ordering::Relaxed);
-                    let err = ServeError::Protocol {
-                        message: format!("request line exceeds {} bytes", shared.max_request_bytes),
-                    };
-                    let _ = reply.send(response::error_line(None, &err));
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                // Idle poll tick: exit promptly once the daemon drains.
-                if shared.shutting_down() && shared.queue.is_empty() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn handle_line(line: &str, shared: &Shared, reply: &SyncSender<String>, client: u64) {
-    let counters = &shared.counters;
-    let request = match request::parse_request(line) {
-        Ok(request) => request,
-        Err(err) => {
-            counters.rejected_invalid.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(response::error_line(None, &err));
-            return;
-        }
-    };
-    let id = request.id.as_deref();
-    match request.op {
-        Op::Ping => {
-            #[cfg(feature = "fault-injection")]
-            if let Some(plan) = &shared.fault_plan {
-                let answered = counters.pings_answered.load(Ordering::Relaxed);
-                if plan.should_wedge_ping(answered) {
-                    // Injected heartbeat wedge: swallow the ping. The
-                    // process stays alive and the socket stays open — only
-                    // the supervisor's liveness deadline can tell.
-                    return;
-                }
-            }
-            #[cfg(feature = "fault-injection")]
-            counters.pings_answered.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(response::ping_line(id));
-        }
-        Op::Stats => {
-            let _ = reply.send(stats_line(id, shared));
-        }
-        Op::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            let _ = reply.send(response::shutdown_line(id));
-        }
-        Op::Run {
-            plan,
-            timeout_ms,
-            journal,
-        } => {
-            if shared.shutting_down() {
-                counters
-                    .rejected_shutting_down
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(response::error_line(id, &shutting_down_error(id)));
-                return;
-            }
-            if let Err(err) = request::admit(&plan, &shared.budgets) {
-                match err.code() {
-                    "budget" => counters.rejected_budget.fetch_add(1, Ordering::Relaxed),
-                    _ => counters.rejected_invalid.fetch_add(1, Ordering::Relaxed),
-                };
-                let _ = reply.send(response::error_line(id, &err));
-                return;
-            }
-            let journal = match journal_file(shared, journal, request.resume_key.as_deref()) {
-                Ok(path) => path,
-                Err(err) => {
-                    counters.rejected_invalid.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply.send(response::error_line(id, &err));
-                    return;
-                }
-            };
-            let timeout = timeout_ms
-                .map(Duration::from_millis)
-                .map_or(shared.request_timeout, |t| t.min(shared.request_timeout));
-            let now = Instant::now();
-            let job = Job {
-                id: request.id.clone(),
-                plan: *plan,
-                journal,
-                enqueued: now,
-                deadline: now + timeout,
-                reply: reply.clone(),
-            };
-            match shared.queue.try_push(client, job) {
-                Ok(()) => {
-                    counters.accepted.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(PushError::Full) => {
-                    counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                    // Back-off scaled to how much work is already queued,
-                    // plus a deterministic per-request jitter so a herd of
-                    // rejected clients does not retry in lockstep.
-                    let retry_after_ms =
-                        100 + 150 * shared.queue.len() as u64 + retry_jitter_ms(id);
-                    let _ = reply.send(response::error_line(
-                        id,
-                        &ServeError::QueueFull { retry_after_ms },
-                    ));
-                }
-                Err(PushError::Closed) => {
-                    counters
-                        .rejected_shutting_down
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = reply.send(response::error_line(id, &shutting_down_error(id)));
-                }
-            }
-        }
     }
 }
 
@@ -795,14 +950,14 @@ fn handle_line(line: &str, shared: &Shared, reply: &SyncSender<String>, client: 
 /// the combination: journaling needs both a client `resume_key` (the
 /// stable identity that survives reconnects) and a daemon `--journal-dir`.
 fn journal_file(
-    shared: &Shared,
+    daemon: &Daemon,
     journal: bool,
     resume_key: Option<&str>,
 ) -> Result<Option<PathBuf>, ServeError> {
     if !journal {
         return Ok(None);
     }
-    let Some(dir) = &shared.journal_dir else {
+    let Some(dir) = &daemon.journal_dir else {
         return Err(ServeError::InvalidPlan {
             message: "journaled run refused: daemon started without --journal-dir".to_string(),
         });
@@ -825,108 +980,36 @@ pub(crate) fn retry_jitter_ms(id: Option<&str>) -> u64 {
 /// A `shutting-down` rejection with the same deterministic per-request
 /// jitter as queue-full back-off: a herd of clients bounced by a draining
 /// daemon should not hammer its replacement in lockstep.
-pub(crate) fn shutting_down_error(id: Option<&str>) -> ServeError {
+fn shutting_down_error(id: Option<&str>) -> ServeError {
     ServeError::ShuttingDown {
         retry_after_ms: 500 + retry_jitter_ms(id),
     }
 }
 
-/// Formats the aggregate stats response.
-fn stats_line(id: Option<&str>, shared: &Shared) -> String {
-    let c = &shared.counters;
-    let totals = *shared
-        .session_totals
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let tiers = totals.tiers;
-    // Per-client lane depths as a JSON object keyed by connection ordinal.
-    let queue_depths = {
-        let entries: Vec<String> = shared
-            .queue
-            .depths()
-            .iter()
-            .map(|(client, depth)| format!("\"{client}\": {depth}"))
-            .collect();
-        format!("{{{}}}", entries.join(", "))
-    };
-    format!(
-        "{{\"id\": {}, \"status\": \"ok\", \"op\": \"stats\", \"stats\": {{\
-         \"queue_depth\": {}, \"queue_depths\": {}, \"connections\": {}, \"accepted\": {}, \"completed\": {}, \
-         \"partials\": {}, \"timeouts\": {}, \"compile_errors\": {}, \"panics\": {}, \
-         \"session_rebuilds\": {}, \"responses_dropped\": {}, \
-         \"journal\": {{\"runs\": {}, \"corrupt\": {}, \"degraded\": {}, \"compactions\": {}}}, \
-         \"rejected\": {{\"invalid\": {}, \"budget\": {}, \"queue_full\": {}, \"shutting_down\": {}}}, \
-         \"session\": {{\"compile_requests\": {}, \"compile_hits\": {}, \"place_hits\": {}, \"place_runs\": {}}}, \
-         \"tiers\": {{\"error_free\": {}, \"pauli_prop\": {}, \"checkpointed\": {}, \"full_replay\": {}, \
-         \"memo_hits\": {}, \"memo_misses\": {}}}}}}}",
-        match id {
-            Some(id) => json::write_str(id),
-            None => "null".to_string(),
-        },
-        shared.queue.len(),
-        queue_depths,
-        get(&c.connections),
-        get(&c.accepted),
-        get(&c.completed),
-        get(&c.partials),
-        get(&c.timeouts),
-        get(&c.compile_errors),
-        get(&c.panics),
-        get(&c.session_rebuilds),
-        get(&c.responses_dropped),
-        get(&c.journal_runs),
-        get(&c.journal_corrupt),
-        get(&c.journal_degraded),
-        get(&c.journal_compactions),
-        get(&c.rejected_invalid),
-        get(&c.rejected_budget),
-        get(&c.rejected_queue_full),
-        get(&c.rejected_shutting_down),
-        totals.compile_requests,
-        totals.compile_hits,
-        totals.place_hits,
-        totals.place_runs,
-        tiers.error_free,
-        tiers.pauli_prop,
-        tiers.checkpointed,
-        tiers.full_replay,
-        tiers.memo_hits,
-        tiers.memo_misses,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nisq_exp::json;
 
-    fn test_shared() -> Shared {
-        Shared {
+    fn test_daemon() -> Daemon {
+        Daemon {
             queue: FairQueue::new(4),
             counters: Counters::default(),
             session_totals: Mutex::new(SessionTotals::default()),
-            shutdown: AtomicBool::new(false),
             request_timeout: Duration::from_secs(1),
-            max_request_bytes: 1024,
-            budgets: Budgets {
-                max_cells: 16,
-                max_trials: 64,
-                max_machine_qubits: 16,
-                max_sim_qubits: 8,
-            },
             journal_dir: None,
             journal_compact_threshold: 0,
-            #[cfg(feature = "fault-injection")]
-            fault_plan: None,
+            threads: 0,
         }
     }
 
     #[test]
     fn stats_line_is_valid_json() {
-        let shared = test_shared();
-        shared.counters.accepted.store(3, Ordering::Relaxed);
-        shared.counters.journal_runs.store(2, Ordering::Relaxed);
-        let doc = json::parse(&stats_line(Some("s"), &shared)).unwrap();
+        let daemon = test_daemon();
+        let door = DoorCounters::default();
+        door.accepted.store(3, Ordering::Relaxed);
+        daemon.counters.journal_runs.store(2, Ordering::Relaxed);
+        let doc = json::parse(&daemon.stats_line(Some("s"), &door)).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
         let stats = doc.get("stats").unwrap();
         assert_eq!(stats.get("accepted").unwrap().as_u64(), Some(3));
@@ -945,15 +1028,15 @@ mod tests {
 
     #[test]
     fn journal_flag_needs_both_dir_and_key() {
-        let without_dir = test_shared();
+        let without_dir = test_daemon();
         assert_eq!(journal_file(&without_dir, false, None), Ok(None));
         assert!(matches!(
             journal_file(&without_dir, true, Some("k")),
             Err(ServeError::InvalidPlan { .. })
         ));
-        let with_dir = Shared {
+        let with_dir = Daemon {
             journal_dir: Some(PathBuf::from("/tmp/journals")),
-            ..test_shared()
+            ..test_daemon()
         };
         assert!(matches!(
             journal_file(&with_dir, true, None),

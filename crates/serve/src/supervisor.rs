@@ -1,9 +1,9 @@
 //! The multi-worker supervisor: process-isolated shards behind one socket.
 //!
-//! `nisqc serve --workers N` runs this instead of a single [`Server`]:
-//! the supervisor binds the public endpoint, forks `N` worker processes
-//! (each an ordinary single-session daemon on a private Unix socket), and
-//! routes every run request by **rendezvous hash of its plan
+//! `nisqc serve --workers N` puts this backend behind the front door
+//! instead of the daemon (see [`Server::supervise`]): it forks `N` worker
+//! processes (each an ordinary single-session daemon on a private Unix
+//! socket) and routes every admitted run by **rendezvous hash of its plan
 //! fingerprint** — the same plan always lands on the same live shard, so
 //! each shard's compile and placement caches stay warm for its slice of
 //! the workload.
@@ -25,32 +25,39 @@
 //!   with a deterministic jittered `retry_after_ms`, mirroring the
 //!   `queue-full` contract.
 //!
-//! Control operations (`ping`, `stats`, `shutdown`) are answered by the
-//! supervisor itself; `stats` reports per-shard liveness, restart,
-//! routing and in-flight counts plus fleet totals.
+//! Parsing, admission and the control operations (`ping`, `stats`,
+//! `shutdown`) happen at the front door, as for the daemon; `stats`
+//! reports per-shard liveness, restart, routing and in-flight counts plus
+//! fleet totals.
 
 use crate::error::ServeError;
-use crate::request::{self, Budgets, Op};
 use crate::response;
 use crate::server::{
-    bind_listener, retry_jitter_ms, shutting_down_error, Conn, Endpoint, Listener, ServerConfig,
+    retry_jitter_ms, Backend, Door, DoorCounters, Endpoint, Run, Server, ServerConfig,
 };
-use crate::signal;
 use crate::worker::{WorkerHandle, WorkerSpec};
-use nisq_exp::{fnv64, json};
-use std::io::{self, Read};
-use std::net::SocketAddr;
+use nisq_exp::fnv64;
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tunables of a [`Supervisor`]. `server` carries the admission budgets
-/// and request deadline the supervisor enforces at its front door; the
-/// worker processes are expected to be launched (via [`WorkerSpec`]) with
-/// matching limits so both layers agree.
+/// Upper bound on a shard's restart backoff, further clamped to the
+/// request deadline so a restarting shard is never out longer than one
+/// request is allowed to run.
+const RESTART_BACKOFF_CAP: Duration = Duration::from_secs(10);
+
+/// Most re-dispatch attempts after a shard dies mid-request before
+/// answering `worker-lost`.
+const MAX_REDISPATCH: usize = 2;
+
+/// Tunables of a supervised fleet ([`Server::supervise`]). `server`
+/// carries the admission budgets and request deadline the supervisor
+/// enforces at its front door; the worker processes are expected to be
+/// launched (via [`WorkerSpec`]) with matching limits so both layers
+/// agree.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// How many worker processes to run.
@@ -69,13 +76,6 @@ pub struct SupervisorConfig {
     pub liveness_deadline: Duration,
     /// First restart backoff; doubles per consecutive failed respawn.
     pub restart_backoff_base: Duration,
-    /// Upper bound on the restart backoff. Clamped at bind time to the
-    /// request deadline cap, so a restarting shard is never out longer
-    /// than one request is allowed to run.
-    pub restart_backoff_cap: Duration,
-    /// Most re-dispatch attempts after a shard dies mid-request before
-    /// answering `worker-lost`.
-    pub max_redispatch: usize,
 }
 
 impl SupervisorConfig {
@@ -92,87 +92,29 @@ impl SupervisorConfig {
                 exe,
                 args: vec!["serve".into(), "--unix".into(), "{socket}".into()],
                 env: Vec::new(),
-                spawn_timeout: Duration::from_secs(10),
             },
             heartbeat_interval: Duration::from_millis(500),
             liveness_deadline: Duration::from_secs(3),
             restart_backoff_base: Duration::from_millis(200),
-            restart_backoff_cap: Duration::from_secs(10),
-            max_redispatch: 2,
         }
     }
 }
 
-/// Everything the accept loop, connection threads and monitors share.
-struct SupShared {
+/// The supervisor's backend: the shards and what routing to them counted.
+pub(crate) struct Fleet {
     workers: Vec<WorkerHandle>,
     spec: WorkerSpec,
-    shutdown: AtomicBool,
-    connections: AtomicU64,
-    accepted: AtomicU64,
     redispatches: AtomicU64,
     worker_lost: AtomicU64,
-    rejected: AtomicU64,
-    budgets: Budgets,
     request_timeout: Duration,
-    max_request_bytes: usize,
     per_worker_capacity: usize,
     heartbeat_interval: Duration,
     liveness_deadline: Duration,
     restart_backoff_base: Duration,
     restart_backoff_cap: Duration,
-    max_redispatch: usize,
 }
 
-impl SupShared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::received()
-    }
-}
-
-/// The supervisor daemon. Bind, then [`Supervisor::run`] on the current
-/// thread (the CLI does this) or [`Supervisor::spawn`] for a joinable
-/// handle (tests do this).
-pub struct Supervisor {
-    listener: Listener,
-    local_addr: Option<SocketAddr>,
-    shared: Arc<SupShared>,
-}
-
-/// A handle onto a spawned supervisor: its address, a shutdown switch,
-/// and a join point.
-pub struct SupervisorHandle {
-    thread: JoinHandle<io::Result<()>>,
-    shared: Arc<SupShared>,
-    local_addr: Option<SocketAddr>,
-}
-
-impl SupervisorHandle {
-    /// The bound TCP address, if listening on TCP.
-    pub fn addr(&self) -> Option<SocketAddr> {
-        self.local_addr
-    }
-
-    /// Requests graceful shutdown: refuse new work, shut the shards down,
-    /// exit.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Waits for the supervisor to exit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the accept loop's I/O error, or reports a crashed
-    /// supervisor thread.
-    pub fn join(self) -> io::Result<()> {
-        self.thread
-            .join()
-            .map_err(|_| io::Error::other("supervisor thread panicked"))?
-    }
-}
-
-impl Supervisor {
+impl Server {
     /// Binds the public endpoint and spawns every worker process. A
     /// worker that fails to come up is a bind error: the fleet starts
     /// whole or not at all (restarts later are the monitors' job).
@@ -181,7 +123,7 @@ impl Supervisor {
     ///
     /// Socket creation, runtime-dir creation, or initial worker spawn
     /// failures; every already-spawned worker is killed before returning.
-    pub fn bind(endpoint: &Endpoint, config: SupervisorConfig) -> io::Result<Supervisor> {
+    pub fn supervise(endpoint: &Endpoint, config: SupervisorConfig) -> io::Result<Server> {
         if config.workers == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -189,130 +131,115 @@ impl Supervisor {
             ));
         }
         std::fs::create_dir_all(&config.runtime_dir)?;
-        let (listener, local_addr) = bind_listener(endpoint)?;
-        let workers: Vec<WorkerHandle> = (0..config.workers)
+        Server::open(endpoint, &config.server, || {
+            let workers: Vec<WorkerHandle> = (0..config.workers)
+                .map(|index| {
+                    WorkerHandle::new(
+                        index,
+                        config.runtime_dir.join(format!("worker-{index}.sock")),
+                    )
+                })
+                .collect();
+            for worker in &workers {
+                if let Err(e) = worker.spawn_process(&config.spec) {
+                    for spawned in &workers {
+                        spawned.kill_and_reap();
+                    }
+                    return Err(e);
+                }
+            }
+            Ok(Fleet {
+                workers,
+                spec: config.spec.clone(),
+                redispatches: AtomicU64::new(0),
+                worker_lost: AtomicU64::new(0),
+                request_timeout: config.server.request_timeout,
+                per_worker_capacity: config.server.queue_capacity,
+                heartbeat_interval: config.heartbeat_interval,
+                liveness_deadline: config.liveness_deadline,
+                restart_backoff_base: config.restart_backoff_base,
+                restart_backoff_cap: RESTART_BACKOFF_CAP.min(config.server.request_timeout),
+            })
+        })
+    }
+}
+
+impl Backend for Fleet {
+    fn start(door: &Arc<Door<Fleet>>) -> Vec<JoinHandle<()>> {
+        (0..door.backend.workers.len())
             .map(|index| {
-                WorkerHandle::new(
-                    index,
-                    config.runtime_dir.join(format!("worker-{index}.sock")),
+                let door = door.clone();
+                std::thread::spawn(move || monitor_loop(&door, index))
+            })
+            .collect()
+    }
+
+    /// Forwards the run to its shard. The reader waits for the answer, so
+    /// each connection has at most one run in flight; other connections
+    /// proceed in parallel on other shards.
+    fn run(&self, run: Run<'_>) -> Result<Option<String>, ServeError> {
+        let fingerprint = run.plan.fingerprint();
+        drop(run.plan);
+        self.dispatch(run.line, run.id, fingerprint).map(Some)
+    }
+
+    /// One entry per shard plus fleet totals.
+    fn stats_line(&self, id: Option<&str>, door: &DoorCounters) -> String {
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let workers: Vec<String> = self
+            .workers
+            .iter()
+            .map(|w| {
+                format!(
+                    "{{\"index\": {}, \"alive\": {}, \"pid\": {}, \"restarts\": {}, \
+                     \"routed\": {}, \"pending\": {}}}",
+                    w.index,
+                    w.alive(),
+                    w.pid(),
+                    get(&w.restarts),
+                    get(&w.routed),
+                    get(&w.pending),
                 )
             })
             .collect();
-        for worker in &workers {
-            if let Err(e) = worker.spawn_process(&config.spec) {
-                for spawned in &workers {
-                    spawned.kill_and_reap();
-                }
-                return Err(e);
-            }
-        }
-        let shared = Arc::new(SupShared {
-            workers,
-            spec: config.spec,
-            shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            redispatches: AtomicU64::new(0),
-            worker_lost: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            budgets: config.server.budgets(),
-            request_timeout: config.server.request_timeout,
-            max_request_bytes: config.server.max_request_bytes,
-            per_worker_capacity: config.server.queue_capacity,
-            heartbeat_interval: config.heartbeat_interval,
-            liveness_deadline: config.liveness_deadline,
-            restart_backoff_base: config.restart_backoff_base,
-            restart_backoff_cap: config
-                .restart_backoff_cap
-                .min(config.server.request_timeout),
-            max_redispatch: config.max_redispatch,
-        });
-        Ok(Supervisor {
-            listener,
-            local_addr,
-            shared,
-        })
+        let restarts: u64 = self.workers.iter().map(|w| get(&w.restarts)).sum();
+        let rejected = get(&door.rejected_invalid)
+            + get(&door.rejected_budget)
+            + get(&door.rejected_queue_full)
+            + get(&door.rejected_shutting_down);
+        format!(
+            "{{\"id\": {}, \"status\": \"ok\", \"op\": \"stats\", \"stats\": {{\
+             \"workers\": [{}], \"supervisor\": {{\"restarts\": {}, \"redispatches\": {}, \
+             \"worker_lost\": {}, \"connections\": {}, \"accepted\": {}, \"rejected\": {}}}}}}}",
+            response::id_json(id),
+            workers.join(", "),
+            restarts,
+            get(&self.redispatches),
+            get(&self.worker_lost),
+            get(&door.connections),
+            get(&door.accepted),
+            rejected,
+        )
     }
 
-    /// The bound TCP address, if listening on TCP (useful after binding
-    /// port 0).
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.local_addr
+    /// A connection answers each run before it reads the next line, so an
+    /// idle reader holds no work.
+    fn reader_may_stop(&self) -> bool {
+        true
     }
 
-    /// Runs the supervisor on the current thread until shutdown (SIGINT,
-    /// a `shutdown` request, or [`SupervisorHandle::shutdown`]), then
-    /// shuts the fleet down gracefully.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept-loop I/O failures other than transient ones.
-    pub fn run(self) -> io::Result<()> {
-        let Supervisor {
-            listener, shared, ..
-        } = self;
-        let monitors: Vec<JoinHandle<()>> = (0..shared.workers.len())
-            .map(|index| {
-                let shared = shared.clone();
-                std::thread::spawn(move || monitor_loop(&shared, index))
-            })
-            .collect();
-        let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        let mut accept_error = None;
-
-        while !shared.shutting_down() {
-            match listener.accept() {
-                Ok(stream) => {
-                    let client = shared.connections.fetch_add(1, Ordering::Relaxed);
-                    let shared = shared.clone();
-                    connections.push(std::thread::spawn(move || {
-                        handle_connection(stream, &shared, client)
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    accept_error = Some(e);
-                    break;
-                }
-            }
-            connections.retain(|handle| !handle.is_finished());
-        }
-
-        shared.shutdown.store(true, Ordering::SeqCst);
+    /// Joins the monitors, then asks each worker to drain, gives it a
+    /// grace period, and reaps it.
+    fn stop(&self, monitors: Vec<JoinHandle<()>>) {
         for handle in monitors {
             let _ = handle.join();
         }
-        for handle in connections {
-            let _ = handle.join();
-        }
-        // Shut the fleet down after the front door closed: ask each
-        // worker to drain, give it a grace period, then reap.
         let grace = Instant::now() + Duration::from_millis(500);
-        for worker in &shared.workers {
+        for worker in &self.workers {
             worker.request_shutdown(grace);
         }
-        for worker in &shared.workers {
+        for worker in &self.workers {
             worker.shutdown_and_reap(Duration::from_secs(5));
-        }
-        drop(listener);
-        match accept_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Spawns [`Supervisor::run`] on a background thread.
-    pub fn spawn(self) -> SupervisorHandle {
-        let shared = self.shared.clone();
-        let local_addr = self.local_addr;
-        let thread = std::thread::spawn(move || self.run());
-        SupervisorHandle {
-            thread,
-            shared,
-            local_addr,
         }
     }
 }
@@ -352,11 +279,12 @@ pub fn restart_backoff(attempt: u32, worker: usize, base: Duration, cap: Duratio
 
 /// One shard's keeper: heartbeats while it lives, reaps it when it
 /// wedges or exits, respawns it after backoff.
-fn monitor_loop(shared: &SupShared, index: usize) {
-    let worker = &shared.workers[index];
+fn monitor_loop(door: &Door<Fleet>, index: usize) {
+    let fleet = &door.backend;
+    let worker = &fleet.workers[index];
     let mut last_ok = Instant::now();
     let mut attempt: u32 = 0;
-    while !shared.shutting_down() {
+    while !door.shutting_down() {
         if worker.alive() {
             if worker.child_exited() {
                 // The process died on its own (OOM kill, abort, SIGKILL
@@ -364,29 +292,29 @@ fn monitor_loop(shared: &SupShared, index: usize) {
                 worker.kill_and_reap();
                 continue;
             }
-            match worker.ping(Instant::now() + shared.heartbeat_interval) {
+            match worker.ping(Instant::now() + fleet.heartbeat_interval) {
                 Ok(()) => last_ok = Instant::now(),
                 Err(_) => {
-                    if last_ok.elapsed() >= shared.liveness_deadline {
+                    if last_ok.elapsed() >= fleet.liveness_deadline {
                         // Alive as a process, dead as a service: wedged.
                         worker.kill_and_reap();
                         continue;
                     }
                 }
             }
-            sleep_interruptibly(shared, shared.heartbeat_interval);
+            sleep_interruptibly(door, fleet.heartbeat_interval);
         } else {
             let backoff = restart_backoff(
                 attempt,
                 index,
-                shared.restart_backoff_base,
-                shared.restart_backoff_cap,
+                fleet.restart_backoff_base,
+                fleet.restart_backoff_cap,
             );
-            sleep_interruptibly(shared, backoff);
-            if shared.shutting_down() {
+            sleep_interruptibly(door, backoff);
+            if door.shutting_down() {
                 return;
             }
-            match worker.spawn_process(&shared.spec) {
+            match worker.spawn_process(&fleet.spec) {
                 Ok(()) => {
                     worker.restarts.fetch_add(1, Ordering::Relaxed);
                     last_ok = Instant::now();
@@ -399,220 +327,74 @@ fn monitor_loop(shared: &SupShared, index: usize) {
 }
 
 /// Sleeps `total` in small slices, returning early on shutdown.
-fn sleep_interruptibly(shared: &SupShared, total: Duration) {
+fn sleep_interruptibly(door: &Door<Fleet>, total: Duration) {
     let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !shared.shutting_down() {
+    while Instant::now() < deadline && !door.shutting_down() {
         let left = deadline.saturating_duration_since(Instant::now());
         std::thread::sleep(left.min(Duration::from_millis(20)));
     }
 }
 
-/// The per-connection front door: frames lines, answers control ops
-/// itself, forwards runs. A run blocks this connection's reader until
-/// its shard answers (one in-flight run per client connection); other
-/// connections proceed in parallel on other shards.
-fn handle_connection(stream: Box<dyn Conn>, shared: &SupShared, client: u64) {
-    if stream.set_timeouts().is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.split() else {
-        return;
-    };
-    let (reply, responses) = sync_channel::<String>(16);
-    let writer = std::thread::spawn(move || write_loop(write_half, &responses));
-
-    read_requests(stream, shared, &reply, client);
-
-    drop(reply);
-    let _ = writer.join();
-}
-
-fn write_loop(mut stream: Box<dyn Conn>, responses: &Receiver<String>) {
-    use std::io::Write;
-    while let Ok(line) = responses.recv() {
-        if stream.write_all(line.as_bytes()).is_err()
-            || stream.write_all(b"\n").is_err()
-            || stream.flush().is_err()
-        {
-            break;
-        }
-    }
-}
-
-fn read_requests(
-    mut stream: Box<dyn Conn>,
-    shared: &SupShared,
-    reply: &SyncSender<String>,
-    client: u64,
-) {
-    let mut buffer: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                buffer.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = buffer.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line_bytes[..pos]);
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    handle_line(line, shared, reply, client);
-                }
-                if buffer.len() > shared.max_request_bytes {
-                    let err = ServeError::Protocol {
-                        message: format!("request line exceeds {} bytes", shared.max_request_bytes),
-                    };
-                    let _ = reply.send(response::error_line(None, &err));
-                    return;
+impl Fleet {
+    /// Routes one admitted run to its shard and forwards it; on shard
+    /// death mid-request, reaps the shard and re-dispatches to the
+    /// next-preferred survivor (at most [`MAX_REDISPATCH`] times). The
+    /// request line travels verbatim, so the worker parses exactly what
+    /// the client sent — journal flags, resume keys, timeouts and all.
+    /// Returns the shard's reply, or a `worker-lost` error line when
+    /// every candidate died; a full shard refuses the run with
+    /// `queue-full`.
+    fn dispatch(
+        &self,
+        line: &str,
+        id: Option<&str>,
+        fingerprint: u64,
+    ) -> Result<String, ServeError> {
+        let deadline = Instant::now() + self.request_timeout + self.liveness_deadline;
+        let mut excluded = vec![false; self.workers.len()];
+        for attempt in 0..=MAX_REDISPATCH {
+            let candidates: Vec<bool> = self
+                .workers
+                .iter()
+                .enumerate()
+                .map(|(i, w)| w.alive() && !excluded[i])
+                .collect();
+            let Some(index) = route_worker(fingerprint, &candidates) else {
+                break;
+            };
+            let worker = &self.workers[index];
+            let pending = worker.pending.load(Ordering::SeqCst);
+            if pending >= self.per_worker_capacity as u64 {
+                let retry_after_ms = 100 + 150 * pending + retry_jitter_ms(id);
+                return Err(ServeError::QueueFull { retry_after_ms });
+            }
+            if attempt > 0 {
+                self.redispatches.fetch_add(1, Ordering::Relaxed);
+            }
+            worker.routed.fetch_add(1, Ordering::Relaxed);
+            worker.pending.fetch_add(1, Ordering::SeqCst);
+            let result = worker.forward(line, deadline);
+            worker.pending.fetch_sub(1, Ordering::SeqCst);
+            match result {
+                Ok(response) => return Ok(response),
+                Err(_) => {
+                    // Reap before re-dispatch: the journal the dead shard
+                    // may have been writing must have no writer before a
+                    // survivor resumes it.
+                    worker.kill_and_reap();
+                    excluded[index] = true;
                 }
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
-            Err(_) => return,
         }
+        self.worker_lost.fetch_add(1, Ordering::Relaxed);
+        Ok(response::error_line(
+            id,
+            &ServeError::WorkerLost {
+                message: "every candidate worker died mid-request".to_string(),
+                retry_after_ms: 500 + retry_jitter_ms(id),
+            },
+        ))
     }
-}
-
-fn handle_line(line: &str, shared: &SupShared, reply: &SyncSender<String>, _client: u64) {
-    let request = match request::parse_request(line) {
-        Ok(request) => request,
-        Err(err) => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(response::error_line(None, &err));
-            return;
-        }
-    };
-    let id = request.id.as_deref();
-    match request.op {
-        Op::Ping => {
-            let _ = reply.send(response::ping_line(id));
-        }
-        Op::Stats => {
-            let _ = reply.send(stats_line(id, shared));
-        }
-        Op::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            let _ = reply.send(response::shutdown_line(id));
-        }
-        Op::Run { plan, .. } => {
-            if shared.shutting_down() {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(response::error_line(id, &shutting_down_error(id)));
-                return;
-            }
-            if let Err(err) = request::admit(&plan, &shared.budgets) {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(response::error_line(id, &err));
-                return;
-            }
-            shared.accepted.fetch_add(1, Ordering::Relaxed);
-            let fingerprint = plan.fingerprint();
-            drop(plan);
-            let response = dispatch(shared, line, id, fingerprint);
-            let _ = reply.send(response);
-        }
-    }
-}
-
-/// Routes one admitted run to its shard and forwards it; on shard death
-/// mid-request, reaps the shard and re-dispatches to the next-preferred
-/// survivor (bounded by `max_redispatch`). The request line travels
-/// verbatim, so the worker parses exactly what the client sent —
-/// journal flags, resume keys, timeouts and all.
-fn dispatch(shared: &SupShared, line: &str, id: Option<&str>, fingerprint: u64) -> String {
-    let deadline = Instant::now() + shared.request_timeout + shared.liveness_deadline;
-    let mut excluded = vec![false; shared.workers.len()];
-    for attempt in 0..=shared.max_redispatch {
-        let candidates: Vec<bool> = shared
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| w.alive() && !excluded[i])
-            .collect();
-        let Some(index) = route_worker(fingerprint, &candidates) else {
-            break;
-        };
-        let worker = &shared.workers[index];
-        if worker.pending.load(Ordering::SeqCst) >= shared.per_worker_capacity as u64 {
-            let retry_after_ms =
-                100 + 150 * worker.pending.load(Ordering::SeqCst) + retry_jitter_ms(id);
-            return response::error_line(id, &ServeError::QueueFull { retry_after_ms });
-        }
-        if attempt > 0 {
-            shared.redispatches.fetch_add(1, Ordering::Relaxed);
-        }
-        worker.routed.fetch_add(1, Ordering::Relaxed);
-        worker.pending.fetch_add(1, Ordering::SeqCst);
-        let result = worker.forward(line, deadline);
-        worker.pending.fetch_sub(1, Ordering::SeqCst);
-        match result {
-            Ok(response) => return response,
-            Err(_) => {
-                // Reap before re-dispatch: the journal the dead shard may
-                // have been writing must have no writer before a survivor
-                // resumes it.
-                worker.kill_and_reap();
-                excluded[index] = true;
-            }
-        }
-    }
-    shared.worker_lost.fetch_add(1, Ordering::Relaxed);
-    response::error_line(
-        id,
-        &ServeError::WorkerLost {
-            message: "every candidate worker died mid-request".to_string(),
-            retry_after_ms: 500 + retry_jitter_ms(id),
-        },
-    )
-}
-
-/// The supervisor's `stats` response: one entry per shard plus fleet
-/// totals.
-fn stats_line(id: Option<&str>, shared: &SupShared) -> String {
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let workers: Vec<String> = shared
-        .workers
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"index\": {}, \"alive\": {}, \"pid\": {}, \"restarts\": {}, \
-                 \"routed\": {}, \"pending\": {}}}",
-                w.index,
-                w.alive(),
-                w.pid(),
-                get(&w.restarts),
-                get(&w.routed),
-                get(&w.pending),
-            )
-        })
-        .collect();
-    let restarts: u64 = shared.workers.iter().map(|w| get(&w.restarts)).sum();
-    format!(
-        "{{\"id\": {}, \"status\": \"ok\", \"op\": \"stats\", \"stats\": {{\
-         \"workers\": [{}], \"supervisor\": {{\"restarts\": {}, \"redispatches\": {}, \
-         \"worker_lost\": {}, \"connections\": {}, \"accepted\": {}, \"rejected\": {}}}}}}}",
-        match id {
-            Some(id) => json::write_str(id),
-            None => "null".to_string(),
-        },
-        workers.join(", "),
-        restarts,
-        get(&shared.redispatches),
-        get(&shared.worker_lost),
-        get(&shared.connections),
-        get(&shared.accepted),
-        get(&shared.rejected),
-    )
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   makes response matching trivial (the next line *is* the answer);
 //! - a **control connection** for heartbeat pings, kept separate so a
 //!   long-running sweep never starves the liveness check (the worker's
-//!   per-connection reader answers pings inline, off the session thread).
+//!   front door answers pings inline, off the session thread).
 //!
 //! Connections are opened lazily and dropped on any I/O error, so a
 //! restarted worker is re-dialed transparently on the next use.
@@ -40,10 +40,11 @@ pub struct WorkerSpec {
     /// Extra environment variables set on the worker process (the rest of
     /// the supervisor's environment is inherited).
     pub env: Vec<(String, String)>,
-    /// How long a freshly spawned worker gets to bind its socket before
-    /// the spawn is declared failed.
-    pub spawn_timeout: Duration,
 }
+
+/// How long a freshly spawned worker gets to bind its socket before the
+/// spawn is declared failed.
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One supervised shard: the child process, its socket, and the two
 /// connections the supervisor holds onto it.
@@ -127,7 +128,7 @@ impl WorkerHandle {
         self.pid.store(u64::from(child.id()), Ordering::SeqCst);
         *lock(&self.child) = Some(child);
 
-        let deadline = Instant::now() + spec.spawn_timeout;
+        let deadline = Instant::now() + SPAWN_TIMEOUT;
         loop {
             match dial(&self.socket) {
                 Ok(stream) => {

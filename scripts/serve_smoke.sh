@@ -1,27 +1,37 @@
 #!/usr/bin/env bash
 # Smoke test for `nisqc serve`: start the daemon, exercise the protocol's
 # happy path and its rejection paths from a plain bash/python client, then
-# check SIGINT drains cleanly with exit 0.
+# check SIGINT drains cleanly with exit 0. Options after the binary go to
+# `nisqc serve`, so `--workers 2 --runtime-dir DIR` runs the same checks
+# against a supervised fleet.
 #
-# Usage: scripts/serve_smoke.sh [path/to/nisqc]
+# Usage: scripts/serve_smoke.sh [path/to/nisqc [serve options...]]
 set -euo pipefail
 
 NISQC="${1:-target/release/nisqc}"
+if [[ $# -gt 0 ]]; then shift; fi
 PORT="${SERVE_SMOKE_PORT:-7979}"
 ADDR="127.0.0.1:${PORT}"
 LOG="$(mktemp)"
 
-"$NISQC" serve --listen "$ADDR" --timeout-ms 10000 2>"$LOG" &
+"$NISQC" serve --listen "$ADDR" --timeout-ms 10000 "$@" 2>"$LOG" &
 SERVER_PID=$!
 trap 'kill -9 $SERVER_PID 2>/dev/null || true' EXIT
 
-# Wait for the listening line.
+# Wait for the startup line of either mode. (Supervised workers log their
+# own "listening on unix://" lines to the same file.)
+STARTED="listening on tcp://|supervising"
 for _ in $(seq 1 100); do
-    grep -q "listening on" "$LOG" && break
+    grep -qE "$STARTED" "$LOG" && break
     kill -0 $SERVER_PID 2>/dev/null || { echo "server died early"; cat "$LOG"; exit 1; }
     sleep 0.1
 done
-grep -q "listening on" "$LOG" || { echo "server never came up"; cat "$LOG"; exit 1; }
+grep -qE "$STARTED" "$LOG" || { echo "server never came up"; cat "$LOG"; exit 1; }
+if grep -q "supervising" "$LOG"; then
+    DRAINED="workers stopped, supervisor shut down"
+else
+    DRAINED="drained and shut down"
+fi
 
 # One request, one response line, via a short-lived TCP client.
 request() {
@@ -67,8 +77,9 @@ case "$R" in
     *) echo "FAIL timeout-bounded: $R"; exit 1 ;;
 esac
 
+# The daemon and the supervisor report different stats keys.
 R=$(request '{"op": "stats"}')
-expect stats "$R" '"queue_depth"'
+expect stats "$R" '"status": "ok"'
 
 # SIGINT must drain and exit 0.
 kill -INT $SERVER_PID
@@ -88,6 +99,6 @@ if [[ $STATUS -ne 0 ]]; then
     cat "$LOG"
     exit 1
 fi
-grep -q "drained and shut down" "$LOG" || { echo "FAIL shutdown: no drain message"; cat "$LOG"; exit 1; }
+grep -q "$DRAINED" "$LOG" || { echo "FAIL shutdown: no drain message"; cat "$LOG"; exit 1; }
 echo "ok   sigint-drain"
 echo "serve smoke test passed"

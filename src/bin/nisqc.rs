@@ -11,7 +11,7 @@
 
 use nisq::exp::names::{config_for, parse_benchmarks, parse_days, parse_mappers, parse_topology};
 use nisq::prelude::*;
-use nisq::serve::{Endpoint, Server, ServerConfig, Supervisor, SupervisorConfig};
+use nisq::serve::{Endpoint, Server, ServerConfig, SupervisorConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -610,19 +610,23 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     }
 
     nisq::serve::signal::install();
-    if workers > 0 {
-        return run_supervised(&endpoint, config, workers, runtime_dir);
-    }
-    let server = Server::bind(&endpoint, config).map_err(|e| format!("cannot bind: {e}"))?;
+    let (server, serving, stopped) = if workers > 0 {
+        let server = supervise(&endpoint, config, workers, runtime_dir)?;
+        let serving = format!("supervising {workers} workers on");
+        (server, serving, "workers stopped, supervisor shut down")
+    } else {
+        let server = Server::bind(&endpoint, config).map_err(|e| format!("cannot bind: {e}"))?;
+        (server, "listening on".to_string(), "drained and shut down")
+    };
     match (&endpoint, server.local_addr()) {
-        (_, Some(addr)) => eprintln!("nisqc serve: listening on tcp://{addr}"),
+        (_, Some(addr)) => eprintln!("nisqc serve: {serving} tcp://{addr}"),
         (Endpoint::Unix(path), None) => {
-            eprintln!("nisqc serve: listening on unix://{}", path.display())
+            eprintln!("nisqc serve: {serving} unix://{}", path.display())
         }
         _ => {}
     }
     server.run().map_err(|e| format!("serve failed: {e}"))?;
-    eprintln!("nisqc serve: drained and shut down");
+    eprintln!("nisqc serve: {stopped}");
     Ok(())
 }
 
@@ -659,35 +663,21 @@ fn worker_serve_args(config: &ServerConfig) -> Vec<String> {
     args
 }
 
-/// Runs `serve --workers N`: a supervisor routing to N process-isolated
+/// Binds `serve --workers N`: a supervisor routing to N process-isolated
 /// worker shards, each a `nisqc serve --unix` child of this process.
-fn run_supervised(
+fn supervise(
     endpoint: &Endpoint,
     config: ServerConfig,
     workers: usize,
     runtime_dir: Option<PathBuf>,
-) -> Result<(), String> {
+) -> Result<Server, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own executable: {e}"))?;
     let runtime_dir = runtime_dir.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("nisqc-serve-{}", std::process::id()))
     });
     let mut sup = SupervisorConfig::new(workers, config.clone(), runtime_dir, exe);
     sup.spec.args = worker_serve_args(&config);
-    let supervisor =
-        Supervisor::bind(endpoint, sup).map_err(|e| format!("cannot start workers: {e}"))?;
-    match (endpoint, supervisor.local_addr()) {
-        (_, Some(addr)) => {
-            eprintln!("nisqc serve: supervising {workers} workers on tcp://{addr}")
-        }
-        (Endpoint::Unix(path), None) => eprintln!(
-            "nisqc serve: supervising {workers} workers on unix://{}",
-            path.display()
-        ),
-        _ => {}
-    }
-    supervisor.run().map_err(|e| format!("serve failed: {e}"))?;
-    eprintln!("nisqc serve: workers stopped, supervisor shut down");
-    Ok(())
+    Server::supervise(endpoint, sup).map_err(|e| format!("cannot start workers: {e}"))
 }
 
 /// Runs the `journal` subcommand: read-only inspection or last-write-wins

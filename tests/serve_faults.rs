@@ -11,8 +11,8 @@
 use nisq::exp::json::{self, Value};
 use nisq::prelude::*;
 use nisq::serve::{
-    Endpoint, FaultPlan, Server, ServerConfig, ServerHandle, Supervisor, SupervisorConfig,
-    SupervisorHandle, ENV_DELAY_BEFORE_RUN_MS, ENV_WEDGE_AFTER_PINGS,
+    Endpoint, FaultPlan, Server, ServerConfig, ServerHandle, SupervisorConfig,
+    ENV_DELAY_BEFORE_RUN_MS, ENV_WEDGE_AFTER_PINGS,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -63,6 +63,16 @@ impl Client {
     fn roundtrip(&mut self, line: &str) -> Value {
         self.send(line);
         self.recv()
+    }
+
+    /// Sends the first `cap + 1` bytes of a `ping` line and no newline. A
+    /// door capped at `cap` bytes refuses the line only once it has read
+    /// every byte sent, so it closes the connection cleanly: closing with
+    /// input unread would reset the connection, which can discard the
+    /// refusal before the client reads it.
+    fn send_over_cap(&mut self, cap: usize) {
+        let line = format!(r#"{{"op": "ping", "id": "{}"}}"#, "x".repeat(cap));
+        self.stream.write_all(&line.as_bytes()[..=cap]).unwrap();
     }
 }
 
@@ -517,8 +527,8 @@ fn fleet_config(workers: usize, name: &str, env: &[(&str, &str)]) -> SupervisorC
     config
 }
 
-fn start_fleet(config: SupervisorConfig) -> (SupervisorHandle, SocketAddr) {
-    let supervisor = Supervisor::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), config).unwrap();
+fn start_fleet(config: SupervisorConfig) -> (ServerHandle, SocketAddr) {
+    let supervisor = Server::supervise(&Endpoint::Tcp("127.0.0.1:0".to_string()), config).unwrap();
     let addr = supervisor.local_addr().unwrap();
     (supervisor.spawn(), addr)
 }
@@ -778,20 +788,93 @@ fn mixed_hostile_load_yields_one_well_formed_response_per_request() {
 }
 
 #[test]
+fn supervisor_counts_every_rejection_once() {
+    let mut config = fleet_config(1, "counters", &[(ENV_DELAY_BEFORE_RUN_MS, "600")]);
+    config.server.queue_capacity = 1;
+    config.server.max_request_bytes = 4096;
+    let (handle, addr) = start_fleet(config);
+
+    // Rejection 1: an oversized line.
+    let mut oversized = Client::connect(addr);
+    oversized.send_over_cap(4096);
+    assert_eq!(code(&oversized.recv()), "protocol");
+
+    // The one accepted run holds the only shard inside its injected stall,
+    // so a second run on another connection is rejection 2.
+    let mut runner = Client::connect(addr);
+    runner.send(VALID_RUN);
+    let mut observer = Client::connect(addr);
+    routed_shard_pid(&mut observer);
+    let refused = observer.roundtrip(&VALID_RUN.replace("\"ok\"", "\"second\""));
+    assert_eq!(code(&refused), "queue-full");
+    assert_eq!(status(&runner.recv()), "ok");
+
+    let stats = observer.roundtrip(r#"{"op": "stats"}"#);
+    assert_eq!(supervisor_counter(&stats, "accepted"), 1);
+    assert_eq!(supervisor_counter(&stats, "rejected"), 2);
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
 fn deeply_nested_lines_are_protocol_errors_for_daemon_and_supervisor() {
+    // The daemon and the supervisor share one front door, so a daemon and
+    // a 2-worker fleet must answer every case of this battery alike. The
     // 200 000 levels of `[` used to overflow the recursive JSON parser's
-    // stack and abort the process. The supervisor parses request lines
-    // itself to route them, so both front ends need the depth cap.
+    // stack and abort the process.
+    let max_request_bytes = 1 << 18;
     let hostile = "[".repeat(200_000);
-    let (server, server_addr) = start(ServerConfig::default());
-    let (fleet, fleet_addr) = start_fleet(fleet_config(2, "deep-nesting", &[]));
+    let battery: &[(&str, &str)] = &[
+        ("{malformed", "protocol"),
+        (r#"{"op": "dance"}"#, "protocol"),
+        (r#"{"op": "run", "plan": {}, "surprise": 1}"#, "protocol"),
+        (
+            r#"{"op": "run", "id": "bad-plan", "plan": {"benchmarks": "nope"}}"#,
+            "invalid-plan",
+        ),
+        (
+            r#"{"op": "run", "id": "deg", "plan": {"benchmarks": "bv4", "topologies": "ring-1"}}"#,
+            "invalid-plan",
+        ),
+        (
+            r#"{"op": "run", "id": "big", "plan": {"benchmarks": "bv4", "topologies": "grid-1000x1000"}}"#,
+            "budget",
+        ),
+        (&hostile, "protocol"),
+    ];
+    let (server, server_addr) = start(ServerConfig {
+        max_request_bytes,
+        ..ServerConfig::default()
+    });
+    let mut config = fleet_config(2, "deep-nesting", &[]);
+    config.server.max_request_bytes = max_request_bytes;
+    let (fleet, fleet_addr) = start_fleet(config);
     for addr in [server_addr, fleet_addr] {
         let mut client = Client::connect(addr);
-        let response = client.roundtrip(&hostile);
-        assert_eq!(status(&response), "error");
-        assert_eq!(code(&response), "protocol");
-        let pong = client.roundtrip(r#"{"op": "ping"}"#);
-        assert_eq!(status(&pong), "ok");
+        for (line, want) in battery {
+            let response = client.roundtrip(line);
+            assert_eq!(
+                (status(&response), code(&response)),
+                ("error", *want),
+                "{addr}: {line:.60}"
+            );
+        }
+        // A blank line is skipped, so the next reply is the ping's.
+        client.send("");
+        let pong = client.roundtrip(r#"{"op": "ping", "id": "after-blank"}"#);
+        assert_eq!(status(&pong), "ok", "{addr}");
+        assert_eq!(field(&pong, "id").as_str(), Some("after-blank"), "{addr}");
+        // A line over the cap is refused, and the connection closes.
+        client.send_over_cap(max_request_bytes);
+        let response = client.recv();
+        assert_eq!(
+            (status(&response), code(&response)),
+            ("error", "protocol"),
+            "{addr}"
+        );
+        let mut rest = String::new();
+        let read = client.reader.read_line(&mut rest).unwrap();
+        assert_eq!(read, 0, "{addr}: the connection outlived an oversized line");
     }
     server.shutdown();
     server.join().unwrap();
