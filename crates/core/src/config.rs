@@ -83,20 +83,11 @@ pub struct CompilerConfig {
     pub routing: RouteSelection,
     /// Readout weight ω of the reliability objective (only used by R-SMT*).
     pub omega: f64,
-    /// Uniform CNOT duration (timeslots) assumed by calibration-unaware
-    /// variants.
-    pub uniform_cnot_slots: u32,
-    /// Static coherence bound (timeslots, the paper's `MT` = 1000) for
-    /// calibration-unaware variants.
-    pub static_coherence_slots: u32,
     /// Node budget of the exact solver before it falls back to the best
     /// incumbent found.
     pub solver_max_nodes: u64,
     /// Wall-clock budget of the exact solver.
     pub solver_time_limit: Option<Duration>,
-    /// Random-circuit seed for the annealing fallback used when the exact
-    /// solver's budget is exhausted.
-    pub anneal_seed: u64,
     /// How swap round-trips are handled: the paper's swap-out/swap-back
     /// model (default) or permutation tracking (no swap-back, placement
     /// updated in place).
@@ -113,11 +104,8 @@ impl CompilerConfig {
             algorithm,
             routing,
             omega: 0.5,
-            uniform_cnot_slots: 4,
-            static_coherence_slots: 1000,
             solver_max_nodes: 20_000_000,
             solver_time_limit: Some(Duration::from_secs(60)),
-            anneal_seed: 0,
             swap_handling: SwapHandling::SwapBack,
             decompose_swaps: false,
         }
@@ -178,12 +166,6 @@ impl CompilerConfig {
         self
     }
 
-    /// Returns a copy with a different route selection.
-    pub fn with_routing(mut self, routing: RouteSelection) -> Self {
-        self.routing = routing;
-        self
-    }
-
     /// Returns a copy with a different swap-handling policy (opt in to
     /// permutation-tracking routing with [`SwapHandling::Permute`]).
     pub fn with_swap_handling(mut self, swap_handling: SwapHandling) -> Self {
@@ -213,11 +195,8 @@ impl CompilerConfig {
         self.algorithm.hash(&mut h);
         self.routing.hash(&mut h);
         h.write_u64(self.omega.to_bits());
-        self.uniform_cnot_slots.hash(&mut h);
-        self.static_coherence_slots.hash(&mut h);
         self.solver_max_nodes.hash(&mut h);
         self.solver_time_limit.hash(&mut h);
-        self.anneal_seed.hash(&mut h);
         self.swap_handling.hash(&mut h);
         self.decompose_swaps.hash(&mut h);
         h.finish()

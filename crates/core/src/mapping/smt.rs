@@ -21,11 +21,9 @@ fn objective(config: &CompilerConfig) -> Result<MappingObjective, CompileError> 
     match config.algorithm {
         Algorithm::TSmt => Ok(MappingObjective::Duration {
             calibration_aware: false,
-            uniform_cnot_slots: config.uniform_cnot_slots,
         }),
         Algorithm::TSmtStar => Ok(MappingObjective::Duration {
             calibration_aware: true,
-            uniform_cnot_slots: config.uniform_cnot_slots,
         }),
         Algorithm::RSmtStar => Ok(MappingObjective::Reliability {
             omega: config.omega,
@@ -59,8 +57,8 @@ pub fn place(
         exact
     } else {
         // Anytime fallback: keep the better of the truncated exact search
-        // and an annealing run.
-        let anneal = solve_annealing(&problem, &AnnealConfig::new(200_000, config.anneal_seed));
+        // and an annealing run, seeded with 0 so that it is reproducible.
+        let anneal = solve_annealing(&problem, &AnnealConfig::new(200_000, 0));
         if anneal.cost < exact.cost {
             anneal
         } else {

@@ -3,24 +3,15 @@
 //! The paper scores a mapping by the product of the reliabilities of its
 //! CNOT and readout operations (Section 4.5); single-qubit gates are ignored
 //! because their error rates are two orders of magnitude smaller on IBMQ16.
-//! This module computes that score for a placed and scheduled circuit, plus
-//! optional single-qubit and decoherence factors for sensitivity studies.
+//! This module computes exactly that product for a scheduled circuit,
+//! pricing every routed CNOT with [`nisq_machine::route_cnot_reliability`],
+//! the same function placement prices pairs with.
 
 use nisq_ir::{Circuit, GateKind};
-use nisq_machine::{Calibration, HwQubit, Machine};
-use nisq_opt::{Placement, Schedule};
+use nisq_machine::{route_cnot_reliability, Machine};
+use nisq_opt::Schedule;
 
-/// Options controlling which factors enter the analytic estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EstimateOptions {
-    /// Include single-qubit gate reliabilities in the total.
-    pub include_single_qubit: bool,
-    /// Include an exponential decoherence factor based on the schedule
-    /// makespan and each qubit's T2 time.
-    pub include_decoherence: bool,
-}
-
-/// The per-factor breakdown of an analytic reliability estimate.
+/// The analytic reliability estimate: the paper's CNOT × readout product.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityEstimate {
     /// Product of CNOT route reliabilities (swaps counted one-way, as in
@@ -28,52 +19,13 @@ pub struct ReliabilityEstimate {
     pub cnot: f64,
     /// Product of readout reliabilities of the measured hardware qubits.
     pub readout: f64,
-    /// Product of single-qubit gate reliabilities.
-    pub single_qubit: f64,
-    /// Decoherence factor `exp(-makespan / T2)` aggregated over the qubits
-    /// the program uses.
-    pub decoherence: f64,
-    options: EstimateOptions,
 }
 
 impl ReliabilityEstimate {
-    /// The overall estimated success probability under the configured
-    /// options (CNOT and readout factors are always included).
+    /// The estimated success probability, `cnot * readout`.
     pub fn total(&self) -> f64 {
-        let mut t = self.cnot * self.readout;
-        if self.options.include_single_qubit {
-            t *= self.single_qubit;
-        }
-        if self.options.include_decoherence {
-            t *= self.decoherence;
-        }
-        t
+        self.cnot * self.readout
     }
-
-    /// The options this estimate was computed with.
-    pub fn options(&self) -> EstimateOptions {
-        self.options
-    }
-}
-
-/// Reliability of executing a CNOT along `path`: SWAPs (three CNOTs each)
-/// on every hop except the last, the CNOT itself on the last hop.
-pub fn route_reliability(calibration: &Calibration, path: &[HwQubit]) -> f64 {
-    if path.len() < 2 {
-        return 1.0;
-    }
-    let mut rel = 1.0;
-    for (i, pair) in path.windows(2).enumerate() {
-        let edge_rel = calibration
-            .cnot_reliability(pair[0], pair[1])
-            .expect("route hops are adjacent hardware qubits");
-        if i + 2 == path.len() {
-            rel *= edge_rel;
-        } else {
-            rel *= edge_rel.powi(3);
-        }
-    }
-    rel
 }
 
 /// Computes the analytic reliability estimate for a scheduled circuit.
@@ -82,17 +34,10 @@ pub fn route_reliability(calibration: &Calibration, path: &[HwQubit]) -> f64 {
 ///
 /// Panics if the schedule does not cover the circuit (it must come from the
 /// same compilation run).
-pub fn estimate(
-    circuit: &Circuit,
-    placement: &Placement,
-    schedule: &Schedule,
-    machine: &Machine,
-    options: EstimateOptions,
-) -> ReliabilityEstimate {
+pub fn estimate(circuit: &Circuit, schedule: &Schedule, machine: &Machine) -> ReliabilityEstimate {
     let calibration = machine.calibration();
     let mut cnot = 1.0;
     let mut readout = 1.0;
-    let mut single_qubit = 1.0;
 
     for entry in &schedule.gates {
         let gate = &circuit.gates()[entry.gate_index];
@@ -103,7 +48,7 @@ pub fn estimate(
                 let Some(route) = entry.route.as_ref() else {
                     continue;
                 };
-                let mut r = route_reliability(calibration, &route.path);
+                let mut r = route_cnot_reliability(calibration, &route.path);
                 if gate.kind() == GateKind::Swap {
                     // A program-level SWAP costs three CNOTs on its final hop.
                     let last = &route.path[route.path.len() - 2..];
@@ -120,63 +65,40 @@ pub fn estimate(
                 // drifted position under permutation tracking).
                 readout *= calibration.readout_reliability(entry.hw[0]);
             }
-            GateKind::Barrier => {}
-            _ => {
-                single_qubit *= 1.0 - calibration.single_qubit_error(entry.hw[0]);
-            }
+            _ => {}
         }
     }
 
-    // Decoherence: each program qubit idles for (makespan) slots at worst;
-    // approximate survival as exp(-t / T2) per qubit. The T2 is read at
-    // the *initial* placement — under permutation routing a drifting qubit
-    // spends the makespan across several locations, so this optional
-    // factor stays an initial-position approximation (tracking per-qubit
-    // residency intervals would need schedule-resolved occupancy).
-    let mut decoherence = 1.0;
-    let makespan_ns = schedule.makespan as f64 * calibration.timeslot_ns;
-    for p in 0..circuit.num_qubits() {
-        let hw = placement.hw(nisq_ir::Qubit(p));
-        let t2_ns = calibration.t2_us(hw) * 1000.0;
-        decoherence *= (-makespan_ns / t2_ns).exp();
-    }
-
-    ReliabilityEstimate {
-        cnot,
-        readout,
-        single_qubit,
-        decoherence,
-        options,
-    }
+    ReliabilityEstimate { cnot, readout }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nisq_ir::Benchmark;
-    use nisq_machine::Machine;
-    use nisq_opt::{Scheduler, SchedulerConfig};
+    use nisq_machine::{HwQubit, Machine};
+    use nisq_opt::{Placement, Scheduler, SchedulerConfig};
 
     fn compile_parts(
         benchmark: Benchmark,
         placement: Vec<HwQubit>,
-    ) -> (Circuit, Placement, Schedule, Machine) {
+    ) -> (Circuit, Schedule, Machine) {
         let machine = Machine::ibmq16_on_day(4, 0);
         let circuit = benchmark.circuit();
         let placement = Placement::new(placement);
         let schedule = Scheduler::new(&machine, SchedulerConfig::default())
             .schedule(&circuit, &placement)
             .unwrap();
-        (circuit, placement, schedule, machine)
+        (circuit, schedule, machine)
     }
 
     #[test]
     fn estimate_is_a_probability() {
-        let (c, p, s, m) = compile_parts(
+        let (c, s, m) = compile_parts(
             Benchmark::Bv4,
             vec![HwQubit(0), HwQubit(2), HwQubit(9), HwQubit(1)],
         );
-        let e = estimate(&c, &p, &s, &m, EstimateOptions::default());
+        let e = estimate(&c, &s, &m);
         assert!(e.total() > 0.0 && e.total() <= 1.0);
         assert!(e.cnot > 0.0 && e.cnot <= 1.0);
         assert!(e.readout > 0.0 && e.readout <= 1.0);
@@ -184,54 +106,35 @@ mod tests {
 
     #[test]
     fn compact_placement_beats_spread_placement() {
-        let (c, p_near, s_near, m) = compile_parts(
+        let (c, s_near, m) = compile_parts(
             Benchmark::Bv4,
             vec![HwQubit(0), HwQubit(2), HwQubit(9), HwQubit(1)],
         );
-        let near = estimate(&c, &p_near, &s_near, &m, EstimateOptions::default());
-        let (c2, p_far, s_far, m2) = compile_parts(
+        let near = estimate(&c, &s_near, &m);
+        let (c2, s_far, m2) = compile_parts(
             Benchmark::Bv4,
             vec![HwQubit(0), HwQubit(7), HwQubit(8), HwQubit(15)],
         );
-        let far = estimate(&c2, &p_far, &s_far, &m2, EstimateOptions::default());
+        let far = estimate(&c2, &s_far, &m2);
         assert!(near.total() > far.total());
     }
 
-    #[test]
-    fn optional_factors_only_lower_the_estimate() {
-        let (c, p, s, m) =
-            compile_parts(Benchmark::Toffoli, vec![HwQubit(1), HwQubit(2), HwQubit(9)]);
-        let base = estimate(&c, &p, &s, &m, EstimateOptions::default());
-        let full = estimate(
-            &c,
-            &p,
-            &s,
-            &m,
-            EstimateOptions {
-                include_single_qubit: true,
-                include_decoherence: true,
-            },
-        );
-        assert!(full.total() <= base.total());
-        assert!(full.single_qubit < 1.0);
-        assert!(full.decoherence < 1.0);
-    }
-
+    // `estimate` prices every routed CNOT with `route_cnot_reliability`.
     #[test]
     fn route_reliability_direct_edge_matches_calibration() {
         let m = Machine::ibmq16_on_day(4, 0);
         let cal = m.calibration();
-        let direct = route_reliability(cal, &[HwQubit(0), HwQubit(1)]);
+        let direct = route_cnot_reliability(cal, &[HwQubit(0), HwQubit(1)]);
         assert!((direct - cal.cnot_reliability(HwQubit(0), HwQubit(1)).unwrap()).abs() < 1e-12);
-        assert_eq!(route_reliability(cal, &[HwQubit(3)]), 1.0);
+        assert_eq!(route_cnot_reliability(cal, &[HwQubit(3)]), 1.0);
     }
 
     #[test]
     fn longer_routes_are_less_reliable() {
         let m = Machine::ibmq16_on_day(4, 0);
         let cal = m.calibration();
-        let short = route_reliability(cal, &[HwQubit(0), HwQubit(1)]);
-        let long = route_reliability(cal, &[HwQubit(0), HwQubit(1), HwQubit(2), HwQubit(3)]);
+        let short = route_cnot_reliability(cal, &[HwQubit(0), HwQubit(1)]);
+        let long = route_cnot_reliability(cal, &[HwQubit(0), HwQubit(1), HwQubit(2), HwQubit(3)]);
         assert!(long < short);
     }
 }

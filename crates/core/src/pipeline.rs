@@ -54,7 +54,7 @@ use crate::cache::PlacementCache;
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
 use crate::mapping::PlacementRegistry;
-use crate::metrics::{self, EstimateOptions, ReliabilityEstimate};
+use crate::metrics::{self, ReliabilityEstimate};
 use nisq_ir::{Circuit, Gate, GateKind, Qubit};
 use nisq_machine::Machine;
 use nisq_opt::{
@@ -501,12 +501,9 @@ impl Pass for SchedulePass {
     fn run(&self, ctx: &mut CompileContext<'_>) -> Result<(), CompileError> {
         let routing = ctx.require_routing("schedule")?;
         let placement = ctx.require_placement("schedule")?;
-        let config = ctx.config();
         let scheduler_config = SchedulerConfig {
             selection: routing.effective,
-            calibration_aware: config.calibration_aware(),
-            uniform_cnot_slots: config.uniform_cnot_slots,
-            static_coherence_slots: config.static_coherence_slots,
+            calibration_aware: ctx.config().calibration_aware(),
         };
         let scheduler = Scheduler::new(ctx.machine(), scheduler_config);
         let schedule = scheduler.schedule_with(ctx.circuit(), placement, routing.policy)?;
@@ -598,15 +595,8 @@ impl Pass for EstimatePass {
     }
 
     fn run(&self, ctx: &mut CompileContext<'_>) -> Result<(), CompileError> {
-        let placement = ctx.require_placement("estimate")?;
         let schedule = ctx.require_schedule("estimate")?;
-        let estimate = metrics::estimate(
-            ctx.circuit(),
-            placement,
-            schedule,
-            ctx.machine(),
-            EstimateOptions::default(),
-        );
+        let estimate = metrics::estimate(ctx.circuit(), schedule, ctx.machine());
         ctx.set_estimate(estimate);
         Ok(())
     }

@@ -1,5 +1,4 @@
 use crate::circuit::Circuit;
-use crate::gate::Gate;
 use std::collections::HashMap;
 
 /// One front of simultaneously-executable gates (an ASAP level).
@@ -131,11 +130,6 @@ impl DependencyDag {
         &self.layers
     }
 
-    /// Gate indices in a valid topological order (program order is one).
-    pub fn topological_order(&self) -> Vec<usize> {
-        (0..self.len()).collect()
-    }
-
     /// Length (in gate count) of the longest dependency chain ending at `i`.
     pub fn critical_path_to(&self, i: usize) -> usize {
         self.asap_level[i] + 1
@@ -162,14 +156,6 @@ impl DependencyDag {
             }
         }
         false
-    }
-
-    /// Convenience accessor pairing each gate index with the gate itself.
-    pub fn gates_with_indices<'a>(
-        &self,
-        circuit: &'a Circuit,
-    ) -> impl Iterator<Item = (usize, &'a Gate)> + 'a {
-        circuit.iter().enumerate()
     }
 }
 

@@ -115,19 +115,6 @@ impl CalibrationGenerator {
         }
     }
 
-    /// Creates a generator with custom target statistics.
-    pub fn with_statistics(
-        topology: impl Into<Topology>,
-        seed: u64,
-        stats: CalibrationStatistics,
-    ) -> Self {
-        CalibrationGenerator {
-            topology: topology.into(),
-            seed,
-            stats,
-        }
-    }
-
     /// The topology this generator produces calibrations for.
     pub fn topology(&self) -> &Topology {
         &self.topology

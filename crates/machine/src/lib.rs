@@ -8,8 +8,10 @@
 //! *generator* that reproduces the spatial and temporal variation
 //! statistics reported in the paper (Figure 1 and Section 2) for **any**
 //! topology, and the reliability matrices (most-reliable swap paths,
-//! best CNOT routes, one-bend-path CNOT reliabilities, CNOT duration
-//! matrix) the mapping algorithms consume.
+//! best CNOT routes, one-bend-path CNOT reliabilities) the mapping
+//! algorithms consume. [`route_cnot_reliability`] is the one pricing of a
+//! routed CNOT's reliability; route durations are priced by the routing
+//! policies of `nisq-opt`.
 //!
 //! In the paper this data comes from IBM's twice-daily calibration feed; we
 //! substitute a statistically-matched generator (see DESIGN.md) so every
@@ -41,7 +43,7 @@ pub use calibration::{Calibration, EdgeId, EdgeParams, GateDurations};
 pub use error::MachineError;
 pub use generator::{CalibrationGenerator, CalibrationStatistics};
 pub use machine::Machine;
-pub use reliability::{PathInfo, ReliabilityModel};
+pub use reliability::{route_cnot_reliability, PathInfo, ReliabilityModel};
 pub use topology::{GridTopology, HwQubit, Topology, TopologySpec};
 
 /// Duration of one hardware timeslot in nanoseconds (IBMQ16 value used

@@ -21,8 +21,7 @@ impl PathInfo {
     }
 }
 
-/// Pre-computed reliability and duration matrices for one machine
-/// calibration snapshot.
+/// Pre-computed reliability matrices for one machine calibration snapshot.
 ///
 /// This is the quantitative core the mapping algorithms share:
 ///
@@ -30,9 +29,12 @@ impl PathInfo {
 ///   over `-log` CNOT reliabilities, as in Section 5 of the paper),
 /// * the reliability of performing a program CNOT between two hardware
 ///   locations, either along the best path or along one of the two one-bend
-///   paths (the paper's `EC` matrix, Constraint 11),
-/// * the CNOT duration matrix `Δ` (Constraint 5), including the swaps needed
-///   to bring the qubits together and back.
+///   paths (the paper's `EC` matrix, Constraint 11), priced by
+///   [`route_cnot_reliability`].
+///
+/// Route durations (the paper's `Δ` matrix, Constraint 5) are not held
+/// here: `nisq_opt::RoutingPolicy::route_duration` prices a route's hops,
+/// for placement and scheduling alike.
 ///
 /// # Example
 ///
@@ -264,13 +266,6 @@ impl ReliabilityModel {
         &self.cnot_routes[a.0][b.0]
     }
 
-    /// Reliability of the most reliable *swap route* between `a` and `b`
-    /// assuming every hop is a full SWAP (three CNOTs). Equals 1 for a
-    /// qubit with itself.
-    pub fn best_path_swap_reliability(&self, a: HwQubit, b: HwQubit) -> f64 {
-        (-3.0 * self.best_path(a, b).cost).exp()
-    }
-
     /// Reliability of performing a program CNOT between hardware locations
     /// `a` and `b` using the most reliable route: SWAPs along every hop
     /// except the last, then the hardware CNOT on the final edge. The route
@@ -282,25 +277,7 @@ impl ReliabilityModel {
         if a == b {
             return 1.0;
         }
-        Self::route_cnot_reliability(&self.calibration, &self.best_cnot_route(a, b).path)
-    }
-
-    fn route_cnot_reliability(calibration: &Calibration, path: &[HwQubit]) -> f64 {
-        debug_assert!(path.len() >= 2);
-        let mut rel = 1.0;
-        for (i, pair) in path.windows(2).enumerate() {
-            let edge_rel = calibration
-                .cnot_reliability(pair[0], pair[1])
-                .expect("path edges are adjacent");
-            if i + 2 == path.len() {
-                // Final hop: the CNOT itself.
-                rel *= edge_rel;
-            } else {
-                // Intermediate hop: a SWAP (three CNOTs).
-                rel *= edge_rel.powi(3);
-            }
-        }
-        rel
+        route_cnot_reliability(&self.calibration, &self.best_cnot_route(a, b).path)
     }
 
     fn require_grid(&self) -> Result<&crate::topology::GridTopology, MachineError> {
@@ -335,7 +312,7 @@ impl ReliabilityModel {
         let path = self
             .require_grid()?
             .one_bend_path(control, target, junction);
-        Ok(Self::route_cnot_reliability(&self.calibration, &path))
+        Ok(route_cnot_reliability(&self.calibration, &path))
     }
 
     /// The better of the two one-bend options for a CNOT between `control`
@@ -356,79 +333,38 @@ impl ReliabilityModel {
         Ok(if r1 >= r2 { (j1, r1) } else { (j2, r2) })
     }
 
-    /// Duration, in timeslots, of a program CNOT between hardware locations
-    /// `a` and `b` routed along `path`, following the paper's model: swaps
-    /// to bring the qubits adjacent, the CNOT, and swaps to return them
-    /// (`2 * (hops - 1) * tau_swap + tau_cnot`), using per-edge durations.
-    fn route_cnot_duration(&self, path: &[HwQubit]) -> u32 {
-        debug_assert!(path.len() >= 2);
-        let mut total = 0u32;
-        for (i, pair) in path.windows(2).enumerate() {
-            let edge = crate::calibration::EdgeId::new(pair[0], pair[1]);
-            let cnot = self
-                .calibration
-                .durations
-                .cnot(edge)
-                .expect("path edges have durations");
-            if i + 2 == path.len() {
-                total += cnot;
-            } else {
-                // Swap out and back: 2 * 3 CNOTs.
-                total += 6 * cnot;
-            }
-        }
-        total
-    }
-
-    /// Duration of a CNOT between `a` and `b` along the most reliable CNOT
-    /// route, in timeslots (the calibration-aware `Δ` matrix of
-    /// Constraint 5).
-    pub fn best_path_cnot_duration(&self, a: HwQubit, b: HwQubit) -> u32 {
-        if a == b {
-            return 0;
-        }
-        self.route_cnot_duration(&self.best_cnot_route(a, b).path)
-    }
-
-    /// Duration of a CNOT between `control` and `target` along the one-bend
-    /// path through `junction`, in timeslots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology has no grid layout (one-bend paths are a grid
-    /// concept; check [`Topology::as_grid`] first).
-    pub fn one_bend_cnot_duration(
-        &self,
-        control: HwQubit,
-        target: HwQubit,
-        junction: HwQubit,
-    ) -> u32 {
-        if control == target {
-            return 0;
-        }
-        let path = self
-            .topology
-            .as_grid()
-            .expect("one-bend durations require a grid topology")
-            .one_bend_path(control, target, junction);
-        self.route_cnot_duration(&path)
-    }
-
-    /// Duration of a CNOT between two locations assuming every hardware CNOT
-    /// takes the same `uniform_cnot_slots` (the calibration-unaware model
-    /// used by the paper's T-SMT variant).
-    pub fn uniform_cnot_duration(&self, a: HwQubit, b: HwQubit, uniform_cnot_slots: u32) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let dist = self.topology.distance(a, b) as u32;
-        2 * (dist - 1) * 3 * uniform_cnot_slots + uniform_cnot_slots
-    }
-
     /// Readout reliability of a hardware qubit.
     pub fn readout_reliability(&self, q: HwQubit) -> f64 {
         self.calibration.readout_reliability(q)
     }
+}
+
+/// Reliability of a program CNOT routed along `path`, from the control's
+/// location to the target's: a SWAP (three CNOTs) on every hop but the
+/// last, then the CNOT itself on the last hop. This is the one pricing of
+/// a route's reliability: the [`ReliabilityModel`] entries that placement
+/// prices pairs with and the compiler's estimate both use it. A path of
+/// fewer than two qubits needs no gate and has reliability 1.
+///
+/// # Panics
+///
+/// Panics if two consecutive path qubits are not adjacent on the
+/// calibration's topology.
+pub fn route_cnot_reliability(calibration: &Calibration, path: &[HwQubit]) -> f64 {
+    let mut rel = 1.0;
+    for (i, pair) in path.windows(2).enumerate() {
+        let edge_rel = calibration
+            .cnot_reliability(pair[0], pair[1])
+            .expect("route hops are adjacent hardware qubits");
+        if i + 2 == path.len() {
+            // Final hop: the CNOT itself.
+            rel *= edge_rel;
+        } else {
+            // Intermediate hop: a SWAP (three CNOTs).
+            rel *= edge_rel.powi(3);
+        }
+    }
+    rel
 }
 
 #[cfg(test)]
@@ -532,7 +468,7 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let best = m.best_path_swap_reliability(HwQubit(a), HwQubit(b));
+                let best = (-3.0 * m.best_path(HwQubit(a), HwQubit(b)).cost).exp();
                 let (ja, jb) = m
                     .topology()
                     .as_grid()
@@ -595,7 +531,7 @@ mod tests {
                         continue;
                     }
                     let fixed = m.best_path_cnot_reliability(HwQubit(a), HwQubit(b));
-                    let legacy = ReliabilityModel::route_cnot_reliability(
+                    let legacy = route_cnot_reliability(
                         m.calibration(),
                         &m.best_path(HwQubit(a), HwQubit(b)).path,
                     );
@@ -615,36 +551,5 @@ mod tests {
     fn one_bend_rejects_equal_qubits() {
         let m = model();
         assert!(m.best_one_bend(HwQubit(3), HwQubit(3)).is_err());
-    }
-
-    #[test]
-    fn adjacent_duration_is_single_cnot() {
-        let m = model();
-        let edge = crate::calibration::EdgeId::new(HwQubit(0), HwQubit(1));
-        let cnot = m.calibration().durations.cnot(edge).unwrap();
-        // For adjacent qubits the best path may detour only if it were more
-        // reliable, but duration along the direct one-bend path equals the
-        // CNOT duration.
-        assert_eq!(
-            m.one_bend_cnot_duration(HwQubit(0), HwQubit(1), HwQubit(1)),
-            cnot
-        );
-    }
-
-    #[test]
-    fn uniform_duration_matches_paper_formula() {
-        let m = model();
-        // distance 3 => 2*(3-1) swaps of 3 CNOTs each, plus the CNOT.
-        let d = m.uniform_cnot_duration(HwQubit(0), HwQubit(3), 4);
-        assert_eq!(d, 2 * 2 * 3 * 4 + 4);
-        assert_eq!(m.uniform_cnot_duration(HwQubit(0), HwQubit(0), 4), 0);
-    }
-
-    #[test]
-    fn farther_pairs_take_longer() {
-        let m = model();
-        let near = m.best_path_cnot_duration(HwQubit(0), HwQubit(1));
-        let far = m.best_path_cnot_duration(HwQubit(0), HwQubit(15));
-        assert!(far > near);
     }
 }

@@ -136,14 +136,6 @@ fn check_probability(p: f64, what: &str) -> Result<(), NoiseError> {
 }
 
 impl Channel {
-    /// How many qubits the channel acts on (1 or 2).
-    pub fn arity(&self) -> usize {
-        match self {
-            Channel::Depolarizing2q { .. } => 2,
-            _ => 1,
-        }
-    }
-
     /// Checks the parameters describe a CPTP map.
     ///
     /// # Errors

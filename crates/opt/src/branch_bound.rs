@@ -27,14 +27,6 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// A configuration with a wall-clock limit and a generous node budget.
-    pub fn with_time_limit(limit: Duration) -> Self {
-        SolverConfig {
-            max_nodes: u64::MAX,
-            time_limit: Some(limit),
-        }
-    }
-
     /// A configuration bounded only by node count (deterministic runtime
     /// behaviour, useful in tests).
     pub fn with_max_nodes(max_nodes: u64) -> Self {

@@ -33,6 +33,10 @@
 //!   materialized: the paper's swap-out/swap-back model
 //!   ([`SwapBackRouting`]) or permutation tracking
 //!   ([`PermutationRouting`]), shared by the scheduler and the emitter.
+//!   [`RoutingPolicy::route_duration`] is the one pricing of a routed
+//!   gate's duration, for the scheduler and the duration objective alike.
+//! * [`UNIFORM_CNOT_SLOTS`] and [`STATIC_COHERENCE_SLOTS`] — the paper's
+//!   calibration-unaware CNOT time and coherence bound `MT`.
 //!
 //! # Example
 //!
@@ -76,6 +80,16 @@ pub use routing::{
     RoutingPolicy, SwapBackRouting, SwapHandling,
 };
 pub use scheduler::{Placement, Schedule, ScheduledGate, Scheduler, SchedulerConfig};
+
+/// Duration in timeslots of every hardware CNOT under the
+/// calibration-unaware model (the paper's T-SMT and Qiskit rows of
+/// Table 1), which ignores the calibrated per-edge durations.
+pub const UNIFORM_CNOT_SLOTS: u32 = 4;
+
+/// The paper's static coherence bound `MT`, in timeslots: the window every
+/// qubit gets under the calibration-unaware model. Calibration-aware
+/// scheduling uses each qubit's calibrated T2 instead.
+pub const STATIC_COHERENCE_SLOTS: u32 = 1000;
 
 /// Result of a placement search: an assignment of program qubits to
 /// hardware qubits plus metadata about the search.

@@ -8,10 +8,18 @@
 //! one-bend-path policy is folded into the pairwise cost by always pricing a
 //! pair at its better junction (which is exactly the choice the SMT solver
 //! would make, so the optimum is unchanged).
+//!
+//! A pair is priced by the same cost model the scheduler and the estimate
+//! use: reliability by [`nisq_machine::route_cnot_reliability`] (through
+//! [`nisq_machine::ReliabilityModel`]), duration by
+//! [`SwapBackRouting`]'s [`RoutingPolicy::route_duration`] over the hops of
+//! the route the pair would take. The calibration-unaware duration (T-SMT)
+//! prices a pair as its hop distance of [`UNIFORM_CNOT_SLOTS`] each.
 
 use crate::assignment::{AssignmentProblem, PairTerm, SingleTerm};
 use crate::error::OptError;
-use crate::routing::RouteSelection;
+use crate::routing::{hop_slots, RouteSelection, RoutingPolicy, SwapBackRouting};
+use crate::UNIFORM_CNOT_SLOTS;
 use nisq_ir::Circuit;
 use nisq_machine::{HwQubit, Machine};
 use std::collections::BTreeMap;
@@ -27,34 +35,13 @@ pub enum MappingObjective {
         omega: f64,
     },
     /// Minimize execution duration. When `calibration_aware` is false the
-    /// model assumes every hardware CNOT takes `uniform_cnot_slots`
+    /// model assumes every hardware CNOT takes [`UNIFORM_CNOT_SLOTS`]
     /// timeslots (the paper's T-SMT); otherwise it uses the per-edge
     /// calibration durations (T-SMT*).
     Duration {
         /// Whether to use per-edge calibration durations.
         calibration_aware: bool,
-        /// Uniform CNOT duration assumed when calibration-unaware.
-        uniform_cnot_slots: u32,
     },
-}
-
-impl MappingObjective {
-    /// The paper's default duration objective without calibration data
-    /// (T-SMT): every CNOT takes 4 timeslots.
-    pub fn duration_uniform() -> Self {
-        MappingObjective::Duration {
-            calibration_aware: false,
-            uniform_cnot_slots: 4,
-        }
-    }
-
-    /// The calibration-aware duration objective (T-SMT*).
-    pub fn duration_calibrated() -> Self {
-        MappingObjective::Duration {
-            calibration_aware: true,
-            uniform_cnot_slots: 4,
-        }
-    }
 }
 
 /// Builds the placement problem for `circuit` on `machine` under the given
@@ -124,9 +111,11 @@ pub fn build(
         .collect();
 
     let reliability = machine.reliability();
+    let topology = machine.topology();
     // Price pairs under the selection the scheduler will actually use
     // (grid-only selections degrade to best-path off-grid).
-    let policy = policy.effective_on(machine.topology());
+    let policy = policy.effective_on(topology);
+    let mut hops = Vec::new();
     let mut pair_cost = vec![0.0; n_hw * n_hw];
     for h1 in 0..n_hw {
         for h2 in 0..n_hw {
@@ -149,24 +138,32 @@ pub fn build(
                     -rel.max(1e-12).ln()
                 }
                 MappingObjective::Duration {
-                    calibration_aware,
-                    uniform_cnot_slots,
+                    calibration_aware: true,
                 } => {
-                    if calibration_aware {
-                        match policy {
-                            RouteSelection::OneBendPaths | RouteSelection::RectangleReservation => {
-                                let (junction, _) = reliability.best_one_bend(a, b).expect(
-                                    "distinct qubits always have a one-bend route on a grid",
-                                );
-                                reliability.one_bend_cnot_duration(a, b, junction) as f64
-                            }
-                            RouteSelection::BestPath => {
-                                reliability.best_path_cnot_duration(a, b) as f64
-                            }
+                    let one_bend;
+                    let path = match policy {
+                        RouteSelection::OneBendPaths | RouteSelection::RectangleReservation => {
+                            let (junction, _) = reliability
+                                .best_one_bend(a, b)
+                                .expect("distinct qubits always have a one-bend route on a grid");
+                            one_bend = topology
+                                .as_grid()
+                                .expect("grid-only selections are effective only on grids")
+                                .one_bend_path(a, b, junction);
+                            &one_bend
                         }
-                    } else {
-                        reliability.uniform_cnot_duration(a, b, uniform_cnot_slots) as f64
-                    }
+                        RouteSelection::BestPath => &reliability.best_cnot_route(a, b).path,
+                    };
+                    hops.clear();
+                    hops.extend(hop_slots(machine, path, true));
+                    SwapBackRouting.route_duration(&hops) as f64
+                }
+                MappingObjective::Duration {
+                    calibration_aware: false,
+                } => {
+                    hops.clear();
+                    hops.resize(topology.distance(a, b), UNIFORM_CNOT_SLOTS);
+                    SwapBackRouting.route_duration(&hops) as f64
                 }
             };
         }
@@ -239,7 +236,9 @@ mod tests {
         let p = build(
             &c,
             &machine(),
-            MappingObjective::duration_calibrated(),
+            MappingObjective::Duration {
+                calibration_aware: true,
+            },
             RouteSelection::OneBendPaths,
         )
         .unwrap();
@@ -316,12 +315,45 @@ mod tests {
         let p = build(
             &c,
             &m,
-            MappingObjective::duration_uniform(),
+            MappingObjective::Duration {
+                calibration_aware: false,
+            },
             RouteSelection::RectangleReservation,
         )
         .unwrap();
         let sol = solve_branch_and_bound(&p, &SolverConfig::default());
         assert!(sol.optimal);
         assert!(p.validate_placement(&sol.assignment).is_ok());
+    }
+
+    fn duration_problem(calibration_aware: bool, selection: RouteSelection) -> AssignmentProblem {
+        let objective = MappingObjective::Duration { calibration_aware };
+        build(&Benchmark::Bv4.circuit(), &machine(), objective, selection).unwrap()
+    }
+
+    #[test]
+    fn adjacent_duration_is_single_cnot() {
+        let m = machine();
+        let edge = nisq_machine::EdgeId::new(HwQubit(0), HwQubit(1));
+        let cnot = m.calibration().durations.cnot(edge).unwrap();
+        let p = duration_problem(true, RouteSelection::OneBendPaths);
+        assert_eq!(p.pair_cost(HwQubit(0), HwQubit(1)), f64::from(cnot));
+    }
+
+    #[test]
+    fn uniform_duration_matches_paper_formula() {
+        // distance 3 => 2*(3-1) swaps of 3 CNOTs each, plus the CNOT.
+        let p = duration_problem(false, RouteSelection::RectangleReservation);
+        assert_eq!(
+            p.pair_cost(HwQubit(0), HwQubit(3)),
+            f64::from(2 * 2 * 3 * 4 + 4)
+        );
+        assert_eq!(p.pair_cost(HwQubit(0), HwQubit(0)), 0.0);
+    }
+
+    #[test]
+    fn farther_pairs_take_longer() {
+        let p = duration_problem(true, RouteSelection::BestPath);
+        assert!(p.pair_cost(HwQubit(0), HwQubit(15)) > p.pair_cost(HwQubit(0), HwQubit(1)));
     }
 }

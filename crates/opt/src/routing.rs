@@ -23,6 +23,7 @@
 
 use crate::error::OptError;
 use crate::scheduler::Placement;
+use crate::UNIFORM_CNOT_SLOTS;
 use nisq_ir::Qubit;
 use nisq_machine::{EdgeId, HwQubit, Machine};
 use std::fmt;
@@ -445,24 +446,30 @@ impl fmt::Display for SwapHandling {
     }
 }
 
-/// CNOT duration of every hop along `path`: per-edge calibration durations
-/// when `uniform` is `None`, otherwise the given uniform duration for every
-/// hop (the calibration-unaware model).
+/// CNOT duration of every hop along `path`, the input of
+/// [`RoutingPolicy::route_duration`]: the per-edge calibration durations
+/// when `calibration_aware`, otherwise [`UNIFORM_CNOT_SLOTS`] for every hop
+/// (the calibration-unaware model).
 ///
 /// # Panics
 ///
-/// Panics if a path edge has no calibration duration entry.
-pub fn hop_slots(machine: &Machine, path: &[HwQubit], uniform: Option<u32>) -> Vec<u32> {
-    path.windows(2)
-        .map(|pair| match uniform {
-            Some(u) => u,
-            None => machine
+/// The iterator panics if a path edge has no calibration duration entry.
+pub fn hop_slots<'a>(
+    machine: &'a Machine,
+    path: &'a [HwQubit],
+    calibration_aware: bool,
+) -> impl Iterator<Item = u32> + 'a {
+    path.windows(2).map(move |pair| {
+        if calibration_aware {
+            machine
                 .calibration()
                 .durations
                 .cnot(EdgeId::new(pair[0], pair[1]))
-                .expect("route edges have calibration durations"),
-        })
-        .collect()
+                .expect("route edges have calibration durations")
+        } else {
+            UNIFORM_CNOT_SLOTS
+        }
+    })
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@ use crate::error::OptError;
 use crate::routing::{
     compute_route, hop_slots, CnotRoute, Layout, RouteSelection, RoutingPolicy, SwapBackRouting,
 };
+use crate::STATIC_COHERENCE_SLOTS;
 use nisq_ir::{Circuit, GateKind, Qubit};
 use nisq_machine::{HwQubit, Machine};
 use std::collections::BTreeSet;
@@ -75,22 +76,16 @@ impl From<Vec<HwQubit>> for Placement {
     }
 }
 
-/// Scheduler configuration: route selection, whether durations and
-/// coherence windows come from calibration data, and the fallback coherence
-/// bound.
+/// Scheduler configuration: route selection, and whether durations and
+/// coherence windows come from calibration data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Route selection for non-adjacent CNOTs.
     pub selection: RouteSelection,
-    /// Use per-edge calibration durations (T-SMT*/R-SMT*) instead of a
-    /// uniform CNOT duration (T-SMT).
+    /// Use per-edge calibration durations and per-qubit T2 windows
+    /// (T-SMT*/R-SMT*) instead of [`UNIFORM_CNOT_SLOTS`](crate::UNIFORM_CNOT_SLOTS)
+    /// per CNOT and the [`STATIC_COHERENCE_SLOTS`] bound (T-SMT).
     pub calibration_aware: bool,
-    /// Uniform CNOT duration in timeslots when calibration-unaware.
-    pub uniform_cnot_slots: u32,
-    /// Coherence bound in timeslots used when calibration-unaware (the
-    /// paper's `MT` = 1000 timeslots). When calibration-aware the per-qubit
-    /// T2 from the calibration snapshot is used instead.
-    pub static_coherence_slots: u32,
 }
 
 impl Default for SchedulerConfig {
@@ -98,8 +93,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             selection: RouteSelection::OneBendPaths,
             calibration_aware: true,
-            uniform_cnot_slots: 4,
-            static_coherence_slots: 1000,
         }
     }
 }
@@ -165,13 +158,15 @@ impl Schedule {
 /// Routing-aware list scheduler.
 ///
 /// Implements the paper's scheduling model: gates start only after their
-/// dependencies finish (Constraint 3), CNOT durations account for the swaps
-/// needed to bring qubits adjacent (Constraint 5 or the distance formula),
-/// concurrent CNOTs never overlap in time if their reserved regions overlap
-/// in space (Constraints 7-9, via resource reservation of either the
-/// one-bend path or the whole bounding rectangle), and gates that outlive
-/// the coherence window are reported (Constraints 4/6). Gates are issued
-/// earliest-ready-first.
+/// dependencies finish (Constraint 3), a routed CNOT lasts its routing
+/// policy's [`RoutingPolicy::route_duration`] over the route's
+/// [`hop_slots`], the swaps included (Constraint 5), concurrent CNOTs
+/// never overlap in time if their reserved regions overlap in space
+/// (Constraints 7-9, via resource reservation of either the one-bend path
+/// or the whole bounding rectangle), and gates that outlive the coherence
+/// window are reported (Constraints 4/6): a qubit's calibrated T2 when
+/// calibration-aware, [`STATIC_COHERENCE_SLOTS`] otherwise. Gates are
+/// issued earliest-ready-first.
 ///
 /// # Example
 ///
@@ -219,12 +214,9 @@ impl<'m> Scheduler<'m> {
     }
 
     fn route_duration(&self, route: &CnotRoute, policy: &dyn RoutingPolicy) -> u32 {
-        let uniform = if self.config.calibration_aware {
-            None
-        } else {
-            Some(self.config.uniform_cnot_slots)
-        };
-        policy.route_duration(&hop_slots(self.machine, &route.path, uniform))
+        let slots: Vec<u32> =
+            hop_slots(self.machine, &route.path, self.config.calibration_aware).collect();
+        policy.route_duration(&slots)
     }
 
     fn coherence_limit(&self, qubits: &[HwQubit]) -> u32 {
@@ -233,9 +225,9 @@ impl<'m> Scheduler<'m> {
                 .iter()
                 .map(|&q| self.machine.calibration().t2_slots(q))
                 .min()
-                .unwrap_or(self.config.static_coherence_slots)
+                .unwrap_or(STATIC_COHERENCE_SLOTS)
         } else {
-            self.config.static_coherence_slots
+            STATIC_COHERENCE_SLOTS
         }
     }
 
@@ -511,17 +503,28 @@ mod tests {
         let m = machine();
         let mut c = Circuit::new(2);
         c.cnot(Qubit(0), Qubit(1));
-        let placement = Placement::new(vec![HwQubit(0), HwQubit(1)]);
+        // An edge whose calibrated duration is not the uniform one, so the
+        // makespan shows which model priced the CNOT.
+        let (a, b) = m
+            .topology()
+            .edges()
+            .iter()
+            .copied()
+            .find(|&(a, b)| {
+                let edge = nisq_machine::EdgeId::new(a, b);
+                m.calibration().durations.cnot(edge).unwrap() != crate::UNIFORM_CNOT_SLOTS
+            })
+            .unwrap();
+        let placement = Placement::new(vec![a, b]);
         let s = Scheduler::new(
             &m,
             SchedulerConfig {
                 calibration_aware: false,
-                uniform_cnot_slots: 7,
                 ..SchedulerConfig::default()
             },
         );
         let schedule = s.schedule(&c, &placement).unwrap();
-        assert_eq!(schedule.makespan, 7);
+        assert_eq!(schedule.makespan, crate::UNIFORM_CNOT_SLOTS);
     }
 
     #[test]

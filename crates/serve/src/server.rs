@@ -33,8 +33,8 @@ use crate::response;
 use crate::signal;
 use nisq_exp::{fnv64, Journal, RunControl, RunOutcome, Session, SweepPlan, TierStats};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,6 +42,19 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How often the shutdown watcher checks whether a shutdown began: a
+/// `shutdown` request, [`ServerHandle::shutdown`], SIGINT or SIGTERM.
+const SHUTDOWN_WATCH_INTERVAL: Duration = Duration::from_millis(50);
+
+/// After refusing a line over the cap, the door reads and discards at
+/// most this many more bytes before it closes, so that a client still
+/// writing the line can finish and read the refusal instead of meeting a
+/// connection reset...
+const REFUSAL_DRAIN_BYTES: usize = 32 << 20;
+
+/// ...and for at most this long.
+const REFUSAL_DRAIN_TIME: Duration = Duration::from_secs(5);
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -123,9 +136,10 @@ impl ServerConfig {
 trait Conn: Read + Write + Send {
     fn split(&self) -> io::Result<Box<dyn Conn>>;
     fn set_timeouts(&self) -> io::Result<()>;
+    fn shutdown_write(&self) -> io::Result<()>;
 }
 
-impl Conn for std::net::TcpStream {
+impl Conn for TcpStream {
     fn split(&self) -> io::Result<Box<dyn Conn>> {
         Ok(Box::new(self.try_clone()?))
     }
@@ -133,15 +147,21 @@ impl Conn for std::net::TcpStream {
         self.set_read_timeout(Some(Duration::from_millis(100)))?;
         self.set_write_timeout(Some(Duration::from_secs(2)))
     }
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.shutdown(Shutdown::Write)
+    }
 }
 
-impl Conn for std::os::unix::net::UnixStream {
+impl Conn for UnixStream {
     fn split(&self) -> io::Result<Box<dyn Conn>> {
         Ok(Box::new(self.try_clone()?))
     }
     fn set_timeouts(&self) -> io::Result<()> {
         self.set_read_timeout(Some(Duration::from_millis(100)))?;
         self.set_write_timeout(Some(Duration::from_secs(2)))
+    }
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.shutdown(Shutdown::Write)
     }
 }
 
@@ -157,23 +177,44 @@ impl Listener {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Box::new(s) as Box<dyn Conn>),
         }
     }
+
+    /// Makes a blocked [`Listener::accept`] return, by connecting to the
+    /// listener's own address (over loopback for a TCP listener bound to an
+    /// unspecified address). A Unix socket's path may by now lead to
+    /// another listener, so on Linux that listener is shut down instead.
+    fn wake(&self) -> io::Result<()> {
+        match self {
+            Listener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                TcpStream::connect_timeout(&addr, SHUTDOWN_WATCH_INTERVAL).map(drop)
+            }
+            #[cfg(target_os = "linux")]
+            Listener::Unix(l, _) => signal::stop_accepting(l),
+            #[cfg(not(target_os = "linux"))]
+            Listener::Unix(_, path) => UnixStream::connect(path).map(drop),
+        }
+    }
 }
 
-/// Binds a non-blocking listener on `endpoint`, returning the bound TCP
+/// Binds a blocking listener on `endpoint`, returning the bound TCP
 /// address when there is one. A Unix endpoint's stale socket file is
 /// removed first; the file is removed again when the listener drops.
 fn bind_listener(endpoint: &Endpoint) -> io::Result<(Listener, Option<SocketAddr>)> {
     match endpoint {
         Endpoint::Tcp(addr) => {
             let l = TcpListener::bind(addr)?;
-            l.set_nonblocking(true)?;
             let addr = l.local_addr()?;
             Ok((Listener::Tcp(l), Some(addr)))
         }
         Endpoint::Unix(path) => {
             let _ = std::fs::remove_file(path);
             let l = UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
             Ok((Listener::Unix(l, path.clone()), None))
         }
     }
@@ -283,7 +324,7 @@ impl<B: Backend> Door<B> {
     }
 
     /// The per-connection reader on this thread, the writer on its own.
-    fn handle_connection(&self, stream: Box<dyn Conn>, client: u64) {
+    fn handle_connection(&self, mut stream: Box<dyn Conn>, client: u64) {
         if stream.set_timeouts().is_err() {
             return;
         }
@@ -293,22 +334,60 @@ impl<B: Backend> Door<B> {
         let (reply, responses) = sync_channel::<String>(16);
         let writer = std::thread::spawn(move || write_loop(write_half, &responses));
 
-        self.read_requests(stream, &reply, client);
+        let refused = self.read_requests(stream.as_mut(), &reply, client);
 
         drop(reply);
         let _ = writer.join();
+        if refused {
+            // Every reply, the refusal last, is written: end the sending
+            // side so the client reads them and then end-of-stream, and
+            // read what it still sends, so that closing with input unread
+            // does not reset the connection under the replies.
+            let _ = stream.shutdown_write();
+            self.discard_input(stream.as_mut());
+        }
     }
 
-    /// Frames lines (bounded by `max_request_bytes`) and handles each.
-    fn read_requests(&self, mut stream: Box<dyn Conn>, reply: &SyncSender<String>, client: u64) {
+    /// Reads and discards what a refused client still sends, until it
+    /// closes, shutdown begins, or [`REFUSAL_DRAIN_BYTES`] or
+    /// [`REFUSAL_DRAIN_TIME`] run out.
+    fn discard_input(&self, stream: &mut dyn Conn) {
+        let deadline = Instant::now() + REFUSAL_DRAIN_TIME;
+        let mut left = REFUSAL_DRAIN_BYTES;
+        let mut chunk = [0u8; 4096];
+        while left > 0 && Instant::now() < deadline && !self.shutting_down() {
+            match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => left = left.saturating_sub(n),
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut
+                        || e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Frames lines and handles each. A line longer than
+    /// `max_request_bytes`, complete or not, is refused and ends the
+    /// connection; returns whether that happened.
+    fn read_requests(
+        &self,
+        stream: &mut dyn Conn,
+        reply: &SyncSender<String>,
+        client: u64,
+    ) -> bool {
         let mut buffer: Vec<u8> = Vec::new();
         let mut chunk = [0u8; 4096];
         loop {
             match stream.read(&mut chunk) {
-                Ok(0) => return,
+                Ok(0) => return false,
                 Ok(n) => {
                     buffer.extend_from_slice(&chunk[..n]);
                     while let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
+                        if pos > self.max_request_bytes {
+                            break;
+                        }
                         let line_bytes: Vec<u8> = buffer.drain(..=pos).collect();
                         let line = String::from_utf8_lossy(&line_bytes[..pos]);
                         let line = line.trim();
@@ -317,6 +396,8 @@ impl<B: Backend> Door<B> {
                         }
                         self.handle_line(line, reply, client);
                     }
+                    // Whatever is left starts with a line that has no
+                    // newline yet or is already over the cap.
                     if buffer.len() > self.max_request_bytes {
                         let err = ServeError::Protocol {
                             message: format!(
@@ -325,7 +406,7 @@ impl<B: Backend> Door<B> {
                             ),
                         };
                         self.refuse(None, &err, reply);
-                        return;
+                        return true;
                     }
                 }
                 Err(e)
@@ -334,10 +415,10 @@ impl<B: Backend> Door<B> {
                         || e.kind() == io::ErrorKind::Interrupted =>
                 {
                     if self.shutting_down() && self.backend.reader_may_stop() {
-                        return;
+                        return false;
                     }
                 }
-                Err(_) => return,
+                Err(_) => return false,
             }
         }
     }
@@ -428,31 +509,44 @@ impl<B: Backend> Serve for Door<B> {
     fn serve(self: Arc<Self>, listener: &Listener) -> io::Result<()> {
         let backend_threads = B::start(&self);
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        let mut result = Ok(());
-        while !self.shutting_down() {
-            match listener.accept() {
-                Ok(stream) => {
-                    let client = self.counters.connections.fetch_add(1, Ordering::Relaxed);
-                    let door = self.clone();
-                    connections.push(std::thread::spawn(move || {
-                        door.handle_connection(stream, client)
-                    }));
+        let accepting = AtomicBool::new(true);
+        let result = std::thread::scope(|scope| {
+            // `accept` blocks, and a signal only sets a flag (std retries an
+            // accept that EINTR interrupts), so this watcher turns every
+            // shutdown source into a connection that wakes the accept.
+            let watcher = scope.spawn(|| {
+                while accepting.load(Ordering::SeqCst) {
+                    if self.shutting_down() {
+                        let _ = listener.wake();
+                    }
+                    std::thread::park_timeout(SHUTDOWN_WATCH_INTERVAL);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
+            });
+            let result = loop {
+                match listener.accept() {
+                    // Once shutdown began, a connection (the watcher's
+                    // among them) is dropped unserved, and an error is the
+                    // watcher stopping the listener.
+                    _ if self.shutting_down() => break Ok(()),
+                    Ok(stream) => {
+                        let client = self.counters.connections.fetch_add(1, Ordering::Relaxed);
+                        let door = self.clone();
+                        connections.push(std::thread::spawn(move || {
+                            door.handle_connection(stream, client)
+                        }));
+                    }
                     // A broken listener cannot serve anyway: drain and
                     // report.
-                    result = Err(e);
-                    break;
+                    Err(e) => break Err(e),
                 }
-            }
-            // Reap finished connection threads so a long-lived server's
-            // registry does not grow without bound.
-            connections.retain(|handle| !handle.is_finished());
-        }
+                // Reap finished connection threads so a long-lived server's
+                // registry does not grow without bound.
+                connections.retain(|handle| !handle.is_finished());
+            };
+            accepting.store(false, Ordering::SeqCst);
+            watcher.thread().unpark();
+            result
+        });
         self.begin_shutdown();
         for handle in connections {
             let _ = handle.join();

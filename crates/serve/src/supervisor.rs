@@ -119,6 +119,12 @@ impl Server {
     /// worker that fails to come up is a bind error: the fleet starts
     /// whole or not at all (restarts later are the monitors' job).
     ///
+    /// On Linux each worker gets SIGTERM, drains and exits when the thread
+    /// that spawned it exits, so no worker outlives a killed supervisor.
+    /// The calling thread spawns the first workers and must outlive the
+    /// fleet: if it exits first, those workers stop and the monitors
+    /// respawn them.
+    ///
     /// # Errors
     ///
     /// Socket creation, runtime-dir creation, or initial worker spawn

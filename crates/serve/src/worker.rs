@@ -124,6 +124,7 @@ impl WorkerHandle {
         for (key, value) in &spec.env {
             command.env(key, value);
         }
+        crate::signal::die_with_parent(&mut command);
         let child = command.spawn()?;
         self.pid.store(u64::from(child.id()), Ordering::SeqCst);
         *lock(&self.child) = Some(child);

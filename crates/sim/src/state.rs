@@ -857,18 +857,6 @@ impl StateVector {
             .map(|(r, i)| r * r + i * i)
             .sum()
     }
-
-    /// The basis state with the largest probability and that probability.
-    pub fn most_likely_basis(&self) -> (usize, f64) {
-        let mut best = (0usize, 0.0f64);
-        for i in 0..self.re.len() {
-            let p = self.re[i] * self.re[i] + self.im[i] * self.im[i];
-            if p > best.1 {
-                best = (i, p);
-            }
-        }
-        best
-    }
 }
 
 /// Splits out the four contiguous length-`lo` runs of the 4-group block at

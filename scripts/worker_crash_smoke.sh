@@ -3,7 +3,8 @@
 # shards over a shared journal directory, SIGKILL whichever shard a
 # journaled sweep is routed to mid-run, and require that the fleet stays
 # live, the (re)tried request succeeds, and the dead shard is restarted
-# exactly once.
+# exactly once. Then SIGKILL a second fleet's supervisor and require its
+# workers to exit with it.
 #
 # Usage: scripts/worker_crash_smoke.sh [path/to/nisqc]
 set -euo pipefail
@@ -116,4 +117,34 @@ if [[ $STATUS -ne 0 ]]; then
 fi
 grep -q "supervisor shut down" "$LOG" || { echo "FAIL shutdown: no shutdown message"; cat "$LOG"; exit 1; }
 echo "ok   sigint-shutdown"
+
+# Workers die with their supervisor: SIGKILL a fresh 2-worker fleet's
+# supervisor and require every worker to be gone, or a zombie awaiting its
+# new parent, within 5 s.
+"$NISQC" serve --listen "$ADDR" --workers 2 --runtime-dir "$DIR/run2" 2>"$LOG" &
+SUP_PID=$!
+for _ in $(seq 1 200); do
+    grep -q "supervising 2 workers" "$LOG" && break
+    sleep 0.1
+done
+grep -q "supervising 2 workers" "$LOG" || { echo "FAIL orphans: fleet never came up"; cat "$LOG"; exit 1; }
+WORKER_PIDS=$(request '{"op": "stats"}' | python3 -c '
+import json, sys
+print(" ".join(str(w["pid"]) for w in json.load(sys.stdin)["stats"]["workers"]))')
+{ kill -9 $SUP_PID && wait $SUP_PID; } 2>/dev/null || true
+for _ in $(seq 1 50); do
+    LEFT=""
+    for pid in $WORKER_PIDS; do
+        state=$(awk '{print $3}' "/proc/$pid/stat" 2>/dev/null || true)
+        if [[ -n "$state" && "$state" != "Z" ]]; then LEFT="$LEFT $pid"; fi
+    done
+    [[ -z "$LEFT" ]] && break
+    sleep 0.1
+done
+if [[ -n "$LEFT" ]]; then
+    kill -9 $LEFT
+    echo "FAIL orphans: workers$LEFT outlived their SIGKILLed supervisor"
+    exit 1
+fi
+echo "ok   workers exit with their SIGKILLed supervisor"
 echo "worker crash smoke test passed"

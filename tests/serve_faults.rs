@@ -65,15 +65,32 @@ impl Client {
         self.recv()
     }
 
-    /// Sends the first `cap + 1` bytes of a `ping` line and no newline. A
-    /// door capped at `cap` bytes refuses the line only once it has read
-    /// every byte sent, so it closes the connection cleanly: closing with
-    /// input unread would reset the connection, which can discard the
-    /// refusal before the client reads it.
+    /// Sends the first `cap + 1` bytes of a `ping` line and no newline.
     fn send_over_cap(&mut self, cap: usize) {
-        let line = format!(r#"{{"op": "ping", "id": "{}"}}"#, "x".repeat(cap));
-        self.stream.write_all(&line.as_bytes()[..=cap]).unwrap();
+        self.stream.write_all(&ping_line(cap + 2)[..=cap]).unwrap();
     }
+
+    /// Expects a `protocol` refusal and then the end of the connection.
+    fn expect_refusal_then_close(&mut self, what: &str) {
+        let response = self.recv();
+        assert_eq!(
+            (status(&response), code(&response)),
+            ("error", "protocol"),
+            "{what}"
+        );
+        let mut rest = String::new();
+        let read = self.reader.read_line(&mut rest).unwrap();
+        assert_eq!(read, 0, "{what}: the connection outlived an oversized line");
+    }
+}
+
+/// A complete, well-formed `ping` line of exactly `len` bytes (at least
+/// 25), newline included.
+fn ping_line(len: usize) -> Vec<u8> {
+    let mut line = format!(r#"{{"op": "ping", "id": "{}"}}"#, "x".repeat(len - 25)).into_bytes();
+    line.push(b'\n');
+    assert_eq!(line.len(), len);
+    line
 }
 
 fn field<'a>(doc: &'a Value, key: &str) -> &'a Value {
@@ -322,6 +339,55 @@ fn graceful_shutdown_drains_inflight_work_and_refuses_new_work() {
     assert_eq!(status(&finished), "ok");
 
     handle.join().unwrap();
+}
+
+#[test]
+fn fresh_connections_are_answered_without_an_accept_poll() {
+    // A client that opens one connection per request must not wait for an
+    // accept loop's poll interval before its first line is read.
+    let (handle, addr) = start(ServerConfig::default());
+    let mut first_replies: Vec<Duration> = (0..50)
+        .map(|i| {
+            let started = Instant::now();
+            let mut client = Client::connect(addr);
+            let pong = client.roundtrip(&format!(r#"{{"op": "ping", "id": "fresh-{i}"}}"#));
+            assert_eq!(status(&pong), "ok");
+            started.elapsed()
+        })
+        .collect();
+    first_replies.sort();
+    let median = first_replies[first_replies.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median first reply on a fresh connection took {median:?}"
+    );
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
+fn a_unix_door_shuts_down_after_another_listener_took_its_path() {
+    // A second daemon started on the same path replaces the socket file;
+    // the first must still stop when asked, without waking itself through
+    // the newcomer.
+    let path = std::env::temp_dir().join("nisq-door-path-taken.sock");
+    let server = Server::bind(&Endpoint::Unix(path.clone()), ServerConfig::default()).unwrap();
+    let handle = server.spawn();
+    std::fs::remove_file(&path).unwrap();
+    let newcomer = std::os::unix::net::UnixListener::bind(&path).unwrap();
+    newcomer.set_nonblocking(true).unwrap();
+    handle.shutdown();
+    let (joined, join_result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || joined.send(handle.join().is_ok()));
+    assert_eq!(
+        join_result.recv_timeout(Duration::from_secs(10)),
+        Ok(true),
+        "the door did not stop"
+    );
+    assert!(
+        newcomer.accept().is_err(),
+        "the door connected to the newcomer"
+    );
 }
 
 #[test]
@@ -787,6 +853,81 @@ fn mixed_hostile_load_yields_one_well_formed_response_per_request() {
     handle.join().unwrap();
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn workers_exit_when_their_supervisor_is_sigkilled() {
+    use std::process::{Child, Command, Stdio};
+
+    /// SIGKILLs and reaps the supervisor however the test ends.
+    struct Supervisor(Child);
+    impl Drop for Supervisor {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let dir = std::env::temp_dir().join("nisq-supervisor-sigkilled");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut supervisor = Supervisor(
+        Command::new(env!("CARGO_BIN_EXE_nisqc"))
+            .args([
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--workers",
+                "2",
+                "--runtime-dir",
+            ])
+            .arg(&dir)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    // The workers' startup lines come first on the shared stderr.
+    let mut log = BufReader::new(supervisor.0.stderr.take().unwrap());
+    let addr: SocketAddr = loop {
+        let mut line = String::new();
+        assert!(log.read_line(&mut line).unwrap() > 0, "no startup line");
+        if let Some((_, addr)) = line.trim().split_once("supervising 2 workers on tcp://") {
+            break addr.parse().unwrap();
+        }
+    };
+    let stats = Client::connect(addr).roundtrip(r#"{"op": "stats"}"#);
+    let pids: Vec<u64> = workers_field(&stats)
+        .iter()
+        .map(|w| field(w, "pid").as_u64().unwrap())
+        .collect();
+    assert_eq!(pids.len(), 2);
+
+    drop(supervisor);
+
+    // A worker that exited is gone or, until its new parent reaps it, a
+    // zombie.
+    let running = |pid: u64| {
+        std::fs::read_to_string(format!("/proc/{pid}/stat")).is_ok_and(|stat| {
+            let state = stat.rsplit(')').next().map(|rest| rest.trim_start());
+            state.and_then(|rest| rest.chars().next()) != Some('Z')
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut survivors = pids;
+    while !survivors.is_empty() && Instant::now() < deadline {
+        survivors.retain(|&pid| running(pid));
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // Stop any orphan before failing, so it does not outlive the test.
+    for &pid in &survivors {
+        sigkill(pid);
+    }
+    assert!(
+        survivors.is_empty(),
+        "workers {survivors:?} outlived their SIGKILLed supervisor by 5 s"
+    );
+}
+
 #[test]
 fn supervisor_counts_every_rejection_once() {
     let mut config = fleet_config(1, "counters", &[(ENV_DELAY_BEFORE_RUN_MS, "600")]);
@@ -866,15 +1007,25 @@ fn deeply_nested_lines_are_protocol_errors_for_daemon_and_supervisor() {
         assert_eq!(field(&pong, "id").as_str(), Some("after-blank"), "{addr}");
         // A line over the cap is refused, and the connection closes.
         client.send_over_cap(max_request_bytes);
-        let response = client.recv();
-        assert_eq!(
-            (status(&response), code(&response)),
-            ("error", "protocol"),
-            "{addr}"
-        );
-        let mut rest = String::new();
-        let read = client.reader.read_line(&mut rest).unwrap();
-        assert_eq!(read, 0, "{addr}: the connection outlived an oversized line");
+        client.expect_refusal_then_close(&format!("{addr}: no newline"));
+
+        // The cap is exact: a whole ping line one byte over it, newline
+        // included and sent in one write, is refused, not answered.
+        let mut client = Client::connect(addr);
+        client
+            .stream
+            .write_all(&ping_line(max_request_bytes + 2))
+            .unwrap();
+        client.expect_refusal_then_close(&format!("{addr}: one byte over"));
+
+        // A client still writing a far longer line finishes its write and
+        // reads the refusal instead of a connection reset.
+        let mut client = Client::connect(addr);
+        client
+            .stream
+            .write_all(&ping_line(max_request_bytes + (8 << 20) + 1))
+            .unwrap();
+        client.expect_refusal_then_close(&format!("{addr}: 8 MiB over"));
     }
     server.shutdown();
     server.join().unwrap();
