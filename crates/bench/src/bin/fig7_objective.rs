@@ -1,7 +1,11 @@
 //! Figure 7: choice of optimization objective. Success rate (a), execution
 //! duration (b) and compile time (c) for BV4, HS6 and Toffoli under T-SMT*
-//! and R-SMT* with omega in {0, 0.5, 1}, plus a finer omega sweep as the
-//! ablation called out in DESIGN.md.
+//! and R-SMT* with omega in {0, 0.5, 1}.
+//!
+//! The ablation sweeps R-SMT*'s readout weight omega of Equation 12 over
+//! {0, 0.25, 0.5, 0.75, 1}: from CNOT reliability alone (omega = 0) to
+//! readout reliability alone (omega = 1), around the omega = 0.5 that
+//! R-SMT* uses everywhere else.
 //!
 //! One plan covers every table: the main configurations and the ablation's
 //! omega grid land in the same report, and the session's compile cache

@@ -1,8 +1,9 @@
 //! # nisq-bench — experiment harness for the paper's tables and figures
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the index). The binaries are thin declarations over
-//! the experiment API of [`nisq_exp`] — each one builds a
+//! (the README's "What this reproduction substitutes" has the index). The
+//! binaries are thin declarations over the experiment API of
+//! [`nisq_exp`] — each one builds a
 //! [`SweepPlan`](nisq_exp::SweepPlan), executes it through a caching
 //! [`Session`](nisq_exp::Session), and renders the resulting
 //! [`Report`](nisq_exp::Report) as a text table. This library holds the

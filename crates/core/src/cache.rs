@@ -1,13 +1,14 @@
-//! Pass-level placement caching.
+//! Placement caching for the place step of
+//! [`Compiler::compile`](crate::Compiler::compile).
 //!
-//! Placement is the most expensive pass of the pipeline (a Table-1 compile
-//! on IBMQ16 takes the exact solver up to ~10^5 search nodes, and larger
+//! Placement is the most expensive compile step (a Table-1 compile on
+//! IBMQ16 takes the exact solver up to ~10^5 search nodes, and larger
 //! circuits far more), yet daily figure sweeps recompile
 //! many identical `(circuit, machine-day, config)` triples. A
 //! [`PlacementCache`] shared across [`crate::Compiler`] instances memoizes
-//! the [`Placement`] a strategy produced for such a triple, keyed on content
-//! fingerprints so any change to the circuit, the calibration data or the
-//! configuration invalidates the entry.
+//! the [`Placement`] an algorithm produced for such a triple, keyed on
+//! content fingerprints so any change to the circuit, the calibration data
+//! or the configuration invalidates the entry.
 //!
 //! Calibration-unaware algorithms (Qiskit, T-SMT) place from the coupling
 //! graph alone, so their entries are keyed on the *topology* fingerprint
@@ -30,9 +31,9 @@ type Key = (u64, u64, u64);
 /// Hit/miss counters of a [`PlacementCache`] (monotonically increasing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlacementCacheStats {
-    /// Lookups answered from the cache (placement strategy not run).
+    /// Lookups answered from the cache (placement algorithm not run).
     pub hits: u64,
-    /// Lookups that ran the placement strategy and populated the cache.
+    /// Lookups that ran the placement algorithm and populated the cache.
     pub misses: u64,
 }
 
@@ -44,9 +45,8 @@ impl PlacementCacheStats {
 }
 
 /// A thread-safe, shareable memo of placement results, consulted by the
-/// place pass when installed via
-/// [`Compiler::with_placement_cache`](crate::Compiler::with_placement_cache)
-/// or [`Pipeline::standard_with_placement_cache`](crate::Pipeline::standard_with_placement_cache).
+/// place step of every compiler it is installed in with
+/// [`Compiler::with_placement_cache`](crate::Compiler::with_placement_cache).
 ///
 /// # Example
 ///

@@ -1,24 +1,23 @@
+use crate::cache::PlacementCache;
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
-use crate::executable::CompiledCircuit;
+use crate::executable::{CompiledCircuit, PassTiming};
 use crate::mapping;
-use crate::pipeline::{CompileContext, Pipeline};
-use nisq_ir::Circuit;
+use crate::metrics;
+use nisq_ir::{Circuit, Gate, GateKind, Qubit};
 use nisq_machine::Machine;
-use nisq_opt::Placement;
+use nisq_opt::{RoutedOp, RoutingPolicy, Schedule, Scheduler, SchedulerConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The noise-adaptive backend compiler: a thin driver over the standard
-/// pass [`Pipeline`] (`Decompose → Place → Route → Schedule → Emit →
-/// Estimate`; see [`crate::pipeline`]).
+/// The noise-adaptive backend compiler. [`Compiler::compile`] runs the
+/// paper's backend as six steps, `decompose → place → route → schedule →
+/// emit → estimate`, each a direct call, and times each one.
 ///
 /// A `Compiler` is bound to one machine snapshot (topology plus calibration
 /// data) and one configuration from Table 1. Recompiling after each daily
 /// calibration — as the paper does before every run — means constructing a
-/// new `Compiler` with a fresh [`Machine`]. For custom passes or placement
-/// strategies, drive a [`Pipeline`] over a
-/// [`CompileContext`] directly.
+/// new `Compiler` with a fresh [`Machine`].
 ///
 /// # Example
 ///
@@ -37,10 +36,7 @@ use std::time::Instant;
 pub struct Compiler<'m> {
     machine: &'m Machine,
     config: CompilerConfig,
-    /// The standard pipeline, built once per compiler so repeated
-    /// compiles (figure sweeps) do not re-allocate passes and the
-    /// placement registry per call.
-    pipeline: Arc<Pipeline>,
+    placement_cache: Option<Arc<PlacementCache>>,
 }
 
 impl<'m> Compiler<'m> {
@@ -49,32 +45,16 @@ impl<'m> Compiler<'m> {
         Compiler {
             machine,
             config,
-            pipeline: Arc::new(Pipeline::standard()),
+            placement_cache: None,
         }
     }
 
-    /// Creates a compiler driving an explicit (possibly shared) pipeline
-    /// instead of building the standard one — the cheap way to construct
-    /// many short-lived compilers over one pipeline, as the experiment
-    /// session does.
-    pub fn with_pipeline(
-        machine: &'m Machine,
-        config: CompilerConfig,
-        pipeline: Arc<Pipeline>,
-    ) -> Self {
-        Compiler {
-            machine,
-            config,
-            pipeline,
-        }
-    }
-
-    /// Returns a copy of this compiler whose place pass memoizes results in
+    /// Returns a copy of this compiler whose place step memoizes results in
     /// `cache`. The cache is shareable: install the same `Arc` into many
     /// compilers (across machines, configs and threads) and identical
     /// `(circuit, machine-day, config)` triples are placed once.
-    pub fn with_placement_cache(mut self, cache: Arc<crate::PlacementCache>) -> Self {
-        self.pipeline = Arc::new(Pipeline::standard_with_placement_cache(cache));
+    pub fn with_placement_cache(mut self, cache: Arc<PlacementCache>) -> Self {
+        self.placement_cache = Some(cache);
         self
     }
 
@@ -88,38 +68,167 @@ impl<'m> Compiler<'m> {
         self.machine
     }
 
-    /// Computes only the initial placement (useful for inspecting mappings,
-    /// as in the paper's Figure 8).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the circuit does not fit on the machine or the
-    /// configuration is invalid.
-    pub fn place(&self, circuit: &Circuit) -> Result<Placement, CompileError> {
-        mapping::place(circuit, self.machine, &self.config)
-    }
-
-    /// Compiles a circuit by running the standard pass pipeline:
-    /// decomposition, placement, routing, scheduling, emission and
-    /// reliability estimation.
+    /// Compiles a circuit: decomposition, placement, routing, scheduling,
+    /// emission and reliability estimation, in that order. The time each
+    /// step took is in [`CompiledCircuit::pass_timings`].
     ///
     /// # Errors
     ///
     /// Returns an error if the circuit does not fit on the machine or the
     /// configuration is invalid.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, CompileError> {
+        let (machine, config) = (self.machine, &self.config);
         let start = Instant::now();
-        let mut ctx = CompileContext::new(self.machine, self.config, circuit.clone());
-        self.pipeline.run(&mut ctx)?;
-        CompiledCircuit::from_context(ctx, start.elapsed())
+        let mut timings = Vec::with_capacity(6);
+        let mut lap = start;
+        let mut done = |pass: &'static str| {
+            let now = Instant::now();
+            timings.push(PassTiming {
+                pass,
+                elapsed: now - lap,
+            });
+            lap = now;
+        };
+
+        // The benchmarks arrive already decomposed (ScaffCC's job in the
+        // paper), so this step only lowers program-level SWAPs, and only
+        // when the configuration asks for it. Expansion keeps the name.
+        let expanded;
+        let circuit =
+            if config.decompose_swaps && circuit.iter().any(|g| g.kind() == GateKind::Swap) {
+                expanded = circuit.expand_swaps();
+                &expanded
+            } else {
+                circuit
+            };
+        done("decompose");
+
+        if circuit.num_qubits() > machine.num_qubits() {
+            return Err(CompileError::CircuitTooLarge {
+                program_qubits: circuit.num_qubits(),
+                hardware_qubits: machine.num_qubits(),
+            });
+        }
+        let cache = self.placement_cache.as_deref();
+        let placement = match cache.and_then(|c| c.lookup(circuit, machine, config)) {
+            Some(placement) => placement,
+            None => {
+                let placement = mapping::place(circuit, machine, config)?;
+                if let Some(cache) = cache {
+                    cache.insert(circuit, machine, config, placement.clone());
+                }
+                placement
+            }
+        };
+        done("place");
+
+        // Grid-only selections degrade to best-path routing on topologies
+        // without a grid layout.
+        let selection = config.routing.effective_on(machine.topology());
+        let policy = config.swap_handling.policy();
+        done("route");
+
+        let scheduler = Scheduler::new(
+            machine,
+            SchedulerConfig {
+                selection,
+                calibration_aware: config.calibration_aware(),
+            },
+        );
+        let schedule = scheduler.schedule_with(circuit, &placement, policy)?;
+        done("schedule");
+
+        let physical = emit(circuit, machine, &schedule, policy);
+        done("emit");
+
+        let estimate = metrics::estimate(circuit, &schedule, machine);
+        done("estimate");
+
+        Ok(CompiledCircuit {
+            program_name: circuit.name().to_string(),
+            algorithm: config.algorithm,
+            physical,
+            placement,
+            schedule,
+            estimate,
+            compile_time: start.elapsed(),
+            pass_timings: timings,
+        })
     }
+}
+
+/// Emits the hardware-level circuit: every gate is rewritten onto hardware
+/// qubit indices and every routed two-qubit gate is materialized through
+/// the routing policy — the single place where swap round-trips (or their
+/// permutation-tracking elision) become physical gates.
+fn emit(
+    circuit: &Circuit,
+    machine: &Machine,
+    schedule: &Schedule,
+    policy: &dyn RoutingPolicy,
+) -> Circuit {
+    let mut physical = Circuit::with_clbits(machine.num_qubits(), circuit.num_clbits());
+    physical.set_name(format!("{}-physical", circuit.name()));
+    let mut ops = Vec::new();
+
+    // Emission needs no live layout of its own: each scheduled entry
+    // already records its route and resolved hardware operands, and
+    // entries appear in issue order, so replaying them reproduces exactly
+    // the sequence the scheduler modelled.
+    for entry in &schedule.gates {
+        let gate = &circuit.gates()[entry.gate_index];
+        match gate.kind() {
+            GateKind::Cnot | GateKind::Swap => {
+                let Some(route) = entry.route.as_ref() else {
+                    // A route-less SWAP was elided by the routing policy as
+                    // a pure layout relabeling; later entries' resolved
+                    // operands already account for it, so there is nothing
+                    // physical to emit.
+                    debug_assert_eq!(gate.kind(), GateKind::Swap);
+                    continue;
+                };
+                ops.clear();
+                policy.realize(route, &mut ops);
+                for op in &ops {
+                    match *op {
+                        RoutedOp::Swap(a, b) => {
+                            physical.swap(Qubit(a.0), Qubit(b.0));
+                        }
+                        RoutedOp::Gate(a, b) => {
+                            if gate.kind() == GateKind::Cnot {
+                                physical.cnot(Qubit(a.0), Qubit(b.0));
+                            } else {
+                                physical.swap(Qubit(a.0), Qubit(b.0));
+                            }
+                        }
+                    }
+                }
+            }
+            GateKind::Measure => {
+                physical.measure(Qubit(entry.hw[0].0), gate.clbits()[0]);
+            }
+            GateKind::Barrier => {
+                let qs: Vec<Qubit> = entry.hw.iter().map(|h| Qubit(h.0)).collect();
+                physical.push(Gate::barrier(qs));
+            }
+            kind => {
+                physical.push(Gate::single(kind, Qubit(entry.hw[0].0)));
+            }
+        }
+    }
+    physical
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nisq_ir::{Benchmark, GateKind, Qubit};
+    use nisq_ir::Benchmark;
     use nisq_machine::HwQubit;
+    use nisq_opt::SwapHandling;
+
+    fn count(circuit: &Circuit, kind: GateKind) -> usize {
+        circuit.iter().filter(|g| g.kind() == kind).count()
+    }
 
     fn machine() -> Machine {
         Machine::ibmq16_on_day(8, 0)
@@ -262,5 +371,95 @@ mod tests {
             .filter(|g| g.kind() == GateKind::Swap)
             .count();
         assert_eq!(physical_swaps, 2 * compiled.swap_count());
+    }
+
+    #[test]
+    fn pass_timings_name_the_six_steps_in_order() {
+        let m = machine();
+        let cache = Arc::new(PlacementCache::new());
+        let compiler =
+            Compiler::new(&m, CompilerConfig::greedy_e()).with_placement_cache(cache.clone());
+        // The second compile is answered from the placement cache and must
+        // still time every step.
+        for _ in 0..2 {
+            let compiled = compiler.compile(&Benchmark::Bv4.circuit()).unwrap();
+            let names: Vec<&str> = compiled.pass_timings().iter().map(|t| t.pass).collect();
+            assert_eq!(
+                names,
+                [
+                    "decompose",
+                    "place",
+                    "route",
+                    "schedule",
+                    "emit",
+                    "estimate"
+                ]
+            );
+        }
+        assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn decompose_expands_swaps_only_on_request() {
+        let m = machine();
+        let mut circuit = Circuit::new(2);
+        circuit.swap(Qubit(0), Qubit(1));
+        circuit.set_name("swapper");
+
+        let kept = Compiler::new(&m, CompilerConfig::qiskit())
+            .compile(&circuit)
+            .unwrap();
+        assert_eq!(kept.schedule().gates.len(), 1);
+        assert_eq!(count(kept.physical_circuit(), GateKind::Swap), 1);
+
+        let expand = CompilerConfig::qiskit().with_decompose_swaps(true);
+        let lowered = Compiler::new(&m, expand).compile(&circuit).unwrap();
+        assert_eq!(
+            lowered.schedule().gates.len(),
+            3,
+            "SWAP lowered to three CNOTs"
+        );
+        assert_eq!(count(lowered.physical_circuit(), GateKind::Swap), 0);
+        assert_eq!(count(lowered.physical_circuit(), GateKind::Cnot), 3);
+        assert_eq!(lowered.program_name(), "swapper", "source name preserved");
+    }
+
+    #[test]
+    fn permute_elides_adjacent_program_swaps_end_to_end() {
+        let m = machine();
+        let mut circuit = Circuit::new(2);
+        circuit.cnot(Qubit(0), Qubit(1));
+        circuit.swap(Qubit(0), Qubit(1));
+
+        let run = |handling| {
+            let config = CompilerConfig::greedy_e().with_swap_handling(handling);
+            Compiler::new(&m, config).compile(&circuit).unwrap()
+        };
+        let permuted = run(SwapHandling::Permute);
+        let swapped_back = run(SwapHandling::SwapBack);
+
+        // Greedy placement puts both qubits on one edge, so under
+        // permutation routing the program SWAP vanishes from the physical
+        // circuit entirely — only the CNOT remains — and the reliability
+        // estimate strictly improves over paying three CNOTs for it.
+        assert_eq!(count(permuted.physical_circuit(), GateKind::Swap), 0);
+        assert_eq!(count(permuted.physical_circuit(), GateKind::Cnot), 1);
+        assert_eq!(count(swapped_back.physical_circuit(), GateKind::Swap), 1);
+        assert!(permuted.estimated_reliability() > swapped_back.estimated_reliability());
+    }
+
+    #[test]
+    fn permutation_policy_rides_the_same_compile() {
+        let m = machine();
+        let config = CompilerConfig::greedy_e().with_swap_handling(SwapHandling::Permute);
+        let compiled = Compiler::new(&m, config)
+            .compile(&Benchmark::Bv8.circuit())
+            .unwrap();
+        // No swap-backs: the physical circuit contains exactly the one-way
+        // swaps the schedule counted.
+        assert_eq!(
+            count(compiled.physical_circuit(), GateKind::Swap),
+            compiled.swap_count()
+        );
     }
 }

@@ -93,7 +93,7 @@ pub struct CompilerConfig {
     /// updated in place).
     pub swap_handling: SwapHandling,
     /// Lower program-level SWAP gates into three CNOTs in the decompose
-    /// pass instead of routing them symbolically (off by default, matching
+    /// step instead of routing them symbolically (off by default, matching
     /// the paper's model).
     pub decompose_swaps: bool,
 }
@@ -174,7 +174,7 @@ impl CompilerConfig {
     }
 
     /// Returns a copy that lowers program-level SWAPs in the decompose
-    /// pass.
+    /// step.
     pub fn with_decompose_swaps(mut self, decompose_swaps: bool) -> Self {
         self.decompose_swaps = decompose_swaps;
         self

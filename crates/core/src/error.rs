@@ -26,19 +26,6 @@ pub enum CompileError {
     Machine(MachineError),
     /// The IR layer reported a problem.
     Ir(IrError),
-    /// A placement algorithm name was not found in the registry.
-    UnknownPlacement {
-        /// The requested strategy name.
-        name: String,
-    },
-    /// A pipeline pass ran before the artifact it consumes was produced
-    /// (e.g. scheduling before placement).
-    MissingArtifact {
-        /// The pass that failed.
-        pass: &'static str,
-        /// The artifact it needed.
-        artifact: &'static str,
-    },
 }
 
 impl fmt::Display for CompileError {
@@ -57,15 +44,6 @@ impl fmt::Display for CompileError {
             CompileError::Optimization(e) => write!(f, "optimization failed: {e}"),
             CompileError::Machine(e) => write!(f, "hardware model error: {e}"),
             CompileError::Ir(e) => write!(f, "circuit error: {e}"),
-            CompileError::UnknownPlacement { name } => {
-                write!(f, "no placement strategy registered under {name:?}")
-            }
-            CompileError::MissingArtifact { pass, artifact } => {
-                write!(
-                    f,
-                    "pass {pass:?} ran before the {artifact} it needs was produced"
-                )
-            }
         }
     }
 }

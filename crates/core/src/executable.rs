@@ -1,11 +1,19 @@
 use crate::config::Algorithm;
-use crate::error::CompileError;
 use crate::metrics::ReliabilityEstimate;
-use crate::pipeline::{CompileContext, PassTiming};
 use nisq_ir::{qasm, Circuit};
 use nisq_opt::{Placement, Schedule};
 use std::fmt;
 use std::time::Duration;
+
+/// Wall-clock time spent in one step of [`crate::Compiler::compile`].
+#[derive(Debug, Clone)]
+pub struct PassTiming {
+    /// The step name: `decompose`, `place`, `route`, `schedule`, `emit`
+    /// or `estimate`.
+    pub pass: &'static str,
+    /// Time spent in the step.
+    pub elapsed: Duration,
+}
 
 /// The output of a compilation run: the physical circuit (over hardware
 /// qubits, with all communication SWAPs inserted), the placement and
@@ -17,41 +25,17 @@ use std::time::Duration;
 /// the format the paper targets for IBMQ16.
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit {
-    program_name: String,
-    algorithm: Algorithm,
-    physical: Circuit,
-    placement: Placement,
-    schedule: Schedule,
-    estimate: ReliabilityEstimate,
-    compile_time: Duration,
-    pass_timings: Vec<PassTiming>,
+    pub(crate) program_name: String,
+    pub(crate) algorithm: Algorithm,
+    pub(crate) physical: Circuit,
+    pub(crate) placement: Placement,
+    pub(crate) schedule: Schedule,
+    pub(crate) estimate: ReliabilityEstimate,
+    pub(crate) compile_time: Duration,
+    pub(crate) pass_timings: Vec<PassTiming>,
 }
 
 impl CompiledCircuit {
-    /// Assembles a compiled circuit from a finished pipeline run; used by
-    /// [`crate::Compiler`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a required artifact is missing (a pass of the
-    /// standard pipeline did not run).
-    pub(crate) fn from_context(
-        ctx: CompileContext<'_>,
-        compile_time: Duration,
-    ) -> Result<Self, CompileError> {
-        let parts = ctx.finish()?;
-        Ok(CompiledCircuit {
-            program_name: parts.program_name,
-            algorithm: parts.algorithm,
-            physical: parts.physical,
-            placement: parts.placement,
-            schedule: parts.schedule,
-            estimate: parts.estimate,
-            compile_time,
-            pass_timings: parts.timings,
-        })
-    }
-
     /// Name of the source program.
     pub fn program_name(&self) -> &str {
         &self.program_name
@@ -80,7 +64,8 @@ impl CompiledCircuit {
         &self.schedule.final_placement
     }
 
-    /// Wall-clock time spent in each pipeline pass, in execution order.
+    /// Wall-clock time spent in each compile step, in execution order:
+    /// `decompose`, `place`, `route`, `schedule`, `emit`, `estimate`.
     pub fn pass_timings(&self) -> &[PassTiming] {
         &self.pass_timings
     }

@@ -18,8 +18,16 @@
 //! | `GreedyE*` | heuristic, maximize reliability | yes | heaviest-edge-first placement |
 //!
 //! The optimal variants solve the paper's SMT formulation through the
-//! branch-and-bound substrate in [`nisq_opt`] (see DESIGN.md for the
-//! substitution argument).
+//! branch-and-bound substrate in [`nisq_opt`] (see the README's "What
+//! this reproduction substitutes").
+//!
+//! [`Compiler::compile`] is the one compile path. It runs the paper's
+//! backend as six direct steps, `decompose → place → route → schedule →
+//! emit → estimate`, and records each step's time in
+//! [`CompiledCircuit::pass_timings`]. The place step calls
+//! [`mapping::place`], which selects the Table-1 algorithm by
+//! [`CompilerConfig::algorithm`], unless the [`PlacementCache`] installed
+//! with [`Compiler::with_placement_cache`] already holds the placement.
 //!
 //! # Example
 //!
@@ -45,15 +53,12 @@ mod error;
 mod executable;
 pub mod mapping;
 pub mod metrics;
-pub mod pipeline;
 
 pub use cache::{PlacementCache, PlacementCacheStats};
 pub use compiler::Compiler;
 pub use config::{Algorithm, CompilerConfig};
 pub use error::CompileError;
-pub use executable::CompiledCircuit;
-pub use mapping::{PlacementRegistry, PlacementStrategy};
+pub use executable::{CompiledCircuit, PassTiming};
 pub use nisq_opt::{
     PermutationRouting, Placement, RouteSelection, RoutingPolicy, SwapBackRouting, SwapHandling,
 };
-pub use pipeline::{CompileContext, Pass, PassTiming, Pipeline};

@@ -1,49 +1,25 @@
-//! Placement (initial mapping) strategies and their registry.
+//! Placement (initial mapping): the place step of
+//! [`Compiler::compile`](crate::Compiler::compile).
 //!
-//! Each strategy computes an injective placement of program qubits onto
-//! hardware qubits; the pipeline then routes, schedules and emits code for
-//! that placement. The built-in strategies mirror the paper's Table 1:
+//! Each algorithm computes an injective placement of program qubits onto
+//! hardware qubits; the compiler then routes, schedules and emits code for
+//! that placement. [`place`] selects one of the paper's Table-1 algorithms
+//! by [`CompilerConfig::algorithm`]:
 //!
 //! * [`qiskit`] — the Qiskit 0.5.7-style baseline (lexicographic layout),
 //! * [`smt`] — the optimal variants (T-SMT, T-SMT*, R-SMT*) via the
 //!   branch-and-bound substrate in [`nisq_opt`],
 //! * [`greedy`] — the calibration-aware heuristics GreedyV* and GreedyE*.
 //!
-//! New mapping heuristics plug in by implementing [`PlacementStrategy`] and
-//! registering under a name — no compiler changes needed:
-//!
 //! ```
-//! use nisq_core::mapping::{PlacementRegistry, PlacementStrategy};
-//! use nisq_core::{CompileError, CompilerConfig};
-//! use nisq_ir::Circuit;
-//! use nisq_machine::{HwQubit, Machine};
-//! use nisq_opt::Placement;
+//! use nisq_core::{mapping, CompilerConfig};
+//! use nisq_ir::Benchmark;
+//! use nisq_machine::Machine;
 //!
-//! /// Places program qubit `i` on hardware qubit `n - 1 - i`.
-//! #[derive(Debug)]
-//! struct ReversePlacement;
-//!
-//! impl PlacementStrategy for ReversePlacement {
-//!     fn name(&self) -> &'static str {
-//!         "reverse"
-//!     }
-//!     fn place(
-//!         &self,
-//!         circuit: &Circuit,
-//!         machine: &Machine,
-//!         _config: &CompilerConfig,
-//!     ) -> Result<Placement, CompileError> {
-//!         let n = machine.num_qubits();
-//!         Ok(Placement::new(
-//!             (0..circuit.num_qubits()).map(|i| HwQubit(n - 1 - i)).collect(),
-//!         ))
-//!     }
-//! }
-//!
-//! let mut registry = PlacementRegistry::standard();
-//! registry.register(ReversePlacement);
-//! assert!(registry.get("reverse").is_some());
-//! assert!(registry.get("Qiskit").is_some(), "built-ins stay registered");
+//! let machine = Machine::ibmq16_on_day(1, 0);
+//! let circuit = Benchmark::Bv4.circuit();
+//! let placement = mapping::place(&circuit, &machine, &CompilerConfig::qiskit()).unwrap();
+//! assert_eq!(placement.len(), circuit.num_qubits());
 //! ```
 
 pub mod greedy;
@@ -55,174 +31,9 @@ use crate::error::CompileError;
 use nisq_ir::Circuit;
 use nisq_machine::Machine;
 use nisq_opt::Placement;
-use std::fmt;
 
-/// An initial-placement algorithm, registered by name in a
-/// [`PlacementRegistry`] and dispatched by the pipeline's place pass.
-pub trait PlacementStrategy: fmt::Debug + Send + Sync {
-    /// The name the strategy is registered under (the paper's Table-1 names
-    /// for the built-ins: "Qiskit", "T-SMT", "T-SMT*", "R-SMT*",
-    /// "GreedyV*", "GreedyE*").
-    fn name(&self) -> &'static str;
-
-    /// Computes the placement for `circuit` on `machine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the circuit does not fit on the machine or the
-    /// configuration is invalid for this strategy.
-    fn place(
-        &self,
-        circuit: &Circuit,
-        machine: &Machine,
-        config: &CompilerConfig,
-    ) -> Result<Placement, CompileError>;
-}
-
-/// The Qiskit 0.5.7-style lexicographic baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct QiskitPlacement;
-
-impl PlacementStrategy for QiskitPlacement {
-    fn name(&self) -> &'static str {
-        Algorithm::Qiskit.name()
-    }
-
-    fn place(
-        &self,
-        circuit: &Circuit,
-        machine: &Machine,
-        _config: &CompilerConfig,
-    ) -> Result<Placement, CompileError> {
-        qiskit::place(circuit, machine)
-    }
-}
-
-/// One of the exact (SMT-equivalent) variants; the objective is taken from
-/// the configuration's algorithm (T-SMT, T-SMT* or R-SMT*).
-#[derive(Debug, Clone, Copy)]
-pub struct SmtPlacement {
-    algorithm: Algorithm,
-}
-
-impl SmtPlacement {
-    /// The strategy for one of the SMT-style algorithms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `algorithm` is not an SMT-style variant.
-    pub fn new(algorithm: Algorithm) -> Self {
-        assert!(
-            algorithm.is_optimal(),
-            "{algorithm} is not an SMT-style variant"
-        );
-        SmtPlacement { algorithm }
-    }
-}
-
-impl PlacementStrategy for SmtPlacement {
-    fn name(&self) -> &'static str {
-        self.algorithm.name()
-    }
-
-    fn place(
-        &self,
-        circuit: &Circuit,
-        machine: &Machine,
-        config: &CompilerConfig,
-    ) -> Result<Placement, CompileError> {
-        smt::place(circuit, machine, config)
-    }
-}
-
-/// GreedyV*: heaviest-vertex-first placement on most-reliable paths.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyVertexPlacement;
-
-impl PlacementStrategy for GreedyVertexPlacement {
-    fn name(&self) -> &'static str {
-        Algorithm::GreedyV.name()
-    }
-
-    fn place(
-        &self,
-        circuit: &Circuit,
-        machine: &Machine,
-        _config: &CompilerConfig,
-    ) -> Result<Placement, CompileError> {
-        greedy::place_vertex_first(circuit, machine)
-    }
-}
-
-/// GreedyE*: heaviest-edge-first placement on most-reliable paths.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyEdgePlacement;
-
-impl PlacementStrategy for GreedyEdgePlacement {
-    fn name(&self) -> &'static str {
-        Algorithm::GreedyE.name()
-    }
-
-    fn place(
-        &self,
-        circuit: &Circuit,
-        machine: &Machine,
-        _config: &CompilerConfig,
-    ) -> Result<Placement, CompileError> {
-        greedy::place_edge_first(circuit, machine)
-    }
-}
-
-/// A name-keyed collection of [`PlacementStrategy`] implementations; the
-/// pipeline's place pass looks the configured algorithm up here, so new
-/// strategies (and per-strategy timing) come for free.
-#[derive(Debug, Default)]
-pub struct PlacementRegistry {
-    strategies: Vec<Box<dyn PlacementStrategy>>,
-}
-
-impl PlacementRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        PlacementRegistry::default()
-    }
-
-    /// The registry with all Table-1 strategies registered.
-    pub fn standard() -> Self {
-        let mut r = PlacementRegistry::empty();
-        r.register(QiskitPlacement);
-        r.register(SmtPlacement::new(Algorithm::TSmt));
-        r.register(SmtPlacement::new(Algorithm::TSmtStar));
-        r.register(SmtPlacement::new(Algorithm::RSmtStar));
-        r.register(GreedyVertexPlacement);
-        r.register(GreedyEdgePlacement);
-        r
-    }
-
-    /// Registers a strategy, replacing any previous entry with the same
-    /// name.
-    pub fn register(&mut self, strategy: impl PlacementStrategy + 'static) {
-        self.strategies.retain(|s| s.name() != strategy.name());
-        self.strategies.push(Box::new(strategy));
-    }
-
-    /// Looks a strategy up by its registered name.
-    pub fn get(&self, name: &str) -> Option<&dyn PlacementStrategy> {
-        self.strategies
-            .iter()
-            .find(|s| s.name() == name)
-            .map(|s| s.as_ref())
-    }
-
-    /// The registered strategy names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.strategies.iter().map(|s| s.name()).collect()
-    }
-}
-
-/// Computes the initial placement for `circuit` on `machine` using the
-/// standard registry and the algorithm selected by `config` (convenience
-/// wrapper over [`PlacementRegistry::standard`]).
+/// Computes the initial placement for `circuit` on `machine` with the
+/// algorithm `config` selects.
 ///
 /// # Errors
 ///
@@ -233,19 +44,14 @@ pub fn place(
     machine: &Machine,
     config: &CompilerConfig,
 ) -> Result<Placement, CompileError> {
-    if circuit.num_qubits() > machine.num_qubits() {
-        return Err(CompileError::CircuitTooLarge {
-            program_qubits: circuit.num_qubits(),
-            hardware_qubits: machine.num_qubits(),
-        });
+    match config.algorithm {
+        Algorithm::Qiskit => qiskit::place(circuit, machine),
+        Algorithm::TSmt | Algorithm::TSmtStar | Algorithm::RSmtStar => {
+            smt::place(circuit, machine, config)
+        }
+        Algorithm::GreedyV => greedy::place_vertex_first(circuit, machine),
+        Algorithm::GreedyE => greedy::place_edge_first(circuit, machine),
     }
-    let name = config.algorithm.name();
-    PlacementRegistry::standard()
-        .get(name)
-        .ok_or_else(|| CompileError::UnknownPlacement {
-            name: name.to_string(),
-        })?
-        .place(circuit, machine, config)
 }
 
 #[cfg(test)]
@@ -278,32 +84,5 @@ mod tests {
         let circuit = nisq_ir::random_circuit(nisq_ir::RandomCircuitConfig::new(18, 32, 0));
         let err = place(&circuit, &machine, &CompilerConfig::qiskit()).unwrap_err();
         assert!(matches!(err, CompileError::CircuitTooLarge { .. }));
-    }
-
-    #[test]
-    fn standard_registry_covers_table1() {
-        let registry = PlacementRegistry::standard();
-        for config in CompilerConfig::table1() {
-            assert!(
-                registry.get(config.algorithm.name()).is_some(),
-                "{} missing from the standard registry",
-                config.algorithm
-            );
-        }
-        assert_eq!(registry.names().len(), 6);
-        assert!(registry.get("nonsense").is_none());
-    }
-
-    #[test]
-    fn registering_twice_replaces_the_entry() {
-        let mut registry = PlacementRegistry::standard();
-        registry.register(QiskitPlacement);
-        assert_eq!(registry.names().len(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an SMT-style variant")]
-    fn smt_strategy_rejects_heuristic_algorithms() {
-        let _ = SmtPlacement::new(Algorithm::GreedyV);
     }
 }

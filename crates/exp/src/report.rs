@@ -146,12 +146,12 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Compilations that actually ran the pipeline.
+    /// Compilations that actually ran `Compiler::compile`.
     pub fn compile_runs(&self) -> u64 {
         self.compile_requests - self.compile_hits
     }
 
-    /// Cache hits at any level (full compile or placement pass).
+    /// Cache hits at any level (full compile or place step).
     pub fn total_hits(&self) -> u64 {
         self.compile_hits + self.place_hits
     }

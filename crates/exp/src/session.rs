@@ -3,9 +3,7 @@
 use crate::journal::{CellKey, Journal};
 use crate::plan::{Cell, SweepPlan};
 use crate::report::{CacheStats, CellRecord, Report, TierStats};
-use nisq_core::{
-    CompileError, CompiledCircuit, Compiler, CompilerConfig, Pipeline, PlacementCache,
-};
+use nisq_core::{CompileError, CompiledCircuit, Compiler, CompilerConfig, PlacementCache};
 use nisq_ir::Circuit;
 use nisq_machine::{Machine, MachineError, TopologySpec};
 use nisq_sim::{run_workers, Simulator, SimulatorConfig};
@@ -75,10 +73,12 @@ pub struct RunOutcome {
 ///   data once and shares the [`Machine`] behind an `Arc`;
 /// * **a full-compile cache** — identical `(circuit, machine-day, config)`
 ///   triples return the same [`CompiledCircuit`], bit for bit;
-/// * **a placement cache** (see [`PlacementCache`]) — shared by every
-///   compile the session runs, so even compile-cache *misses* skip the
-///   expensive placement pass when only the calibration day changed for a
-///   calibration-unaware configuration.
+/// * **a placement cache** (see [`PlacementCache`]) — installed with
+///   [`Compiler::with_placement_cache`] into every compile the session
+///   runs, so even compile-cache *misses* skip the expensive place step
+///   when only the calibration day changed for a calibration-unaware
+///   configuration. That call is the session's only hook into
+///   compilation: a miss is a plain [`Compiler::compile`].
 ///
 /// [`Session::execute`] runs a plan's cells on the session's worker
 /// threads, compiling them serially in plan order and simulating them in
@@ -110,7 +110,6 @@ pub struct Session {
     machines: FxHashMap<(TopologySpec, u64, usize), Arc<Machine>>,
     compiled: FxHashMap<CompileKey, Arc<CompiledCircuit>>,
     place_cache: Arc<PlacementCache>,
-    pipeline: Arc<Pipeline>,
     compile_requests: u64,
     compile_hits: u64,
     threads: usize,
@@ -127,13 +126,11 @@ impl Session {
     /// (the machine's available parallelism, capped at 8 like the
     /// simulator's default).
     pub fn new() -> Self {
-        let place_cache = Arc::new(PlacementCache::new());
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
         Session {
             machines: FxHashMap::default(),
             compiled: FxHashMap::default(),
-            pipeline: Arc::new(Pipeline::standard_with_placement_cache(place_cache.clone())),
-            place_cache,
+            place_cache: Arc::new(PlacementCache::new()),
             compile_requests: 0,
             compile_hits: 0,
             threads,
@@ -202,7 +199,9 @@ impl Session {
             return Ok((hit.clone(), true));
         }
         let compiled = Arc::new(
-            Compiler::with_pipeline(machine, *config, self.pipeline.clone()).compile(circuit)?,
+            Compiler::new(machine, *config)
+                .with_placement_cache(self.place_cache.clone())
+                .compile(circuit)?,
         );
         self.compiled.insert(key, compiled.clone());
         Ok((compiled, false))

@@ -14,8 +14,9 @@
 //! policies of `nisq-opt`.
 //!
 //! In the paper this data comes from IBM's twice-daily calibration feed; we
-//! substitute a statistically-matched generator (see DESIGN.md) so every
-//! experiment is reproducible offline.
+//! substitute a statistically-matched generator (see the README's "What
+//! this reproduction substitutes") so every experiment is reproducible
+//! offline.
 //!
 //! # Example
 //!

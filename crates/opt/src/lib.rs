@@ -9,7 +9,7 @@
 //! minimize execution duration.
 //!
 //! This crate provides the same optimization capability without a native
-//! SMT library (see DESIGN.md for the substitution argument):
+//! SMT library (see the README's "What this reproduction substitutes"):
 //!
 //! * [`AssignmentProblem`] — the placement objective as a quadratic
 //!   assignment problem: per-CNOT pairwise cost terms plus per-readout

@@ -56,7 +56,7 @@ impl RouteSelection {
     /// (rectangle reservation, one-bend paths) degrade to best-path
     /// routing when the topology has no 2-D grid layout. The single
     /// source of truth for that rule — the scheduler's route computation,
-    /// the SMT cost model and the pipeline's route pass all call this.
+    /// the SMT cost model and the compiler's route step all call this.
     pub fn effective_on(self, topology: &nisq_machine::Topology) -> RouteSelection {
         if topology.as_grid().is_none() {
             RouteSelection::BestPath
@@ -630,6 +630,23 @@ mod tests {
         assert_eq!(route.path.last(), Some(&HwQubit(3)));
         for pair in route.path.windows(2) {
             assert!(ring.topology().adjacent(pair[0], pair[1]));
+        }
+    }
+
+    #[test]
+    fn grid_selections_degrade_to_best_path_off_grid() {
+        let ring = Machine::from_spec(nisq_machine::TopologySpec::Ring { n: 8 }, 1, 0);
+        let grid = Machine::ibmq16_on_day(1, 0);
+        for selection in [
+            RouteSelection::RectangleReservation,
+            RouteSelection::OneBendPaths,
+            RouteSelection::BestPath,
+        ] {
+            assert_eq!(
+                selection.effective_on(ring.topology()),
+                RouteSelection::BestPath
+            );
+            assert_eq!(selection.effective_on(grid.topology()), selection);
         }
     }
 }

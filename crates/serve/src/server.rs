@@ -378,17 +378,23 @@ impl<B: Backend> Door<B> {
         client: u64,
     ) -> bool {
         let mut buffer: Vec<u8> = Vec::new();
+        // How many leading bytes of `buffer` hold no newline: each read
+        // scans only what it appended, so framing a line stays linear in
+        // its length.
+        let mut scanned = 0;
         let mut chunk = [0u8; 4096];
         loop {
             match stream.read(&mut chunk) {
                 Ok(0) => return false,
                 Ok(n) => {
                     buffer.extend_from_slice(&chunk[..n]);
-                    while let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
+                    while let Some(offset) = buffer[scanned..].iter().position(|&b| b == b'\n') {
+                        let pos = scanned + offset;
                         if pos > self.max_request_bytes {
                             break;
                         }
                         let line_bytes: Vec<u8> = buffer.drain(..=pos).collect();
+                        scanned = 0;
                         let line = String::from_utf8_lossy(&line_bytes[..pos]);
                         let line = line.trim();
                         if line.is_empty() {
@@ -396,6 +402,7 @@ impl<B: Backend> Door<B> {
                         }
                         self.handle_line(line, reply, client);
                     }
+                    scanned = buffer.len();
                     // Whatever is left starts with a line that has no
                     // newline yet or is already over the cap.
                     if buffer.len() > self.max_request_bytes {

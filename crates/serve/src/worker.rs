@@ -247,9 +247,12 @@ fn exchange(stream: &mut UnixStream, line: &str, deadline: Instant) -> io::Resul
                 ))
             }
             Ok(n) => {
-                buffer.extend_from_slice(&chunk[..n]);
-                if let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
-                    return Ok(String::from_utf8_lossy(&buffer[..pos]).into_owned());
+                // Only the new bytes can hold the first newline, so a long
+                // reply is scanned once.
+                let end = chunk[..n].iter().position(|&b| b == b'\n');
+                buffer.extend_from_slice(&chunk[..end.unwrap_or(n)]);
+                if end.is_some() {
+                    return Ok(String::from_utf8_lossy(&buffer).into_owned());
                 }
             }
             Err(e)

@@ -2,7 +2,8 @@
 //!
 //! The paper measures program success rates by running 8192 trials of each
 //! compiled executable on the real IBMQ16 machine. That hardware is not
-//! available offline, so this crate provides the substitute (see DESIGN.md):
+//! available offline, so this crate provides the substitute (see
+//! the README's "What this reproduction substitutes"):
 //! a state-vector simulator that injects errors drawn from *the same
 //! calibration data the compiler adapts to* —
 //!

@@ -57,8 +57,8 @@ pub use nisq_sim as sim;
 /// The types most users need, in one import.
 pub mod prelude {
     pub use nisq_core::{
-        Algorithm, CompileContext, CompiledCircuit, Compiler, CompilerConfig, Pass, Pipeline,
-        PlacementCache, RouteSelection, SwapHandling,
+        Algorithm, CompiledCircuit, Compiler, CompilerConfig, PlacementCache, RouteSelection,
+        SwapHandling,
     };
     pub use nisq_exp::{
         CacheStats, Cell, CellRecord, CircuitSpec, Journal, NoiseSpec, Report, RunControl, Session,

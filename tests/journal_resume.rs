@@ -436,3 +436,32 @@ fn files_that_are_not_journals_are_refused_untouched() {
     let err = Journal::resume(&foreign, 2019, 32).unwrap_err();
     assert!(matches!(err, JournalError::NotAJournal { .. }), "{err}");
 }
+
+#[test]
+fn fingerprints_that_journals_and_fleet_routes_depend_on_are_pinned() {
+    // A journal keys each cell by these fingerprints, and a supervised
+    // fleet routes a plan by its fingerprint. A change that moves one makes
+    // every older journal recompute on resume and may move a plan to
+    // another shard. Such a change must update these values and say so.
+    let configs: Vec<(&str, u64)> = CompilerConfig::table1()
+        .iter()
+        .map(|c| (c.algorithm.name(), c.fingerprint()))
+        .collect();
+    assert_eq!(
+        configs,
+        [
+            ("Qiskit", 0x1c2251db634b4409),
+            ("T-SMT", 0xa9647153676e5e1a),
+            ("T-SMT*", 0x9b80f4898fa83d3d),
+            ("R-SMT*", 0x102baf51d109a555),
+            ("GreedyV*", 0xa90d62d914254aeb),
+            ("GreedyE*", 0x225fd4193bedeff8),
+        ]
+    );
+    assert_eq!(
+        Machine::ibmq16_on_day(nisq::exp::DEFAULT_MACHINE_SEED, 0).fingerprint(),
+        0xf31d559b280e3827
+    );
+    assert_eq!(Benchmark::Bv4.circuit().fingerprint(), 0x9bb50f93c1bdd7c5);
+    assert_eq!(plan().fingerprint(), 0x2e7041104c631f6d);
+}

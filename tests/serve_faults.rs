@@ -366,6 +366,45 @@ fn fresh_connections_are_answered_without_an_accept_poll() {
 }
 
 #[test]
+fn a_long_line_is_framed_in_linear_time() {
+    // The door used to rescan the whole pending line for a newline after
+    // every 4 KiB read, so framing took time quadratic in the line's
+    // length. Leading spaces make the line long while its JSON stays a
+    // ping, so only framing scales with them.
+    let (handle, addr) = start(ServerConfig {
+        max_request_bytes: 8 << 20,
+        ..ServerConfig::default()
+    });
+    let mut line = vec![b' '; 4 << 20];
+    line.extend_from_slice(br#"{"op": "ping", "id": "long"}"#);
+    line.push(b'\n');
+    let budget = Duration::from_secs(2);
+    let mut client = Client::connect(addr);
+    client.stream.set_read_timeout(Some(budget)).unwrap();
+    client.stream.set_write_timeout(Some(budget)).unwrap();
+    let started = Instant::now();
+    for piece in line.chunks(64 << 10) {
+        client.stream.write_all(piece).unwrap();
+        assert!(
+            started.elapsed() < budget,
+            "the daemon took over {budget:?} to read a 4 MiB line"
+        );
+    }
+    let mut reply = String::new();
+    let read = client.reader.read_line(&mut reply);
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(read, Ok(n) if n > 0) && elapsed < budget,
+        "a 4 MiB ping line got {read:?} after {elapsed:?}"
+    );
+    let pong = json::parse(reply.trim()).unwrap();
+    assert_eq!(status(&pong), "ok");
+    assert_eq!(field(&pong, "id").as_str(), Some("long"));
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
 fn a_unix_door_shuts_down_after_another_listener_took_its_path() {
     // A second daemon started on the same path replaces the socket file;
     // the first must still stop when asked, without waking itself through
