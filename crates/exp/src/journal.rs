@@ -182,6 +182,8 @@ pub struct Journal {
     recovery: RecoveryInfo,
     degraded: Option<String>,
     appends: u64,
+    /// `sync_data` calls since open.
+    syncs: u64,
     machine_seed: u64,
     trials: u32,
     /// Records on disk a compaction would drop: every intent whose cell
@@ -231,6 +233,7 @@ impl Journal {
             recovery: RecoveryInfo::default(),
             degraded: None,
             appends: 0,
+            syncs: 0,
             machine_seed,
             trials,
             dead_records: 0,
@@ -290,6 +293,7 @@ impl Journal {
             },
             degraded: None,
             appends: 0,
+            syncs: 0,
             machine_seed,
             trials,
             dead_records: dead,
@@ -326,10 +330,17 @@ impl Journal {
         self.completed.len()
     }
 
-    /// Why the journal stopped persisting, if an append failed. A degraded
-    /// journal keeps serving lookups; it only stops writing.
+    /// Why the journal stopped persisting, if an append or a sync failed. A
+    /// degraded journal keeps serving lookups; it only stops writing.
     pub fn degraded(&self) -> Option<&str> {
         self.degraded.as_deref()
+    }
+
+    /// How many times the journal has fsync'd its file since it was opened
+    /// (the header of a fresh file and every completed cell each count
+    /// one; an absorb counts one in all).
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// The completed record for `key`, if the journal holds one.
@@ -348,12 +359,18 @@ impl Journal {
     /// Appends (and fsyncs) the completed record for `key`, and makes it
     /// visible to [`Journal::lookup`].
     pub fn append_cell(&mut self, key: &CellKey, record: &CellRecord) {
+        self.record_cell(key, record, true);
+    }
+
+    /// Appends the completed record for `key` — fsync'd when `sync` — and
+    /// makes it visible to [`Journal::lookup`].
+    fn record_cell(&mut self, key: &CellKey, record: &CellRecord, sync: bool) {
         let payload = format!(
             "{{\"kind\": \"cell\", \"key\": {}, \"cell\": {}}}",
             write_key(key),
             report::write_cell(record),
         );
-        self.append_payload(&payload, true);
+        self.append_payload(&payload, sync);
         // The completion kills its write-ahead intent; overwriting an
         // existing key kills the superseded cell record.
         if self.live_intents > 0 {
@@ -374,10 +391,16 @@ impl Journal {
     }
 
     /// Copies every completed cell of the journal at `other` that this
-    /// journal does not already hold into this journal (appended and
-    /// fsync'd like freshly computed cells) — cross-run reuse keyed purely
-    /// by cell fingerprints. Records for other plans are harmless: their
-    /// keys never match a lookup. Returns how many cells were absorbed.
+    /// journal does not already hold into this journal — cross-run reuse
+    /// keyed purely by cell fingerprints. Records for other plans are
+    /// harmless: their keys never match a lookup. Returns how many cells
+    /// were absorbed.
+    ///
+    /// The copies are appended like freshly computed cells but fsync'd
+    /// once, after the last one. Each is a copy of a record `other` still
+    /// holds, so a crash mid-absorb loses nothing: recovery truncates the
+    /// torn tail and absorbing again restores the rest. A failed sync
+    /// degrades the journal, as a failed append does.
     ///
     /// # Errors
     ///
@@ -396,8 +419,11 @@ impl Journal {
                 continue;
             }
             let record = scan.completed.get(key).expect("order keys are completed");
-            self.append_cell(key, record);
+            self.record_cell(key, record, false);
             absorbed += 1;
+        }
+        if absorbed > 0 {
+            self.sync();
         }
         Ok(absorbed)
     }
@@ -530,16 +556,23 @@ impl Journal {
         let line = frame(payload);
         let result = {
             let file = self.file.as_mut().expect("checked above");
-            file.write_all(line.as_bytes()).and_then(|()| {
-                if sync {
-                    file.sync_data()
-                } else {
-                    file.flush()
-                }
-            })
+            file.write_all(line.as_bytes()).and_then(|()| file.flush())
         };
-        if let Err(e) = result {
-            self.degrade(format!("append failed: {e}"));
+        match result {
+            Ok(()) if sync => self.sync(),
+            Ok(()) => {}
+            Err(e) => self.degrade(format!("append failed: {e}")),
+        }
+    }
+
+    /// Fsyncs the journal file, degrading the journal if that fails.
+    fn sync(&mut self) {
+        let Some(file) = self.file.as_mut() else {
+            return;
+        };
+        self.syncs += 1;
+        if let Err(e) = file.sync_data() {
+            self.degrade(format!("sync failed: {e}"));
         }
     }
 

@@ -60,9 +60,12 @@ impl std::fmt::Display for BackendTag {
 /// `nisq_sim::TierCounts`). Recorded per cell and summed over the run. The
 /// four tier fields partition the trial count.
 ///
-/// `memo_hits` and `memo_misses` are always 0. They counted a single-error
-/// suffix memo the engine no longer has, and stay because schema v6 and
-/// the benchmark harness (`perfbench`) read them.
+/// `memo_hits` and `memo_misses` are always 0. They counted a per-chunk
+/// single-error suffix memo the engine no longer has, and stay because
+/// schema v6 and the benchmark harness (`perfbench`) read them. The dense
+/// engine's terminal memo is not reported: which trials hit it depends on
+/// which worker pulled which chunk, and every count here is independent of
+/// the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierStats {
     /// Which state backend served these trials (`Mixed` only in merged

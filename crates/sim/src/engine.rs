@@ -29,6 +29,36 @@
 //! programs instead, matches the reference in distribution only; see
 //! [`crate::tableau`].)
 //!
+//! # The terminal memo
+//!
+//! A trial whose *only* error fires after the program's last mid-circuit
+//! measure, and whose measure draws stay on the dominant path, reaches the
+//! terminal sample in a state fixed by that one error: the shared prefix up
+//! to the error's site, the drawn Pauli pair, then the ideal suffix. So each
+//! worker keeps a [`TerminalMemo`] for the program it runs, keyed by
+//! `(noise site, pair)`. The first such trial replays from the shared
+//! prefix up to the terminal op and stores the flushed state's terminal
+//! CDF, built by tier 1's canonical traversal; every later trial with the
+//! same error draws its outcome from that CDF with tier 1's sampler. A CDF
+//! draw is draw-for-draw the replay's terminal sample (the identity tier 1
+//! rests on), so memo-served outcomes are bit-identical too.
+//!
+//! The memo lives for one
+//! [`Simulator::run_program_with_stats`](crate::Simulator::run_program_with_stats)
+//! call on one worker: no lock, no sharing. It holds a fixed budget of CDF
+//! entries; a miss whose CDF might not fit replays as if there were no
+//! memo and stores nothing, which keeps wide programs (CDFs of thousands of
+//! entries) at their replay cost. Kraus programs, programs without a
+//! terminal sample, errors at or before a mid-circuit measure, trials with
+//! more than one error and diverged trials never touch it.
+//!
+//! Tiers classify a trial by where its first error fires, not by the work
+//! spent on it: a memo-served trial counts as checkpointed (or full replay
+//! when its site is op 0), exactly where its replay would have. Memo hits
+//! are not counted at all: which trials hit depends on which worker pulled
+//! which chunk, and every count the engine reports is independent of the
+//! thread count.
+//!
 //! # Mid-circuit measurement: the dominant-outcome path
 //!
 //! A mid-circuit measurement injects per-trial randomness into the state
@@ -54,6 +84,7 @@ use crate::rng::TrialRng;
 use rand::Rng;
 use rustc_hash::FxHashMap;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// How many trials of a batch each tier served. The four tier fields
 /// partition the batch's trial count; merging counts across batches is
@@ -71,8 +102,12 @@ pub struct TierCounts {
     /// Paulis' precomputed outcome masks, with no per-trial tableau. Always
     /// 0 on the dense engine.
     pub pauli_prop: u64,
-    /// Tier-2 trials: resumed from a shared checkpoint (first-error prefix
-    /// or a mid-measure divergence fallback).
+    /// Tier-2 trials: the first error fires after op 0, or a mid-measure
+    /// draw left the dominant path. Tiers classify a trial by where its
+    /// first error fires, not by the work spent on it: most of these resume
+    /// from a shared checkpoint (first-error prefix or divergence
+    /// fallback), and single-error trials the terminal memo serves count
+    /// here too.
     pub checkpointed: u64,
     /// Tier-3 trials: replayed from the initial state.
     pub full_replay: u64,
@@ -106,20 +141,32 @@ struct CdfEntry {
     key: u128,
 }
 
-/// How tier 1 resolves the terminal op of an on-dominant-path trial.
+/// The shared terminal plan of a program ending in one
+/// [`TrialOp::TerminalSample`].
 #[derive(Debug, Clone)]
-enum TerminalPlan {
-    /// The program ends in one [`TrialOp::TerminalSample`]: sample the
-    /// precomputed CDF, then draw the readout flips in measure order.
-    Sample {
-        cdf: Vec<CdfEntry>,
-        /// `(clbit, p_flip)` of every folded measure with a non-zero flip
-        /// probability, in program order.
-        flips: Vec<(u8, f64)>,
-    },
-    /// No terminal sample: every classical bit was produced by the measure
-    /// ladder (or the program measures nothing).
-    None,
+struct TerminalPlan<'p> {
+    /// `(qubit, clbit, p_flip)` of every folded measure, in program order.
+    measures: &'p [(u8, u8, f64)],
+    /// The CDF of the ideal final state, sampled by tier 1.
+    ideal: Vec<CdfEntry>,
+    /// `(clbit, p_flip)` of every folded measure with a non-zero flip
+    /// probability, in program order.
+    flips: Vec<(u8, f64)>,
+}
+
+impl TerminalPlan<'_> {
+    /// Draws a terminal outcome from `cdf` (the ideal CDF or a memoized
+    /// one), then the readout flips in measure order: exactly the draws a
+    /// replay's terminal op makes on the state `cdf` was built from.
+    fn sample<R: Rng + ?Sized>(&self, cdf: &[CdfEntry], rng: &mut R) -> u128 {
+        let mut key = cdf[sample_cdf_index(cdf, rng)].key;
+        for &(clbit, p_flip) in &self.flips {
+            if rng.gen_bool(p_flip) {
+                key ^= 1u128 << clbit;
+            }
+        }
+        key
+    }
 }
 
 /// One mid-program measure point on the shared dominant path.
@@ -165,7 +212,14 @@ pub struct TieredEngine<'p> {
     /// Op index of the trailing [`TrialOp::TerminalSample`], or `ops.len()`
     /// when there is none.
     terminal_op: usize,
-    terminal: TerminalPlan,
+    /// `None` when the program has no terminal sample (every classical bit
+    /// came from the measure ladder, or it measures nothing) or has Kraus
+    /// channels.
+    terminal: Option<TerminalPlan<'p>>,
+    /// Index of the first noise site the terminal memo serves: the first
+    /// site after the last mid-circuit measure, or the number of sites
+    /// when there is no terminal plan.
+    memo_sites_from: usize,
 }
 
 impl<'p> TieredEngine<'p> {
@@ -190,7 +244,8 @@ impl<'p> TieredEngine<'p> {
                 measures: Vec::new(),
                 checkpoints: Vec::new(),
                 terminal_op,
-                terminal: TerminalPlan::None,
+                terminal: None,
+                memo_sites_from: program.noise_sites().len(),
             };
         }
 
@@ -236,15 +291,26 @@ impl<'p> TieredEngine<'p> {
                 // a single entry.
                 let mut scratch = walker;
                 scratch.flush_terminal(measures);
-                let cdf = build_terminal_cdf(&scratch, measures);
+                let mut ideal = Vec::new();
+                build_terminal_cdf(&scratch, measures, &mut ideal);
                 let flips = measures
                     .iter()
                     .filter(|&&(_, _, p_flip)| p_flip > 0.0)
                     .map(|&(_, clbit, p_flip)| (clbit, p_flip))
                     .collect();
-                TerminalPlan::Sample { cdf, flips }
+                Some(TerminalPlan {
+                    measures,
+                    ideal,
+                    flips,
+                })
             }
-            _ => TerminalPlan::None,
+            _ => None,
+        };
+        let sites = program.noise_sites();
+        let memo_sites_from = match (&terminal, measures.last()) {
+            (None, _) => sites.len(),
+            (Some(_), None) => 0,
+            (Some(_), Some(last)) => sites.partition_point(|&site| site < last.op),
         };
 
         TieredEngine {
@@ -253,6 +319,7 @@ impl<'p> TieredEngine<'p> {
             checkpoints,
             terminal_op,
             terminal,
+            memo_sites_from,
         }
     }
 
@@ -298,18 +365,43 @@ impl<'p> TieredEngine<'p> {
     /// Resolves the terminal op for an on-dominant-path, error-free trial,
     /// consuming exactly the draws a full replay's terminal op would.
     fn sample_terminal<R: Rng + ?Sized>(&self, rng: &mut R) -> u128 {
-        match &self.terminal {
-            TerminalPlan::Sample { cdf, flips } => {
-                let mut key = cdf[sample_cdf_index(cdf, rng)].key;
-                for &(clbit, p_flip) in flips {
-                    if rng.gen_bool(p_flip) {
-                        key ^= 1u128 << clbit;
-                    }
-                }
-                key
+        self.terminal
+            .as_ref()
+            .map_or(0, |terminal| terminal.sample(&terminal.ideal, rng))
+    }
+
+    /// Serves a memoizable trial that stayed on the dominant path, whose
+    /// only error is `events[site]`, from `memo`. On a miss the
+    /// trial replays from the shared prefix up to the terminal op, drawing
+    /// nothing (no measure lies in between), and the flushed state's
+    /// terminal CDF is stored. Either way the outcome is one draw from that
+    /// CDF plus the readout flips. Returns `None`, having drawn nothing,
+    /// when the CDF is not stored and might not fit the budget.
+    fn sample_memoized<R: Rng + ?Sized>(
+        &self,
+        memo: &mut TerminalMemo,
+        prefix: &mut PrefixWalker<'_>,
+        trial: &mut TrialScratch,
+        site: usize,
+        events: &[TrialEvent],
+        rng: &mut R,
+    ) -> Option<u128> {
+        let terminal = self.terminal.as_ref()?;
+        let slot = 16 * site + usize::from(events[site].pair());
+        let cdf = match memo.cached(slot) {
+            Some(cdf) => cdf,
+            // A CDF has at most one entry per basis state.
+            None if memo.has_room(1 << self.program.num_qubits()) => {
+                let resume_op = self.program.noise_sites()[site] as usize;
+                trial.copy_from(prefix.advance_to(self, resume_op));
+                self.program
+                    .replay_range(trial, resume_op, self.terminal_op, &events[site..], rng);
+                trial.flush_terminal(terminal.measures);
+                memo.store(slot, trial, terminal.measures)
             }
-            TerminalPlan::None => 0,
-        }
+            None => return None,
+        };
+        Some(terminal.sample(&memo.arena[cdf], rng))
     }
 
     /// Restores `trial` to the divergence fallback: the checkpoint before
@@ -320,20 +412,22 @@ impl<'p> TieredEngine<'p> {
         trial.collapse_measured(m.qubit, outcome, m.p1);
     }
 
-    /// Simulates trials `[start, end)` of the stream derived from `seed`,
+    /// Simulates the `trials` of the stream derived from `seed`,
     /// accumulating bit-packed outcome counts into `counts` and tier
     /// occupancy into `tiers`. `scratch` provides every buffer the batch
-    /// needs; it is reused across calls without reallocation.
+    /// needs; it is reused across calls without reallocation. `memo` is the
+    /// calling worker's terminal memo for this program (see the module
+    /// docs), carried from chunk to chunk.
     ///
     /// Outcomes are bit-identical to running [`TrialProgram::run_trial`]
-    /// per trial, for any chunking: the outcome of a trial is a pure
-    /// function of `(program, seed, trial index)`.
+    /// per trial, for any chunking and whatever the memo holds: the outcome
+    /// of a trial is a pure function of `(program, seed, trial index)`.
     pub fn run_chunk(
         &self,
         seed: u64,
-        start: u32,
-        end: u32,
+        trials: Range<u32>,
         scratch: &mut EngineScratch,
+        memo: &mut TerminalMemo,
         counts: &mut FxHashMap<u128, u32>,
         tiers: &mut TierCounts,
     ) {
@@ -356,7 +450,7 @@ impl<'p> TieredEngine<'p> {
         // trial is a tier-3 full replay: pre-sample the Pauli-channel
         // pattern, then walk the whole program.
         if program.has_kraus() {
-            for t in start..end {
+            for t in trials {
                 let mut rng = TrialRng::new(seed, t);
                 let _ = program.pre_sample(draw, &mut rng);
                 trial.reset();
@@ -366,13 +460,16 @@ impl<'p> TieredEngine<'p> {
             }
             return;
         }
+        if self.memo_sites_from < sites.len() {
+            memo.prepare(sites.len());
+        }
 
         // Phase 1: pre-sample every trial's error pattern (no state work).
         // Error-free trials resolve immediately — through the tier-1 plan
         // when their measure draws stay on the dominant path, from a
         // divergence checkpoint otherwise. Error trials queue for
         // checkpointed replay, carrying their events and RNG position.
-        for t in start..end {
+        for t in trials {
             let mut rng = TrialRng::new(seed, t);
             match program.pre_sample(draw, &mut rng) {
                 None => {
@@ -398,11 +495,12 @@ impl<'p> TieredEngine<'p> {
                         }
                     }
                 }
-                Some(s) => {
+                Some((first, last)) => {
                     let events_start = arena.len();
                     arena.extend_from_slice(draw);
                     queue.push(PendingTrial {
-                        resume_op: sites[s as usize],
+                        site: first,
+                        memoizable: first == last && first as usize >= self.memo_sites_from,
                         events_start: events_start as u32,
                         rng,
                     });
@@ -410,56 +508,48 @@ impl<'p> TieredEngine<'p> {
             }
         }
 
-        // Phase 2: replay the queued trials in first-error order, advancing
-        // the shared dominant-path walker monotonically (collapsing each
-        // crossed measure onto its dominant outcome) so each program op is
-        // evolved at most once per chunk regardless of how many trials
-        // resume behind it.
-        queue.sort_by_key(|t| t.resume_op);
+        // Phase 2: serve the queued trials in first-error order. A trial
+        // that stays on the dominant path and whose only error the memo
+        // serves draws from the memo; any other resumes from the shared
+        // prefix at its first error, or from the divergence checkpoint.
+        queue.sort_by_key(|t| t.site);
         prefix.reset();
-        let mut prefix_pos = 0usize;
-        let mut prefix_measure = 0usize;
+        let mut prefix = PrefixWalker {
+            state: prefix,
+            pos: 0,
+            measure: 0,
+        };
         for pending in queue.drain(..) {
-            let resume_op = pending.resume_op as usize;
-            while prefix_measure < self.measures.len()
-                && (self.measures[prefix_measure].op as usize) < resume_op
-            {
-                let m = &self.measures[prefix_measure];
-                program.advance_ideal(prefix, prefix_pos, m.op as usize);
-                prefix.flush(m.qubit);
-                prefix.collapse_measured(m.qubit, m.dominant, m.p1);
-                prefix_pos = m.op as usize + 1;
-                prefix_measure += 1;
-            }
-            if resume_op > prefix_pos {
-                program.advance_ideal(prefix, prefix_pos, resume_op);
-                prefix_pos = resume_op;
-            }
-
+            let site = pending.site as usize;
+            let resume_op = sites[site] as usize;
             let mut rng = pending.rng;
             // One full event list per queued trial (one entry per noise
             // site) lives at the trial's arena offset.
             let events_start = pending.events_start as usize;
             let events = &arena[events_start..events_start + sites.len()];
-            // The trial's own draws for the measures the walker crossed.
+            // The trial's own draws for the measures before its first error.
             let walk = self.walk_measures(resume_op, &mut rng);
-            let resume = match walk.diverged {
-                None => {
-                    trial.copy_from(prefix);
-                    resume_op
-                }
+            let key = match walk.diverged {
                 Some((k, outcome)) => {
                     self.restore_diverged(trial, k, outcome);
-                    self.measures[k].op as usize + 1
+                    let resume = self.measures[k].op as usize + 1;
+                    program.replay_from(
+                        trial,
+                        resume,
+                        &events[self.site_index_at(resume)..],
+                        &mut rng,
+                    )
                 }
+                None => pending
+                    .memoizable
+                    .then(|| self.sample_memoized(memo, &mut prefix, trial, site, events, &mut rng))
+                    .flatten()
+                    .unwrap_or_else(|| {
+                        trial.copy_from(prefix.advance_to(self, resume_op));
+                        program.replay_from(trial, resume_op, &events[site..], &mut rng)
+                    }),
             };
-            let key = walk.clbits
-                | program.replay_from(
-                    trial,
-                    resume,
-                    &events[self.site_index_at(resume)..],
-                    &mut rng,
-                );
+            let key = walk.clbits | key;
             *counts.entry(key).or_insert(0) += 1;
             if resume_op > 0 || walk.diverged.is_some() {
                 tiers.checkpointed += 1;
@@ -478,12 +568,12 @@ fn sample_cdf_index<R: Rng + ?Sized>(cdf: &[CdfEntry], rng: &mut R) -> usize {
     cdf.partition_point(|e| e.cum <= u).min(cdf.len() - 1)
 }
 
-/// Accumulates the canonical-order terminal CDF of a scratch whose measured
-/// qubits are already flushed — the exact probability sequence the replay's
-/// terminal sampler scans, with runs of adjacent states sharing a clbit key
-/// merged (the scan outcome is unchanged).
-fn build_terminal_cdf(scratch: &TrialScratch, measures: &[(u8, u8, f64)]) -> Vec<CdfEntry> {
-    let mut cdf: Vec<CdfEntry> = Vec::new();
+/// Appends to `cdf` the canonical-order terminal CDF of a scratch whose
+/// measured qubits are already flushed — the exact probability sequence the
+/// replay's terminal sampler scans, with runs of adjacent states sharing a
+/// clbit key merged (the scan outcome is unchanged).
+fn build_terminal_cdf(scratch: &TrialScratch, measures: &[(u8, u8, f64)], cdf: &mut Vec<CdfEntry>) {
+    let start = cdf.len();
     let mut cum = 0.0;
     scratch
         .state()
@@ -495,20 +585,111 @@ fn build_terminal_cdf(scratch: &TrialScratch, measures: &[(u8, u8, f64)]) -> Vec
                     key |= 1u128 << clbit;
                 }
             }
-            match cdf.last_mut() {
+            match cdf[start..].last_mut() {
                 Some(last) if last.key == key => last.cum = cum,
                 _ => cdf.push(CdfEntry { cum, key }),
             }
         });
-    cdf
 }
 
-/// A queued tier-2/3 trial: where its replay resumes, its pre-drawn events
-/// (an offset into the chunk's event arena), and its RNG positioned after
-/// the pre-sampling draws.
+/// The most CDF entries one [`TerminalMemo`] holds: 1 MiB at 32 bytes an
+/// entry. The dense Table-1 programs (2 to 5 qubits, CDFs of at most 32
+/// entries) never come near it.
+const MEMO_BUDGET: usize = 1 << 15;
+
+/// A worker's terminal CDFs of single-error trials, keyed by the error (see
+/// the module docs). Create one per program run with
+/// [`TerminalMemo::default`] and pass it to every chunk the worker runs of
+/// that program: its keys name that program's noise sites, so it must not
+/// serve another.
+#[derive(Debug, Default)]
+pub struct TerminalMemo {
+    /// `slots[16 · site + pair]`: the `arena` range holding the terminal
+    /// CDF of a trial whose only error is `pair` at noise site `site`;
+    /// empty until a miss stores it.
+    slots: Vec<(u32, u32)>,
+    /// Every stored CDF, back to back.
+    arena: Vec<CdfEntry>,
+}
+
+impl TerminalMemo {
+    /// Sizes the slot table for a program of `sites` noise sites on first
+    /// use.
+    fn prepare(&mut self, sites: usize) {
+        if self.slots.is_empty() {
+            self.slots.resize(16 * sites, (0, 0));
+        }
+        debug_assert_eq!(self.slots.len(), 16 * sites, "a memo serves one program");
+    }
+
+    /// The arena range of the CDF stored at `slot`, if any.
+    fn cached(&self, slot: usize) -> Option<Range<usize>> {
+        let (start, end) = self.slots[slot];
+        (start < end).then_some(start as usize..end as usize)
+    }
+
+    /// Whether a CDF of up to `entries` entries still fits the budget.
+    fn has_room(&self, entries: usize) -> bool {
+        self.arena.len() + entries <= MEMO_BUDGET
+    }
+
+    /// Builds the terminal CDF of `scratch` (measured qubits flushed) into
+    /// the arena, stores it at `slot` and returns its range.
+    fn store(
+        &mut self,
+        slot: usize,
+        scratch: &TrialScratch,
+        measures: &[(u8, u8, f64)],
+    ) -> Range<usize> {
+        let start = self.arena.len();
+        build_terminal_cdf(scratch, measures, &mut self.arena);
+        self.slots[slot] = (start as u32, self.arena.len() as u32);
+        start..self.arena.len()
+    }
+}
+
+/// A chunk's shared dominant-path walker: the ideal prefix state, the op it
+/// has reached and the next measure point ahead of it. It only moves
+/// forward, collapsing each measure it crosses onto the dominant outcome,
+/// so each program op is evolved at most once per chunk however many
+/// trials resume behind it.
+struct PrefixWalker<'s> {
+    state: &'s mut TrialScratch,
+    pos: usize,
+    measure: usize,
+}
+
+impl PrefixWalker<'_> {
+    /// Advances the walker to `op` (which must not lie behind it) and
+    /// returns the prefix state there.
+    fn advance_to(&mut self, engine: &TieredEngine<'_>, op: usize) -> &TrialScratch {
+        let program = engine.program;
+        while let Some(m) = engine.measures.get(self.measure) {
+            if m.op as usize >= op {
+                break;
+            }
+            program.advance_ideal(self.state, self.pos, m.op as usize);
+            self.state.flush(m.qubit);
+            self.state.collapse_measured(m.qubit, m.dominant, m.p1);
+            self.pos = m.op as usize + 1;
+            self.measure += 1;
+        }
+        if op > self.pos {
+            program.advance_ideal(self.state, self.pos, op);
+            self.pos = op;
+        }
+        self.state
+    }
+}
+
+/// A queued error trial: its first fired noise site, whether the terminal
+/// memo serves it (that site is its only error and lies after the last
+/// mid-circuit measure), its pre-drawn events (an offset into the chunk's
+/// event arena), and its RNG positioned after the pre-sampling draws.
 #[derive(Debug)]
 struct PendingTrial {
-    resume_op: u32,
+    site: u32,
+    memoizable: bool,
     events_start: u32,
     rng: TrialRng,
 }
@@ -554,4 +735,120 @@ thread_local! {
 /// Runs `f` with the calling worker's reusable [`EngineScratch`].
 pub fn with_engine_scratch<R>(f: impl FnOnce(&mut EngineScratch) -> R) -> R {
     ENGINE_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NoiseModel;
+    use nisq_core::{Compiler, CompilerConfig};
+    use nisq_ir::{Benchmark, Circuit, Qubit};
+    use nisq_machine::Machine;
+    use rustc_hash::FxHashSet;
+
+    /// Runs `trials` trials of `program` chunk by chunk through one engine,
+    /// scratch and memo — one worker of a 1-thread run — and checks the
+    /// counts against a [`TrialProgram::run_trial`] loop.
+    fn run_one_worker(program: &TrialProgram, seed: u64, trials: u32) -> TerminalMemo {
+        let engine = TieredEngine::new(program);
+        let mut scratch = EngineScratch::default();
+        let mut memo = TerminalMemo::default();
+        let mut counts = FxHashMap::default();
+        let mut tiers = TierCounts::default();
+        for start in (0..trials).step_by(256) {
+            let end = (start + 256).min(trials);
+            let chunk = start..end;
+            engine.run_chunk(
+                seed,
+                chunk,
+                &mut scratch,
+                &mut memo,
+                &mut counts,
+                &mut tiers,
+            );
+        }
+        let mut reference = FxHashMap::default();
+        let mut trial = program.make_scratch();
+        for t in 0..trials {
+            let key = program.run_trial(&mut trial, &mut TrialRng::new(seed, t));
+            *reference.entry(key).or_insert(0) += 1;
+        }
+        assert_eq!(counts, reference, "the engine left the reference replay");
+        assert_eq!(tiers.total(), u64::from(trials));
+        memo
+    }
+
+    /// The `(site, pair)` keys of every single-error trial.
+    fn single_errors(program: &TrialProgram, seed: u64, trials: u32) -> (u32, FxHashSet<usize>) {
+        let mut events = Vec::new();
+        let mut keys = FxHashSet::default();
+        let mut count = 0;
+        for t in 0..trials {
+            if let Some((first, last)) =
+                program.pre_sample(&mut events, &mut TrialRng::new(seed, t))
+            {
+                if first == last {
+                    count += 1;
+                    keys.insert(16 * first as usize + usize::from(events[first as usize].pair()));
+                }
+            }
+        }
+        (count, keys)
+    }
+
+    fn stored(memo: &TerminalMemo) -> FxHashSet<usize> {
+        (0..memo.slots.len())
+            .filter(|&slot| memo.cached(slot).is_some())
+            .collect()
+    }
+
+    #[test]
+    fn terminal_memo_serves_repeated_single_errors() {
+        let m = Machine::ibmq16_on_day(2019, 0);
+        let compiled = Compiler::new(&m, CompilerConfig::r_smt_star(0.5))
+            .compile(&Benchmark::Toffoli.circuit())
+            .unwrap();
+        let program = TrialProgram::lower(compiled.physical_circuit(), &m, &NoiseModel::full());
+        let engine = TieredEngine::new(&program);
+        // No mid-circuit measure: every single-error trial qualifies.
+        assert!(engine.measures.is_empty() && engine.memo_sites_from == 0);
+        let memo = run_one_worker(&program, 7, 8192);
+        let (single, keys) = single_errors(&program, 7, 8192);
+        // One CDF per distinct error, stored by its first trial; every
+        // later trial with that error was served from the memo.
+        assert_eq!(stored(&memo), keys);
+        assert!(keys.len() <= 15 * program.noise_sites().len());
+        assert!(
+            single as usize > 2 * keys.len(),
+            "{single} single-error trials, {} distinct",
+            keys.len()
+        );
+        assert!(memo.arena.len() <= MEMO_BUDGET);
+    }
+
+    #[test]
+    fn terminal_memo_stops_storing_at_its_budget() {
+        // 13 qubits: a terminal CDF may hold 2^13 entries, so the budget
+        // admits four before misses replay without storing.
+        let qubits = 13;
+        let mut c = Circuit::new(qubits);
+        for q in 0..qubits {
+            c.h(Qubit(q)).t(Qubit(q));
+        }
+        for q in 0..qubits - 1 {
+            c.cnot(Qubit(q), Qubit(q + 1));
+        }
+        for q in 0..qubits {
+            c.h(Qubit(q));
+        }
+        c.measure_all();
+        let m = Machine::ibmq16_on_day(2019, 0);
+        let program = TrialProgram::lower(&c, &m, &NoiseModel::cnot_and_readout_only());
+        let memo = run_one_worker(&program, 3, 384);
+        let (_, keys) = single_errors(&program, 3, 384);
+        let stored = stored(&memo);
+        assert!(!stored.is_empty() && stored.len() < keys.len());
+        assert!(stored.is_subset(&keys));
+        assert!(memo.arena.len() <= MEMO_BUDGET);
+    }
 }

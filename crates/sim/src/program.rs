@@ -198,6 +198,12 @@ impl TrialEvent {
         )
     }
 
+    /// The pair index `4·a + b` of the event (inverse of `from_pair`): 0
+    /// for [`TrialEvent::CLEAN`], 1..=15 for an error.
+    pub(crate) fn pair(self) -> u8 {
+        (self.0 as u8) << 2 | self.1 as u8
+    }
+
     /// Whether the event perturbs the state.
     pub fn is_error(&self) -> bool {
         *self != TrialEvent::CLEAN
@@ -762,8 +768,9 @@ impl TrialProgram {
 
     /// Phase 1 of a trial: samples the trial's full error pattern — without
     /// touching any state — into `events` (cleared first; one entry per
-    /// noise site). Returns the index of the first error event, or `None`
-    /// for an error-free trial.
+    /// noise site). Returns the indices of the first and the last error
+    /// event (equal when exactly one site fired), or `None` for an
+    /// error-free trial.
     ///
     /// Instead of one Bernoulli draw per site, the position of the next
     /// *firing* site is inversion-sampled from the precomputed survival
@@ -783,10 +790,10 @@ impl TrialProgram {
         &self,
         events: &mut Vec<TrialEvent>,
         rng: &mut R,
-    ) -> Option<u32> {
+    ) -> Option<(u32, u32)> {
         events.clear();
         events.resize(self.sites.len(), TrialEvent::CLEAN);
-        let mut first = None;
+        let mut fired: Option<(u32, u32)> = None;
         let mut cursor = 0usize; // next site to consider
         while cursor < self.sites.len() {
             // Inversion step: P(next fire at j | survived past cursor-1) has
@@ -816,11 +823,12 @@ impl TrialProgram {
             if j >= self.sites.len() {
                 break;
             }
-            first.get_or_insert(j as u32);
+            let first = fired.map_or(j as u32, |(first, _)| first);
+            fired = Some((first, j as u32));
             events[j] = self.sites[j].draw(rng);
             cursor = j + 1;
         }
-        first
+        fired
     }
 
     /// Phase 2 of a trial: replays `self.ops[start_op..]` against `backend`
@@ -849,9 +857,25 @@ impl TrialProgram {
         events: &[TrialEvent],
         rng: &mut R,
     ) -> u128 {
+        self.replay_range(backend, start_op, self.ops.len(), events, rng)
+    }
+
+    /// [`Self::replay_from`] stopped before `end_op`: replays
+    /// `self.ops[start_op..end_op]` and returns the classical bits those
+    /// ops measured. The tiered engine's terminal memo replays a trial up
+    /// to its [`TrialOp::TerminalSample`] this way, then samples the
+    /// flushed state itself.
+    pub(crate) fn replay_range<B: SimBackend, R: Rng + ?Sized>(
+        &self,
+        backend: &mut B,
+        start_op: usize,
+        end_op: usize,
+        events: &[TrialEvent],
+        rng: &mut R,
+    ) -> u128 {
         let mut site = 0usize;
         let mut clbits = 0u128;
-        for op in &self.ops[start_op..] {
+        for op in &self.ops[start_op..end_op] {
             match *op {
                 TrialOp::Unitary { qubit, ref matrix } => {
                     backend.fuse_unitary(qubit, matrix);
@@ -1750,10 +1774,13 @@ mod tests {
                     clean += 1;
                     assert!(events.iter().all(|e| !e.is_error()));
                 }
-                Some(first) => {
+                Some((first, last)) => {
                     with_error += 1;
-                    assert!(events[first as usize].is_error());
-                    assert!(events[..first as usize].iter().all(|e| !e.is_error()));
+                    let (first, last) = (first as usize, last as usize);
+                    assert!(first <= last);
+                    assert!(events[first].is_error() && events[last].is_error());
+                    assert!(events[..first].iter().all(|e| !e.is_error()));
+                    assert!(events[last + 1..].iter().all(|e| !e.is_error()));
                 }
             }
             assert_eq!(events.len(), program.noise_sites().len());
@@ -1846,8 +1873,8 @@ mod tests {
         for trial in 0..256u32 {
             let mut rng = TrialProgram::trial_rng(11, trial);
             let mut events = Vec::new();
-            let first = program.pre_sample(&mut events, &mut rng);
-            let Some(first) = first else { continue };
+            let fired = program.pre_sample(&mut events, &mut rng);
+            let Some((first, _)) = fired else { continue };
             let resume_op = sites[first as usize] as usize;
 
             // Full replay.

@@ -1,5 +1,5 @@
 use crate::backend::BackendKind;
-use crate::engine::{with_engine_scratch, TierCounts, TieredEngine};
+use crate::engine::{with_engine_scratch, TerminalMemo, TierCounts, TieredEngine};
 use crate::noise::NoiseModel;
 use crate::program::TrialProgram;
 use crate::result::SimulationResult;
@@ -10,12 +10,14 @@ use nisq_ir::Circuit;
 use nisq_machine::Machine;
 use nisq_noise::NoiseSpec;
 use rustc_hash::FxHashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Trials per parallel work unit. Fixed (instead of `trials / threads`) so
-/// the partition of trials into chunks — and therefore every per-trial RNG
-/// stream — is independent of the thread count; merging counts is
-/// commutative, so results are bit-for-bit thread-count invariant.
+/// Trials per parallel work unit. Every trial draws from its own
+/// `(seed, trial)` stream and its tier depends on that trial alone, so
+/// neither outcomes nor tier counts depend on the partition: the fixed size
+/// only sets the granularity of work — how many error trials share one
+/// dense prefix walk, and how finely workers balance.
 const TRIAL_CHUNK: u32 = 256;
 
 /// Configuration of a multi-trial noisy simulation.
@@ -166,6 +168,9 @@ impl<'m> Simulator<'m> {
         let mut partials = run_workers(threads, || {
             let mut counts = FxHashMap::default();
             let mut tiers = TierCounts::default();
+            // The worker's terminal memo serves every chunk it pulls of
+            // this program, and goes with the call.
+            let mut memo = TerminalMemo::default();
             loop {
                 let chunk = next.fetch_add(1, Ordering::Relaxed);
                 if chunk >= chunks {
@@ -173,7 +178,14 @@ impl<'m> Simulator<'m> {
                 }
                 let start = chunk * TRIAL_CHUNK;
                 let end = start.saturating_add(TRIAL_CHUNK).min(trials);
-                simulate_chunk(&engine, seed, start, end, &mut counts, &mut tiers);
+                simulate_chunk(
+                    &engine,
+                    seed,
+                    start..end,
+                    &mut memo,
+                    &mut counts,
+                    &mut tiers,
+                );
             }
         })
         .into_iter();
@@ -225,22 +237,23 @@ enum ChunkEngine<'p> {
     Tableau(TableauEngine<'p>),
 }
 
-/// Simulates trials `[start, end)` through the selected engine with the
-/// calling worker's scratch, adding bit-packed outcome counts and tier
-/// occupancy to the worker's running totals.
+/// Simulates `trials` through the selected engine with the calling
+/// worker's scratch and terminal memo (which the tableau does not use),
+/// adding bit-packed outcome counts and tier occupancy to the worker's
+/// running totals.
 fn simulate_chunk(
     engine: &ChunkEngine<'_>,
     seed: u64,
-    start: u32,
-    end: u32,
+    trials: Range<u32>,
+    memo: &mut TerminalMemo,
     counts: &mut FxHashMap<u128, u32>,
     tiers: &mut TierCounts,
 ) {
     match engine {
         ChunkEngine::Dense(dense) => with_engine_scratch(|scratch| {
-            dense.run_chunk(seed, start, end, scratch, counts, tiers);
+            dense.run_chunk(seed, trials, scratch, memo, counts, tiers);
         }),
-        ChunkEngine::Tableau(tableau) => tableau.run_chunk(seed, start, end, counts, tiers),
+        ChunkEngine::Tableau(tableau) => tableau.run_chunk(seed, trials, counts, tiers),
     }
 }
 

@@ -73,6 +73,7 @@ use crate::program::{TrialEvent, TrialOp, TrialProgram};
 use crate::rng::TrialRng;
 use rand::Rng;
 use rustc_hash::FxHashMap;
+use std::ops::Range;
 
 /// Words per wide bit-row: 256 bits cover every compact qubit index (`u8`).
 const ROW_WORDS: usize = 4;
@@ -627,7 +628,7 @@ impl<'p> TableauEngine<'p> {
         }
     }
 
-    /// Simulates trials `[start, end)` of the stream derived from `seed`,
+    /// Simulates the `trials` of the stream derived from `seed`,
     /// accumulating bit-packed outcome counts and tier occupancy — the
     /// tableau counterpart of [`TieredEngine::run_chunk`](crate::TieredEngine::run_chunk).
     /// Error-free trials count as `error_free`, masked error trials as
@@ -635,8 +636,7 @@ impl<'p> TableauEngine<'p> {
     pub fn run_chunk(
         &self,
         seed: u64,
-        start: u32,
-        end: u32,
+        trials: Range<u32>,
         counts: &mut FxHashMap<u128, u32>,
         tiers: &mut TierCounts,
     ) {
@@ -646,7 +646,7 @@ impl<'p> TableauEngine<'p> {
         match &self.mode {
             Mode::PerTrialReplay => {
                 let mut tab = TableauState::new(program.num_qubits());
-                for t in start..end {
+                for t in trials {
                     let mut rng = TrialRng::new(seed, t);
                     let _ = program.pre_sample(&mut draw, &mut rng);
                     tab.reset();
@@ -660,14 +660,14 @@ impl<'p> TableauEngine<'p> {
                 terminal,
                 masks,
             } => {
-                for t in start..end {
+                for t in trials {
                     let mut rng = TrialRng::new(seed, t);
                     let key = match program.pre_sample(&mut draw, &mut rng) {
                         None => {
                             tiers.error_free += 1;
                             self.error_free_trial(mids, terminal.as_ref(), &mut rng)
                         }
-                        Some(s) => {
+                        Some((s, _)) => {
                             tiers.pauli_prop += 1;
                             let delta = error_delta(s as usize, &draw, masks);
                             self.error_free_trial(mids, terminal.as_ref(), &mut rng) ^ delta

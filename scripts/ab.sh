@@ -16,8 +16,18 @@
 #
 # For each end-to-end metric of BENCHMARK.json it prints each side's
 # median and quartiles, the pairs the change won (ties count for neither
-# side) and the exact two-sided sign-test p-value. Every run's JSON result
-# goes to stderr as it arrives.
+# side), the exact two-sided sign-test p-value, the change in median as a
+# percentage of the parent's, and the verdicts of the acceptance rule:
+#
+#   worse than bound  the change's median is worse than the parent's by
+#                     more than the metric's `bound` (a fraction)
+#   unresolved        the parent's quartile spread, as a fraction of its
+#                     median, is wider than that bound
+#   gain              the change won at least 9/10 of the pairs and its
+#                     median is better by more than the parent's quartile
+#                     spread
+#
+# Every run's JSON result goes to stderr as it arrives.
 set -euo pipefail
 
 if [[ $# -ne 4 ]]; then
@@ -103,7 +113,10 @@ def sign_test(wins, losses):
 
 
 print(f"workload {workload}: {pairs} interleaved pairs at {seconds} s")
-print(f"{'metric':<13} {'parent median (q1-q3)':>28} {'change median (q1-q3)':>28} {'won':>7} {'p':>7}")
+print(
+    f"{'metric':<13} {'parent median (q1-q3)':>28} {'change median (q1-q3)':>28} "
+    f"{'won':>7} {'p':>7} {'change':>8}  verdict"
+)
 for metric in metrics:
     name = metric["name"]
     if not all(name in m for side in runs.values() for m in side.values()):
@@ -115,9 +128,31 @@ for metric in metrics:
         wins += delta > 0
         losses += delta < 0
     cells = []
+    stats = {}
     for side in ("parent", "change"):
         q1, q2, q3 = quartiles([m[name] for m in runs[side].values()])
+        stats[side] = (q1, q2, q3)
         cells.append(f"{q2:.4g} ({q1:.4g}-{q3:.4g})")
-    won = f"{wins}/{len(runs['parent'])}"
-    print(f"{name:<13} {cells[0]:>28} {cells[1]:>28} {won:>7} {sign_test(wins, losses):>7.3g}")
+    total = len(runs["parent"])
+    won = f"{wins}/{total}"
+    p_q1, p_med, p_q3 = stats["parent"]
+    c_med = stats["change"][1]
+    # `better` > 0 when the change's median is better than the parent's.
+    better = sign * (c_med - p_med)
+    bound = metric["bound"]
+    verdicts = []
+    if p_med != 0:
+        change = f"{100 * (c_med - p_med) / abs(p_med):+.1f}%"
+        if -better / abs(p_med) > bound:
+            verdicts.append("worse than bound")
+        if (p_q3 - p_q1) / abs(p_med) > bound:
+            verdicts.append("unresolved")
+    else:
+        change = "n/a"
+    if wins >= 0.9 * total and better > p_q3 - p_q1:
+        verdicts.append("gain")
+    print(
+        f"{name:<13} {cells[0]:>28} {cells[1]:>28} {won:>7} "
+        f"{sign_test(wins, losses):>7.3g} {change:>8}  {', '.join(verdicts) or '-'}"
+    )
 EOF

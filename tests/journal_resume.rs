@@ -419,6 +419,27 @@ fn absorb_reuses_completed_cells_across_journals() {
 }
 
 #[test]
+fn absorb_syncs_once_however_many_cells_it_copies() {
+    let plan = plan();
+    let donor = temp_path("absorb-sync-donor.journal");
+    let mut journal = Journal::create(&donor, plan.machine_seed(), plan.trials()).unwrap();
+    Session::new()
+        .execute(&plan, &RunControl::unbounded(), Some(&mut journal))
+        .unwrap();
+    drop(journal);
+
+    let fresh = temp_path("absorb-sync-fresh.journal");
+    let mut journal = Journal::create(&fresh, plan.machine_seed(), plan.trials()).unwrap();
+    let before = journal.syncs();
+    assert_eq!(journal.absorb(&donor).unwrap(), 8);
+    assert_eq!(journal.syncs(), before + 1);
+    // Nothing left to copy: nothing to sync.
+    assert_eq!(journal.absorb(&donor).unwrap(), 0);
+    assert_eq!(journal.syncs(), before + 1);
+    assert!(journal.degraded().is_none());
+}
+
+#[test]
 fn files_that_are_not_journals_are_refused_untouched() {
     let path = temp_path("not-a-journal.txt");
     let contents = b"just some notes\nnothing framed\n".to_vec();

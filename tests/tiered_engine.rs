@@ -2,9 +2,10 @@
 //!
 //! * **exactness** — on every dense program the default simulator
 //!   (error-pattern pre-sampling, tier-1 multinomial shortcut, ideal-prefix
-//!   / dominant-path checkpoints) is bit-identical to the single-trial
-//!   reference path ([`TrialProgram::run_trial`]), including mid-circuit
-//!   measurements and divergence fallbacks, at any thread count;
+//!   / dominant-path checkpoints, the per-worker terminal memo) is
+//!   bit-identical to the single-trial reference path
+//!   ([`TrialProgram::run_trial`]), including mid-circuit measurements and
+//!   divergence fallbacks, at any thread count;
 //! * **tableau statistical equivalence** — the stabilizer tableau, which
 //!   serves fully-Clifford programs, samples the same outcome distribution
 //!   as the reference replay: total variation between the two empirical
@@ -96,12 +97,17 @@ fn total_variation(a: &HashMap<u128, u32>, b: &HashMap<u128, u32>, trials: u32) 
 #[test]
 fn exact_engine_is_bit_identical_to_reference_replay() {
     let m = machine();
-    let mut programs: Vec<(String, TrialProgram)> = Vec::new();
-    // Compiled paper benchmarks with T gates: swap-back executables whose
-    // late errors fall in an all-Clifford suffix (Toffoli/qiskit) and a
-    // deeper terminal-sample-only program.
+    let mut programs: Vec<(String, TrialProgram, u32)> = Vec::new();
+    // Every dense paper benchmark, compiled, at the paper's 8192 trials
+    // (32 chunks): one worker's terminal memo spans many chunks at 1
+    // thread and splits across workers at 2 and 7. Adder under R-SMT* is
+    // the deepest terminal-sample-only program.
     for (benchmark, config) in [
         (Benchmark::Toffoli, CompilerConfig::qiskit()),
+        (Benchmark::Fredkin, CompilerConfig::qiskit()),
+        (Benchmark::Or, CompilerConfig::qiskit()),
+        (Benchmark::Peres, CompilerConfig::qiskit()),
+        (Benchmark::Qft, CompilerConfig::qiskit()),
         (Benchmark::Adder, CompilerConfig::r_smt_star(0.5)),
     ] {
         let compiled = Compiler::new(&m, config)
@@ -110,6 +116,7 @@ fn exact_engine_is_bit_identical_to_reference_replay() {
         programs.push((
             format!("{benchmark}"),
             TrialProgram::lower(compiled.physical_circuit(), &m, &NoiseModel::full()),
+            8192,
         ));
     }
     // A coin-flip mid-measure: exercises the divergence fallback on ~half
@@ -118,6 +125,7 @@ fn exact_engine_is_bit_identical_to_reference_replay() {
         programs.push((
             "coin-flip".into(),
             TrialProgram::lower(&coin_flip_circuit(), &m, &noise_model),
+            1536,
         ));
     }
     // 2^12 amplitudes, with errors on both sides of a random mid-measure.
@@ -128,19 +136,25 @@ fn exact_engine_is_bit_identical_to_reference_replay() {
             &m,
             &NoiseModel::cnot_and_readout_only(),
         ),
+        1536,
     ));
 
-    for (name, program) in &programs {
+    for (name, program, trials) in &programs {
+        let trials = *trials;
         assert_eq!(program.backend_kind(), BackendKind::Dense, "{name}");
         for seed in [1u64, 42] {
-            let reference = reference_counts(program, seed, 1536);
+            let reference = reference_counts(program, seed, trials);
             for threads in [1, 2, 7] {
-                let (engine, tiers) = engine_counts(&m, program, seed, 1536, threads);
+                let (engine, tiers) = engine_counts(&m, program, seed, trials, threads);
                 assert_eq!(
                     &engine, &reference,
                     "{name} seed {seed} diverged at {threads} threads"
                 );
-                assert_eq!(tiers.total(), 1536, "{name}: tiers must partition trials");
+                assert_eq!(
+                    tiers.total(),
+                    u64::from(trials),
+                    "{name}: tiers must partition trials"
+                );
                 assert_eq!(tiers.backend, BackendKind::Dense, "{name}");
                 assert_eq!(tiers.pauli_prop, 0, "{name}: dense trials take no masks");
             }
