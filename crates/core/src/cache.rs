@@ -37,13 +37,6 @@ pub struct PlacementCacheStats {
     pub misses: u64,
 }
 
-impl PlacementCacheStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
 /// A thread-safe, shareable memo of placement results, consulted by the
 /// place step of every compiler it is installed in with
 /// [`Compiler::with_placement_cache`](crate::Compiler::with_placement_cache).

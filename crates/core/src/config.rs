@@ -1,4 +1,4 @@
-use nisq_opt::{RouteSelection, SwapHandling};
+use nisq_opt::RouteSelection;
 use std::fmt;
 use std::time::Duration;
 
@@ -74,12 +74,12 @@ impl fmt::Display for Algorithm {
 }
 
 /// A full compiler configuration: an algorithm plus its parameters
-/// (routing policy, readout weight ω, and the optimizer's budget).
+/// (route selection, readout weight ω, and the optimizer's budget).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompilerConfig {
     /// The mapping algorithm.
     pub algorithm: Algorithm,
-    /// Routing policy used for placement costs and scheduling.
+    /// Route selection used for placement costs and scheduling.
     pub routing: RouteSelection,
     /// Readout weight ω of the reliability objective (only used by R-SMT*).
     pub omega: f64,
@@ -88,14 +88,6 @@ pub struct CompilerConfig {
     pub solver_max_nodes: u64,
     /// Wall-clock budget of the exact solver.
     pub solver_time_limit: Option<Duration>,
-    /// How swap round-trips are handled: the paper's swap-out/swap-back
-    /// model (default) or permutation tracking (no swap-back, placement
-    /// updated in place).
-    pub swap_handling: SwapHandling,
-    /// Lower program-level SWAP gates into three CNOTs in the decompose
-    /// step instead of routing them symbolically (off by default, matching
-    /// the paper's model).
-    pub decompose_swaps: bool,
 }
 
 impl CompilerConfig {
@@ -106,8 +98,6 @@ impl CompilerConfig {
             omega: 0.5,
             solver_max_nodes: 20_000_000,
             solver_time_limit: Some(Duration::from_secs(60)),
-            swap_handling: SwapHandling::SwapBack,
-            decompose_swaps: false,
         }
     }
 
@@ -166,20 +156,6 @@ impl CompilerConfig {
         self
     }
 
-    /// Returns a copy with a different swap-handling policy (opt in to
-    /// permutation-tracking routing with [`SwapHandling::Permute`]).
-    pub fn with_swap_handling(mut self, swap_handling: SwapHandling) -> Self {
-        self.swap_handling = swap_handling;
-        self
-    }
-
-    /// Returns a copy that lowers program-level SWAPs in the decompose
-    /// step.
-    pub fn with_decompose_swaps(mut self, decompose_swaps: bool) -> Self {
-        self.decompose_swaps = decompose_swaps;
-        self
-    }
-
     /// Whether the scheduler should use calibration durations and per-qubit
     /// coherence windows for this configuration.
     pub fn calibration_aware(&self) -> bool {
@@ -197,8 +173,13 @@ impl CompilerConfig {
         h.write_u64(self.omega.to_bits());
         self.solver_max_nodes.hash(&mut h);
         self.solver_time_limit.hash(&mut h);
-        self.swap_handling.hash(&mut h);
-        self.decompose_swaps.hash(&mut h);
+        // Two settings that were once fields still feed the hash with the
+        // values they always held, so fingerprints, and the journals and
+        // fleet routes keyed on them, stay as they were: swap-back routing
+        // (its enum's derived `Hash` wrote discriminant 0 as an `isize`)
+        // and no SWAP lowering.
+        0isize.hash(&mut h);
+        false.hash(&mut h);
         h.finish()
     }
 }
@@ -210,13 +191,9 @@ impl fmt::Display for CompilerConfig {
                 f,
                 "{} (omega = {}, {})",
                 self.algorithm, self.omega, self.routing
-            )?,
-            _ => write!(f, "{} ({})", self.algorithm, self.routing)?,
+            ),
+            _ => write!(f, "{} ({})", self.algorithm, self.routing),
         }
-        if self.swap_handling != SwapHandling::SwapBack {
-            write!(f, " [{}]", self.swap_handling)?;
-        }
-        Ok(())
     }
 }
 
@@ -270,5 +247,23 @@ mod tests {
         let c = CompilerConfig::r_smt_star(0.5).with_solver_budget(10, None);
         assert_eq!(c.solver_max_nodes, 10);
         assert_eq!(c.solver_time_limit, None);
+    }
+
+    #[test]
+    fn fingerprint_hashes_swap_back_as_its_derived_hash() {
+        use std::hash::{Hash, Hasher};
+        // The routing setting was this two-variant enum; the fingerprint
+        // writes `0isize` where its derived `Hash` wrote `SwapBack`.
+        #[derive(Hash)]
+        #[allow(dead_code)]
+        enum RoutingModel {
+            SwapBack,
+            Permute,
+        }
+        let mut derived = rustc_hash::FxHasher::default();
+        RoutingModel::SwapBack.hash(&mut derived);
+        let mut constant = rustc_hash::FxHasher::default();
+        0isize.hash(&mut constant);
+        assert_eq!(derived.finish(), constant.finish());
     }
 }

@@ -52,16 +52,11 @@ impl CompiledCircuit {
         &self.physical
     }
 
-    /// The initial placement of program qubits onto hardware qubits.
+    /// The placement of program qubits onto hardware qubits, which holds
+    /// for the whole execution: every movement SWAP is undone after its
+    /// gate.
     pub fn placement(&self) -> &Placement {
         &self.placement
-    }
-
-    /// Where each program qubit ends up after execution: identical to the
-    /// initial placement under swap-back routing, the accumulated
-    /// permutation under permutation-tracking routing.
-    pub fn final_placement(&self) -> &Placement {
-        &self.schedule.final_placement
     }
 
     /// Wall-clock time spent in each compile step, in execution order:

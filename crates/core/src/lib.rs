@@ -59,6 +59,4 @@ pub use compiler::Compiler;
 pub use config::{Algorithm, CompilerConfig};
 pub use error::CompileError;
 pub use executable::{CompiledCircuit, PassTiming};
-pub use nisq_opt::{
-    PermutationRouting, Placement, RouteSelection, RoutingPolicy, SwapBackRouting, SwapHandling,
-};
+pub use nisq_opt::{Placement, RouteSelection};

@@ -43,11 +43,10 @@ pub fn estimate(circuit: &Circuit, schedule: &Schedule, machine: &Machine) -> Re
         let gate = &circuit.gates()[entry.gate_index];
         match gate.kind() {
             GateKind::Cnot | GateKind::Swap => {
-                // A route-less SWAP was elided as a layout relabeling by
-                // the routing policy: no physical gates, reliability 1.
-                let Some(route) = entry.route.as_ref() else {
-                    continue;
-                };
+                let route = entry
+                    .route
+                    .as_ref()
+                    .expect("the scheduler routes every two-qubit gate");
                 let mut r = route_cnot_reliability(calibration, &route.path);
                 if gate.kind() == GateKind::Swap {
                     // A program-level SWAP costs three CNOTs on its final hop.
@@ -60,9 +59,6 @@ pub fn estimate(circuit: &Circuit, schedule: &Schedule, machine: &Machine) -> Re
                 cnot *= r;
             }
             GateKind::Measure => {
-                // The scheduled entry records the live hardware location
-                // (equal to the placement under swap-back routing, the
-                // drifted position under permutation tracking).
                 readout *= calibration.readout_reliability(entry.hw[0]);
             }
             _ => {}

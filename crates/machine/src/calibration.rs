@@ -273,16 +273,6 @@ impl Calibration {
         Ok(1.0 - self.cnot_error(a, b)?)
     }
 
-    /// Reliability of a SWAP between adjacent qubits `a` and `b`: three
-    /// CNOTs back to back.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if there is no calibration entry for the pair.
-    pub fn swap_reliability(&self, a: HwQubit, b: HwQubit) -> Result<f64, MachineError> {
-        Ok(self.cnot_reliability(a, b)?.powi(3))
-    }
-
     /// Error rate and duration of the edge between `a` and `b` in one call,
     /// or `None` when the pair has no CNOT error entry (non-adjacent
     /// qubits). A missing duration entry does not discard the error rate —
@@ -387,14 +377,6 @@ mod tests {
         let err = c.cnot_error(a, b).unwrap();
         let rel = c.cnot_reliability(a, b).unwrap();
         assert!((err + rel - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn swap_reliability_is_cnot_cubed() {
-        let (t, c) = sample();
-        let (a, b) = t.edges()[0];
-        let rel = c.cnot_reliability(a, b).unwrap();
-        assert!((c.swap_reliability(a, b).unwrap() - rel.powi(3)).abs() < 1e-12);
     }
 
     #[test]

@@ -19,37 +19,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Target statistics for generated calibration data. The defaults are the
-/// IBMQ16 values reported in Section 2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibrationStatistics {
-    /// Mean qubit coherence time T2 in microseconds.
-    pub mean_t2_us: f64,
-    /// Mean CNOT gate error rate.
-    pub mean_cnot_error: f64,
-    /// Mean readout error rate.
-    pub mean_readout_error: f64,
-    /// Mean single-qubit gate error rate.
-    pub mean_single_qubit_error: f64,
-    /// Baseline CNOT duration in timeslots (durations vary ~1.8x per edge).
-    pub base_cnot_slots: f64,
-    /// Probability that an edge has an outlier "bad day" with a very high
-    /// CNOT error rate (the spikes of Figure 1b).
-    pub bad_edge_probability: f64,
-}
+// Target statistics of generated calibration data: the IBMQ16 values
+// reported in Section 2 of the paper.
 
-impl Default for CalibrationStatistics {
-    fn default() -> Self {
-        CalibrationStatistics {
-            mean_t2_us: 70.0,
-            mean_cnot_error: 0.04,
-            mean_readout_error: 0.07,
-            mean_single_qubit_error: 0.002,
-            base_cnot_slots: 4.4,
-            bad_edge_probability: 0.04,
-        }
-    }
-}
+/// Mean qubit coherence time T2 in microseconds.
+const MEAN_T2_US: f64 = 70.0;
+/// Mean CNOT gate error rate.
+const MEAN_CNOT_ERROR: f64 = 0.04;
+/// Mean readout error rate.
+const MEAN_READOUT_ERROR: f64 = 0.07;
+/// Mean single-qubit gate error rate.
+const MEAN_SINGLE_QUBIT_ERROR: f64 = 0.002;
+/// Baseline CNOT duration in timeslots (durations vary ~1.8x per edge).
+const BASE_CNOT_SLOTS: f64 = 4.4;
+/// Probability that an edge has an outlier "bad day" with a very high CNOT
+/// error rate (the spikes of Figure 1b).
+const BAD_EDGE_PROBABILITY: f64 = 0.04;
 
 /// Deterministic generator of daily [`Calibration`] snapshots for a given
 /// topology and seed. Works for **any** [`Topology`] (grids, rings,
@@ -76,7 +61,6 @@ impl Default for CalibrationStatistics {
 pub struct CalibrationGenerator {
     topology: Topology,
     seed: u64,
-    stats: CalibrationStatistics,
 }
 
 /// Domain separators for the per-element random streams.
@@ -111,18 +95,12 @@ impl CalibrationGenerator {
         CalibrationGenerator {
             topology: topology.into(),
             seed,
-            stats: CalibrationStatistics::default(),
         }
     }
 
     /// The topology this generator produces calibrations for.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The target statistics.
-    pub fn statistics(&self) -> &CalibrationStatistics {
-        &self.stats
     }
 
     fn spatial_rng(&self, element: u64) -> StdRng {
@@ -147,7 +125,7 @@ impl CalibrationGenerator {
 
             // T2: persistent quality times daily drift, clamped to the range
             // observed in Figure 1a (roughly 15-130 us).
-            let t2 = (self.stats.mean_t2_us
+            let t2 = (MEAN_T2_US
                 * lognormal_factor(&mut spatial, 0.45, 0.3, 1.7)
                 * lognormal_factor(&mut temporal, 0.25, 0.55, 1.7))
             .clamp(14.0, 135.0);
@@ -156,13 +134,13 @@ impl CalibrationGenerator {
             // keep it in the snapshot for completeness.
             t1_us.push(t2 * spatial.gen_range(0.9..1.6));
 
-            let ro = (self.stats.mean_readout_error
+            let ro = (MEAN_READOUT_ERROR
                 * lognormal_factor(&mut spatial, 0.40, 0.3, 2.6)
                 * lognormal_factor(&mut temporal, 0.25, 0.55, 1.8))
             .clamp(0.015, 0.35);
             readout_error.push(ro);
 
-            let sq = (self.stats.mean_single_qubit_error
+            let sq = (MEAN_SINGLE_QUBIT_ERROR
                 * lognormal_factor(&mut spatial, 0.30, 0.4, 2.0)
                 * lognormal_factor(&mut temporal, 0.20, 0.6, 1.6))
             .clamp(5e-4, 1e-2);
@@ -177,18 +155,18 @@ impl CalibrationGenerator {
             let mut spatial = self.spatial_rng(element);
             let mut temporal = self.temporal_rng(day, element);
 
-            let mut err = self.stats.mean_cnot_error
+            let mut err = MEAN_CNOT_ERROR
                 * lognormal_factor(&mut spatial, 0.50, 0.28, 2.6)
                 * lognormal_factor(&mut temporal, 0.30, 0.5, 2.0);
             // Occasional very unreliable edge (Figure 1b shows spikes with
             // error rates of 0.15-0.35).
-            if temporal.gen_bool(self.stats.bad_edge_probability) {
+            if temporal.gen_bool(BAD_EDGE_PROBABILITY) {
                 err *= temporal.gen_range(3.0..6.0);
             }
             cnot_error.insert(edge, err.clamp(0.008, 0.35));
 
             // CNOT durations vary ~1.8x across edges but are stable in time.
-            let slots = (self.stats.base_cnot_slots * spatial.gen_range(0.72..1.32)).round() as u32;
+            let slots = (BASE_CNOT_SLOTS * spatial.gen_range(0.72..1.32)).round() as u32;
             cnot_slots.insert(edge, slots.max(2));
         }
 

@@ -10,8 +10,8 @@
 //! topology, and the reliability matrices (most-reliable swap paths,
 //! best CNOT routes, one-bend-path CNOT reliabilities) the mapping
 //! algorithms consume. [`route_cnot_reliability`] is the one pricing of a
-//! routed CNOT's reliability; route durations are priced by the routing
-//! policies of `nisq-opt`.
+//! routed CNOT's reliability; route durations are priced by `nisq-opt`'s
+//! swap-back `route_duration`.
 //!
 //! In the paper this data comes from IBM's twice-daily calibration feed; we
 //! substitute a statistically-matched generator (see the README's "What
@@ -42,7 +42,7 @@ mod topology;
 
 pub use calibration::{Calibration, EdgeId, EdgeParams, GateDurations};
 pub use error::MachineError;
-pub use generator::{CalibrationGenerator, CalibrationStatistics};
+pub use generator::CalibrationGenerator;
 pub use machine::Machine;
 pub use reliability::{route_cnot_reliability, PathInfo, ReliabilityModel};
 pub use topology::{GridTopology, HwQubit, Topology, TopologySpec};

@@ -33,7 +33,7 @@ impl PathInfo {
 ///   [`route_cnot_reliability`].
 ///
 /// Route durations (the paper's `Δ` matrix, Constraint 5) are not held
-/// here: `nisq_opt::RoutingPolicy::route_duration` prices a route's hops,
+/// here: `nisq_opt::route_duration` prices a route's hops under swap-back,
 /// for placement and scheduling alike.
 ///
 /// # Example

@@ -58,12 +58,6 @@ impl GridTopology {
         GridTopology::new(8, 2)
     }
 
-    /// A square grid with `side * side` qubits, used for the scalability
-    /// studies on larger synthetic machines.
-    pub fn square(side: usize) -> Self {
-        GridTopology::new(side, side)
-    }
-
     /// Smallest grid that holds at least `n` qubits while staying close to
     /// square (used when sweeping machine sizes in the scalability study).
     pub fn at_least(n: usize) -> Self {
@@ -249,17 +243,6 @@ impl GridTopology {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
         ((ax.min(bx), ay.min(by)), (ax.max(bx), ay.max(by)))
-    }
-
-    /// Whether two axis-aligned rectangles (given as min/max corners)
-    /// overlap, the spatial test of routing Constraint 7.
-    pub fn rectangles_overlap(
-        r1: ((usize, usize), (usize, usize)),
-        r2: ((usize, usize), (usize, usize)),
-    ) -> bool {
-        let ((l1x, l1y), (r1x, r1y)) = r1;
-        let ((l2x, l2y), (r2x, r2y)) = r2;
-        !(l1x > r2x || r1x < l2x || l1y > r2y || r1y < l2y)
     }
 }
 
@@ -822,15 +805,6 @@ mod tests {
     fn one_bend_path_rejects_non_corner_junction() {
         let t = GridTopology::new(4, 4);
         let _ = t.one_bend_path(t.at(0, 0), t.at(2, 3), t.at(1, 1));
-    }
-
-    #[test]
-    fn rectangles_overlap_matches_constraint7() {
-        let r1 = ((0, 0), (2, 1));
-        let r2 = ((2, 1), (3, 1));
-        let r3 = ((3, 0), (4, 0));
-        assert!(GridTopology::rectangles_overlap(r1, r2));
-        assert!(!GridTopology::rectangles_overlap(r1, r3));
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //!   durations (Constraint 5), coherence windows (Constraints 4/6) and
 //!   spatial non-overlap of concurrent CNOT routes under the rectangle
 //!   reservation or one-bend-path selections (Constraints 7-9).
-//! * the unified routing layer ([`RouteSelection`], [`RoutingPolicy`],
-//!   [`Layout`]) — how routes are chosen, and how their SWAPs are
-//!   materialized: the paper's swap-out/swap-back model
-//!   ([`SwapBackRouting`]) or permutation tracking
-//!   ([`PermutationRouting`]), shared by the scheduler and the emitter.
-//!   [`RoutingPolicy::route_duration`] is the one pricing of a routed
-//!   gate's duration, for the scheduler and the duration objective alike.
+//! * the routing layer ([`RouteSelection`], [`compute_route`],
+//!   [`route_duration`], [`realize`]) — the paper's swap-back model: a
+//!   routed gate SWAPs its control next to its target, runs and SWAPs it
+//!   back, so the placement holds for the whole execution.
+//!   [`route_duration`] is the one pricing of a routed gate's duration,
+//!   for the scheduler and the duration objective alike, and [`realize`]
+//!   gives the physical SWAPs the emitter writes out.
 //! * [`UNIFORM_CNOT_SLOTS`] and [`STATIC_COHERENCE_SLOTS`] — the paper's
 //!   calibration-unaware CNOT time and coherence bound `MT`.
 //!
@@ -76,8 +76,7 @@ pub use branch_bound::{solve_branch_and_bound, SolverConfig};
 pub use error::OptError;
 pub use problem::MappingObjective;
 pub use routing::{
-    compute_route, hop_slots, CnotRoute, Layout, PermutationRouting, RouteSelection, RoutedOp,
-    RoutingPolicy, SwapBackRouting, SwapHandling,
+    compute_route, hop_slots, realize, route_duration, CnotRoute, RouteSelection, RoutedOp,
 };
 pub use scheduler::{Placement, Schedule, ScheduledGate, Scheduler, SchedulerConfig};
 

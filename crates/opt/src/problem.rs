@@ -11,14 +11,14 @@
 //!
 //! A pair is priced by the same cost model the scheduler and the estimate
 //! use: reliability by [`nisq_machine::route_cnot_reliability`] (through
-//! [`nisq_machine::ReliabilityModel`]), duration by
-//! [`SwapBackRouting`]'s [`RoutingPolicy::route_duration`] over the hops of
-//! the route the pair would take. The calibration-unaware duration (T-SMT)
-//! prices a pair as its hop distance of [`UNIFORM_CNOT_SLOTS`] each.
+//! [`nisq_machine::ReliabilityModel`]), duration by [`route_duration`] over
+//! the hops of the route the pair would take. The calibration-unaware
+//! duration (T-SMT) prices a pair as its hop distance of
+//! [`UNIFORM_CNOT_SLOTS`] each.
 
 use crate::assignment::{AssignmentProblem, PairTerm, SingleTerm};
 use crate::error::OptError;
-use crate::routing::{hop_slots, RouteSelection, RoutingPolicy, SwapBackRouting};
+use crate::routing::{hop_slots, route_duration, RouteSelection};
 use crate::UNIFORM_CNOT_SLOTS;
 use nisq_ir::Circuit;
 use nisq_machine::{HwQubit, Machine};
@@ -156,14 +156,14 @@ pub fn build(
                     };
                     hops.clear();
                     hops.extend(hop_slots(machine, path, true));
-                    SwapBackRouting.route_duration(&hops) as f64
+                    route_duration(&hops) as f64
                 }
                 MappingObjective::Duration {
                     calibration_aware: false,
                 } => {
                     hops.clear();
                     hops.resize(topology.distance(a, b), UNIFORM_CNOT_SLOTS);
-                    SwapBackRouting.route_duration(&hops) as f64
+                    route_duration(&hops) as f64
                 }
             };
         }

@@ -1,7 +1,5 @@
 use crate::error::OptError;
-use crate::routing::{
-    compute_route, hop_slots, CnotRoute, Layout, RouteSelection, RoutingPolicy, SwapBackRouting,
-};
+use crate::routing::{compute_route, hop_slots, route_duration, CnotRoute, RouteSelection};
 use crate::STATIC_COHERENCE_SLOTS;
 use nisq_ir::{Circuit, GateKind, Qubit};
 use nisq_machine::{HwQubit, Machine};
@@ -109,10 +107,8 @@ pub struct ScheduledGate {
     pub duration: u32,
     /// Route used, for two-qubit gates.
     pub route: Option<CnotRoute>,
-    /// Hardware locations of the gate's operands at issue time (for
-    /// two-qubit gates: control then target). Under swap-back routing this
-    /// equals the initial placement; under permutation routing it reflects
-    /// the live layout.
+    /// Hardware locations of the gate's operands (for two-qubit gates:
+    /// control then target), as the placement assigns them.
     pub hw: Vec<HwQubit>,
 }
 
@@ -137,10 +133,6 @@ pub struct Schedule {
     /// Total number of SWAP operations implied by the chosen routes
     /// (one-way, i.e. the swaps needed to bring qubits adjacent).
     pub swap_count: usize,
-    /// Where each program qubit ends up after the schedule: identical to
-    /// the initial placement under swap-back routing, the accumulated
-    /// permutation under permutation-tracking routing.
-    pub final_placement: Placement,
 }
 
 impl Schedule {
@@ -158,15 +150,16 @@ impl Schedule {
 /// Routing-aware list scheduler.
 ///
 /// Implements the paper's scheduling model: gates start only after their
-/// dependencies finish (Constraint 3), a routed CNOT lasts its routing
-/// policy's [`RoutingPolicy::route_duration`] over the route's
-/// [`hop_slots`], the swaps included (Constraint 5), concurrent CNOTs
-/// never overlap in time if their reserved regions overlap in space
-/// (Constraints 7-9, via resource reservation of either the one-bend path
-/// or the whole bounding rectangle), and gates that outlive the coherence
-/// window are reported (Constraints 4/6): a qubit's calibrated T2 when
-/// calibration-aware, [`STATIC_COHERENCE_SLOTS`] otherwise. Gates are
-/// issued earliest-ready-first.
+/// dependencies finish (Constraint 3), a routed CNOT lasts the swap-back
+/// [`route_duration`] over the route's [`hop_slots`], the swaps out and
+/// back included, so every qubit is at its placed location between gates
+/// (Constraint 5), concurrent CNOTs never overlap in time if their
+/// reserved regions overlap in space (Constraints 7-9, via resource
+/// reservation of either the one-bend path or the whole bounding
+/// rectangle), and gates that outlive the coherence window are reported
+/// (Constraints 4/6): a qubit's calibrated T2 when calibration-aware,
+/// [`STATIC_COHERENCE_SLOTS`] otherwise. Gates are issued
+/// earliest-ready-first.
 ///
 /// # Example
 ///
@@ -213,10 +206,10 @@ impl<'m> Scheduler<'m> {
         )
     }
 
-    fn route_duration(&self, route: &CnotRoute, policy: &dyn RoutingPolicy) -> u32 {
+    fn route_duration(&self, route: &CnotRoute) -> u32 {
         let slots: Vec<u32> =
             hop_slots(self.machine, &route.path, self.config.calibration_aware).collect();
-        policy.route_duration(&slots)
+        route_duration(&slots)
     }
 
     fn coherence_limit(&self, qubits: &[HwQubit]) -> u32 {
@@ -231,32 +224,13 @@ impl<'m> Scheduler<'m> {
         }
     }
 
-    /// Schedules `circuit` under `placement` with the paper's swap-back
-    /// routing policy.
+    /// Schedules `circuit` under `placement`.
     ///
     /// # Errors
     ///
     /// Returns an error if the placement does not cover the circuit's
     /// program qubits injectively on this machine.
     pub fn schedule(&self, circuit: &Circuit, placement: &Placement) -> Result<Schedule, OptError> {
-        self.schedule_with(circuit, placement, &SwapBackRouting)
-    }
-
-    /// Schedules `circuit` under `placement` with an explicit
-    /// [`RoutingPolicy`]: routes are computed from the live [`Layout`], and
-    /// the policy decides whether moved qubits return home (swap-back) or
-    /// stay moved (permutation tracking).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the placement does not cover the circuit's
-    /// program qubits injectively on this machine.
-    pub fn schedule_with(
-        &self,
-        circuit: &Circuit,
-        placement: &Placement,
-        policy: &dyn RoutingPolicy,
-    ) -> Result<Schedule, OptError> {
         if placement.len() < circuit.num_qubits() {
             return Err(OptError::InvalidPlacement {
                 reason: format!(
@@ -266,7 +240,7 @@ impl<'m> Scheduler<'m> {
                 ),
             });
         }
-        let mut layout = Layout::new(placement, self.machine.num_qubits())?;
+        placement.validate(self.machine.num_qubits())?;
 
         let dag = circuit.dag();
         let n = circuit.len();
@@ -291,36 +265,16 @@ impl<'m> Scheduler<'m> {
             ready.remove(&(rt, idx));
             let gate = &circuit.gates()[idx];
 
-            // Resolve operands against the live layout (equal to the
-            // initial placement whenever the policy swaps back).
-            let acting: Vec<HwQubit> = gate.qubits().iter().map(|&q| layout.hw(q)).collect();
+            let acting: Vec<HwQubit> = gate.qubits().iter().map(|&q| placement.hw(q)).collect();
 
             let (resources, duration, route) = match gate.kind() {
-                GateKind::Swap
-                    if policy.elides_adjacent_swap()
-                        && self.machine.topology().adjacent(acting[0], acting[1]) =>
-                {
-                    // A program-level SWAP of adjacent qubits under a
-                    // drifting layout is a pure relabeling: exchange the
-                    // occupants and issue nothing physical.
-                    layout.apply_swap(acting[0], acting[1]);
-                    (acting.clone(), 0, None)
-                }
                 GateKind::Cnot | GateKind::Swap => {
                     let route = self.route(acting[0], acting[1]);
-                    let mut duration = self.route_duration(&route, policy);
+                    let mut duration = self.route_duration(&route);
                     if gate.kind() == GateKind::Swap {
                         duration *= 3;
                     }
                     swap_count += route.swaps_needed();
-                    // Advancing the layout in issue order is consistent
-                    // with the start-time order: a movement swap only
-                    // relocates qubits sitting on this route's path, every
-                    // position of which is in `route.reserved`, so any
-                    // later gate touching a relocated qubit contends on
-                    // those resources and is forced to start after this
-                    // gate finishes.
-                    policy.advance(&route, &mut layout);
                     (route.reserved.clone(), duration, Some(route))
                 }
                 GateKind::Measure => (acting.clone(), readout_slots, None),
@@ -367,7 +321,6 @@ impl<'m> Scheduler<'m> {
             makespan,
             coherence_violations,
             swap_count,
-            final_placement: layout.to_placement(),
         })
     }
 }
@@ -543,6 +496,9 @@ mod tests {
         let s = Scheduler::new(&m, SchedulerConfig::default());
         let placement = Placement::new(vec![HwQubit(0), HwQubit(0), HwQubit(1), HwQubit(2)]);
         assert!(s.schedule(&c, &placement).is_err());
+        // A location the machine does not have is rejected too.
+        let placement = Placement::new(vec![HwQubit(0), HwQubit(1), HwQubit(2), HwQubit(16)]);
+        assert!(s.schedule(&c, &placement).is_err());
     }
 
     #[test]
@@ -561,53 +517,34 @@ mod tests {
     }
 
     #[test]
-    fn permutation_routing_elides_adjacent_program_swaps() {
-        use crate::routing::PermutationRouting;
+    fn adjacent_program_swaps_run_physically() {
         let m = machine();
         let mut c = Circuit::new(2);
         c.cnot(Qubit(0), Qubit(1));
         c.swap(Qubit(0), Qubit(1));
         let placement = Placement::new(vec![HwQubit(0), HwQubit(1)]);
         let s = Scheduler::new(&m, SchedulerConfig::default());
-
-        let free = s
-            .schedule_with(&c, &placement, &PermutationRouting)
-            .unwrap();
-        let elided = free.entry(1).unwrap();
-        assert_eq!(elided.duration, 0, "adjacent program SWAP is free");
-        assert!(elided.route.is_none(), "no route for a relabeling");
-        assert_eq!(free.swap_count, 0);
-        // The relabeling still happens: the qubits end up exchanged.
-        assert_eq!(
-            free.final_placement,
-            Placement::new(vec![HwQubit(1), HwQubit(0)])
-        );
-
-        // Swap-back routing must execute the SWAP physically.
-        let paid = s.schedule_with(&c, &placement, &SwapBackRouting).unwrap();
-        let executed = paid.entry(1).unwrap();
+        let schedule = s.schedule(&c, &placement).unwrap();
+        let executed = schedule.entry(1).unwrap();
         assert!(executed.duration > 0);
         assert!(executed.route.is_some());
-        assert_eq!(paid.final_placement, placement);
-        assert!(paid.makespan > free.makespan);
+        assert_eq!(schedule.swap_count, 0, "an adjacent SWAP needs no movement");
     }
 
     #[test]
-    fn non_adjacent_program_swaps_are_still_routed_under_permutation() {
-        use crate::routing::PermutationRouting;
+    fn non_adjacent_program_swaps_are_routed() {
         let m = machine();
         let mut c = Circuit::new(2);
         c.swap(Qubit(0), Qubit(1));
-        // Same row, two columns apart: not adjacent, so the elision must
-        // not fire and the SWAP is routed and executed.
+        // Same row, two columns apart: not adjacent, so the SWAP is routed
+        // and executed.
         let placement = Placement::new(vec![HwQubit(0), HwQubit(2)]);
         let s = Scheduler::new(&m, SchedulerConfig::default());
-        let schedule = s
-            .schedule_with(&c, &placement, &PermutationRouting)
-            .unwrap();
+        let schedule = s.schedule(&c, &placement).unwrap();
         let entry = schedule.entry(0).unwrap();
         assert!(entry.route.is_some());
         assert!(entry.duration > 0);
+        assert_eq!(schedule.swap_count, 1);
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub use nisq_sim as sim;
 pub mod prelude {
     pub use nisq_core::{
         Algorithm, CompiledCircuit, Compiler, CompilerConfig, PlacementCache, RouteSelection,
-        SwapHandling,
     };
     pub use nisq_exp::{
         CacheStats, Cell, CellRecord, CircuitSpec, Journal, NoiseSpec, Report, RunControl, Session,

@@ -1,11 +1,10 @@
 //! Multi-backend scenarios: the compiler pipeline on pluggable machine
-//! topologies (grids, rings, heavy-hex lattices) and with the
-//! permutation-tracking routing policy.
+//! topologies (grids, rings, heavy-hex lattices).
 //!
 //! Every executable is validated two ways: all two-qubit gates respect the
 //! machine's coupling graph, and a noiseless simulation reproduces the
-//! benchmark's classically-known answer — so routing, layout tracking and
-//! measurement relocation are verified end to end.
+//! benchmark's classically-known answer — so routing, the swap-back
+//! round trips and the placement of measurements are verified end to end.
 
 use nisq::prelude::*;
 
@@ -58,142 +57,47 @@ fn grid_and_ring_machines_compile_every_benchmark_with_every_config() {
     }
 }
 
-#[test]
-fn permutation_routing_compiles_every_benchmark_on_new_topologies() {
-    // The permutation-tracking policy (no swap-back) exercised end to end
-    // on both new topologies: measurements must follow the drifted layout
-    // for the answers to come out right.
-    for spec in [
-        TopologySpec::Grid { mx: 4, my: 4 },
-        TopologySpec::Ring { n: 16 },
-    ] {
-        let machine = Machine::from_spec(spec, 2019, 0);
-        let config = CompilerConfig::qiskit().with_swap_handling(SwapHandling::Permute);
-        for b in Benchmark::all() {
-            let compiled = Compiler::new(&machine, config)
-                .compile(&b.circuit())
-                .unwrap_or_else(|e| panic!("permute failed on {b}: {e}"));
-            assert_respects_connectivity(&machine, &compiled, "qiskit+permute");
-            assert_computes_right_answer(&machine, &compiled, b);
-        }
-    }
-}
-
+/// The name recalls the comparison with permutation routing, which
+/// emitted only the one-way half of the movement and is gone; what it
+/// pinned on the swap-back side holds for every Table-1 config: the
+/// physical circuit carries each program SWAP once and each movement SWAP
+/// twice (out and back), and the answer still comes out right.
 #[test]
 fn permutation_routing_halves_movement_on_ibmq16() {
     let machine = Machine::ibmq16_on_day(2019, 0);
-    let swap_back = CompilerConfig::qiskit();
-    let permute = swap_back.with_swap_handling(SwapHandling::Permute);
+    let count_swaps = |c: &Circuit| c.iter().filter(|g| g.kind() == GateKind::Swap).count();
     let mut saw_movement = false;
-    let (mut base_swaps, mut perm_swaps) = (0usize, 0usize);
-    let (mut base_slots, mut perm_slots) = (0u64, 0u64);
-    for b in Benchmark::all() {
-        let baseline = Compiler::new(&machine, swap_back)
-            .compile(&b.circuit())
-            .unwrap();
-        let permuted = Compiler::new(&machine, permute)
-            .compile(&b.circuit())
-            .unwrap();
-
-        // Both must still compute the right answer.
-        assert_computes_right_answer(&machine, &permuted, b);
-
-        let count_swaps = |c: &CompiledCircuit| {
-            c.physical_circuit()
-                .iter()
-                .filter(|g| g.kind() == GateKind::Swap)
-                .count()
-        };
-        // Program-level SWAP gates (e.g. QFT's reversal) emit one physical
-        // swap that is the gate itself, not movement — discount them.
-        let program_swaps = b
-            .circuit()
-            .iter()
-            .filter(|g| g.kind() == GateKind::Swap)
-            .count();
-        // Swap-back emits exactly twice the one-way swaps; permutation
-        // tracking emits exactly the one-way count. Under permutation
-        // tracking an *adjacent* program SWAP is elided entirely (a free
-        // layout relabeling, scheduled with no route and no physical
-        // gate), so discount only the program swaps that survived.
-        let source: Vec<GateKind> = b.circuit().iter().map(|g| g.kind()).collect();
-        let elided = permuted
-            .schedule()
-            .gates
-            .iter()
-            .filter(|e| source[e.gate_index] == GateKind::Swap && e.route.is_none())
-            .count();
-        assert_eq!(
-            count_swaps(&baseline) - program_swaps,
-            2 * baseline.swap_count(),
-            "{b}"
-        );
-        assert_eq!(
-            count_swaps(&permuted) - (program_swaps - elided),
-            permuted.swap_count(),
-            "{b}"
-        );
-        saw_movement |= baseline.swap_count() > 0;
-        base_swaps += count_swaps(&baseline);
-        perm_swaps += count_swaps(&permuted);
-        base_slots += u64::from(baseline.duration_slots());
-        perm_slots += u64::from(permuted.duration_slots());
+    for config in CompilerConfig::table1() {
+        for b in Benchmark::all() {
+            let circuit = b.circuit();
+            let compiled = Compiler::new(&machine, config).compile(&circuit).unwrap();
+            assert_computes_right_answer(&machine, &compiled, b);
+            assert_eq!(
+                count_swaps(compiled.physical_circuit()) - count_swaps(&circuit),
+                2 * compiled.swap_count(),
+                "{b} under {}",
+                config.algorithm
+            );
+            saw_movement |= compiled.swap_count() > 0;
+        }
     }
     assert!(
         saw_movement,
         "no benchmark needed movement; test is vacuous"
     );
-    // Per-benchmark a drifted layout can occasionally lengthen a later
-    // route, but across the suite eliding the swap-backs must pay off.
-    assert!(
-        perm_swaps < base_swaps,
-        "permutation tracking inserted {perm_swaps} physical swaps vs {base_swaps}"
-    );
-    assert!(
-        perm_slots < base_slots,
-        "permutation tracking took {perm_slots} total slots vs {base_slots}"
-    );
-}
-
-#[test]
-fn permutation_final_placement_tracks_the_drift() {
-    let machine = Machine::ibmq16_on_day(2019, 0);
-    let config = CompilerConfig::qiskit().with_swap_handling(SwapHandling::Permute);
-    let compiled = Compiler::new(&machine, config)
-        .compile(&Benchmark::Bv8.circuit())
-        .unwrap();
-    // BV8 under the lexicographic baseline needs movement, so the final
-    // placement must differ from the initial one...
-    assert_ne!(compiled.placement(), compiled.final_placement());
-    // ...while remaining a valid (injective, in-range) placement.
-    compiled
-        .final_placement()
-        .validate(machine.num_qubits())
-        .expect("final placement stays injective");
-    // Note a measurement does not necessarily read the *final* location: a
-    // later gate may route through an already-measured qubit and displace
-    // it. The ideal-simulation checks in the other tests pin down that
-    // measures read the right location at the right time.
-    // Under swap-back the two placements coincide.
-    let swap_back = Compiler::new(&machine, CompilerConfig::qiskit())
-        .compile(&Benchmark::Bv8.circuit())
-        .unwrap();
-    assert_eq!(swap_back.placement(), swap_back.final_placement());
 }
 
 #[test]
 fn heavy_hex_machine_compiles_representative_benchmarks() {
     let machine = Machine::from_spec(TopologySpec::HeavyHex { rows: 2, cols: 7 }, 2019, 0);
     assert!(machine.num_qubits() >= 14);
-    for policy in [SwapHandling::SwapBack, SwapHandling::Permute] {
-        let config = CompilerConfig::greedy_e().with_swap_handling(policy);
-        for b in Benchmark::representative() {
-            let compiled = Compiler::new(&machine, config)
-                .compile(&b.circuit())
-                .unwrap_or_else(|e| panic!("greedy-e ({policy:?}) failed on {b}: {e}"));
-            assert_respects_connectivity(&machine, &compiled, "greedy-e heavy-hex");
-            assert_computes_right_answer(&machine, &compiled, b);
-        }
+    let config = CompilerConfig::greedy_e();
+    for b in Benchmark::representative() {
+        let compiled = Compiler::new(&machine, config)
+            .compile(&b.circuit())
+            .unwrap_or_else(|e| panic!("greedy-e failed on {b}: {e}"));
+        assert_respects_connectivity(&machine, &compiled, "greedy-e heavy-hex");
+        assert_computes_right_answer(&machine, &compiled, b);
     }
 }
 
