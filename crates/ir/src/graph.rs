@@ -113,11 +113,6 @@ impl InteractionGraph {
         }
         out
     }
-
-    /// Total CNOT count across all edges.
-    pub fn total_weight(&self) -> usize {
-        self.edges.values().sum()
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +135,6 @@ mod tests {
         assert_eq!(g.degree(Qubit(3)), 3);
         assert_eq!(g.degree(Qubit(0)), 1);
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.total_weight(), 3);
     }
 
     #[test]

@@ -49,15 +49,6 @@ impl GateDurations {
                 b: edge.1,
             })
     }
-
-    /// Duration of a SWAP on `edge`: three back-to-back CNOTs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the edge has no calibration entry.
-    pub fn swap(&self, edge: EdgeId) -> Result<u32, MachineError> {
-        Ok(self.cnot(edge)? * 3)
-    }
 }
 
 /// Pre-resolved parameters of one calibrated edge, returned by

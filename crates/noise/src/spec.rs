@@ -25,9 +25,48 @@
 //! General Kraus channels are fully explicit (their operators already fix
 //! the strength), so a `"kraus"` binding must *omit* `"rate"`; every other
 //! shape requires one.
+//!
+//! The rate, weight, arity and filter rules make every other shape a valid
+//! channel at any rate it can resolve to, so the completeness check
+//! `Σ K†K = I` runs on explicit Kraus operators only, the one kind where it
+//! can fail.
 
-use crate::channel::{Channel, Matrix2, NoiseError, MAX_KRAUS_OPS};
 use crate::json::{self, Value};
+use std::fmt;
+
+/// A 2×2 complex matrix in row-major order (`[m00, m01, m10, m11]`);
+/// each entry is `(re, im)`.
+pub type Matrix2 = [(f64, f64); 4];
+
+/// Largest number of operators a general Kraus channel may carry.
+pub const MAX_KRAUS_OPS: usize = 8;
+
+/// Tolerance for the CPTP completeness check `Σ K†K = I`.
+pub const CPTP_TOLERANCE: f64 = 1e-9;
+
+/// Why a spec was rejected.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NoiseError {
+    /// The document is not well-formed JSON.
+    Parse(String),
+    /// The document is well-formed JSON but violates the spec schema
+    /// (unknown field, wrong type, bad selector, out-of-range rate...).
+    Invalid(String),
+    /// Explicit Kraus operators do not describe a CPTP map.
+    NotCptp(String),
+}
+
+impl fmt::Display for NoiseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NoiseError::Parse(m) => write!(f, "noise spec is not valid JSON: {m}"),
+            NoiseError::Invalid(m) => write!(f, "invalid noise spec: {m}"),
+            NoiseError::NotCptp(m) => write!(f, "channel is not CPTP: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for NoiseError {}
 
 /// Largest qubit index a binding filter may name.
 pub const MAX_SPEC_QUBIT: u32 = 4096;
@@ -97,8 +136,8 @@ impl Rate {
     }
 }
 
-/// A channel shape: a [`Channel`] minus its strength parameter (which the
-/// binding's [`Rate`] supplies per site).
+/// A channel kind, minus its strength parameter (which the binding's
+/// [`Rate`] supplies per site).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChannelShape {
     /// Single-qubit depolarizing at the resolved rate.
@@ -122,20 +161,12 @@ pub enum ChannelShape {
     AmplitudeDamping,
     /// Explicit Kraus operators (no rate; the operators are the channel).
     Kraus {
-        /// The operator list, validated for CPTP-ness.
+        /// The operator list, checked for completeness (`Σ K†K = I`).
         ops: Vec<Matrix2>,
     },
 }
 
 impl ChannelShape {
-    /// Whether the shape stays Pauli-diagonal (keeps the fast tiers).
-    pub fn is_pauli(&self) -> bool {
-        !matches!(
-            self,
-            ChannelShape::AmplitudeDamping | ChannelShape::Kraus { .. }
-        )
-    }
-
     fn kind_name(&self) -> &'static str {
         match self {
             ChannelShape::Depolarizing1q => "depolarizing-1q",
@@ -180,28 +211,6 @@ impl Binding {
                 .iter()
                 .any(|&(x, y)| (x == a && y == b) || (x == b && y == a)),
             None => true,
-        }
-    }
-
-    /// Resolves the bound channel at a site whose calibrated error rate is
-    /// `calibrated` (ignored for fixed rates and Kraus shapes).
-    pub fn channel_at(&self, calibrated: f64) -> Channel {
-        let theta = self.rate.map_or(0.0, |r| r.resolve(calibrated));
-        match &self.shape {
-            ChannelShape::Depolarizing1q => Channel::Depolarizing1q { p: theta },
-            ChannelShape::Depolarizing2q => Channel::Depolarizing2q { p: theta },
-            ChannelShape::BitFlip => Channel::BitFlip { p: theta },
-            ChannelShape::PhaseFlip => Channel::PhaseFlip { p: theta },
-            ChannelShape::PauliWeighted { wx, wy, wz } => {
-                let sum = wx + wy + wz;
-                Channel::PauliWeighted {
-                    px: theta * wx / sum,
-                    py: theta * wy / sum,
-                    pz: theta * wz / sum,
-                }
-            }
-            ChannelShape::AmplitudeDamping => Channel::AmplitudeDamping { gamma: theta },
-            ChannelShape::Kraus { ops } => Channel::Kraus { ops: ops.clone() },
         }
     }
 
@@ -304,22 +313,57 @@ impl Binding {
                 )));
             }
         }
-        // CPTP-check the channel at both extremes of the resolvable range.
-        self.channel_at(0.0)
-            .validate()
-            .map_err(|e| invalid_cptp(&ctx, e))?;
-        self.channel_at(1.0)
-            .validate()
-            .map_err(|e| invalid_cptp(&ctx, e))?;
+        if let ChannelShape::Kraus { ops } = &self.shape {
+            check_completeness(ops, &ctx)?;
+        }
         Ok(())
     }
 }
 
-fn invalid_cptp(ctx: &str, e: NoiseError) -> NoiseError {
-    match e {
-        NoiseError::NotCptp(m) => NoiseError::NotCptp(format!("{ctx}: {m}")),
-        other => other,
+/// Checks explicit Kraus operators for completeness `Σ K†K = I` (which
+/// also implies trace preservation).
+fn check_completeness(ops: &[Matrix2], ctx: &str) -> Result<(), NoiseError> {
+    if ops.is_empty() || ops.len() > MAX_KRAUS_OPS {
+        return Err(NoiseError::NotCptp(format!(
+            "{ctx}: a Kraus channel needs 1..={MAX_KRAUS_OPS} operators, got {}",
+            ops.len()
+        )));
     }
+    if let Some(k) = ops
+        .iter()
+        .position(|op| op.iter().any(|(re, im)| !re.is_finite() || !im.is_finite()))
+    {
+        return Err(NoiseError::NotCptp(format!(
+            "{ctx}: Kraus operator {k} has a non-finite entry"
+        )));
+    }
+    // (Σ_k K†K)_{ij} = Σ_k Σ_m conj(K_mi) · K_mj, row-major index 2m+i.
+    let mut sum = [(0.0f64, 0.0f64); 4];
+    for op in ops {
+        for i in 0..2 {
+            for j in 0..2 {
+                for m in 0..2 {
+                    let (ar, ai) = op[2 * m + i];
+                    let (br, bi) = op[2 * m + j];
+                    // conj(a) * b
+                    sum[2 * i + j].0 += ar * br + ai * bi;
+                    sum[2 * i + j].1 += ar * bi - ai * br;
+                }
+            }
+        }
+    }
+    let identity = [(1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0)];
+    let mut defect = 0.0f64;
+    for (s, id) in sum.iter().zip(identity.iter()) {
+        defect = defect.max((s.0 - id.0).abs()).max((s.1 - id.1).abs());
+    }
+    if defect > CPTP_TOLERANCE {
+        return Err(NoiseError::NotCptp(format!(
+            "{ctx}: Kraus completeness sum deviates from identity by {defect:.3e} \
+             (tolerance {CPTP_TOLERANCE:.0e})"
+        )));
+    }
+    Ok(())
 }
 
 /// A named, validated set of channel bindings.
@@ -355,19 +399,14 @@ impl NoiseSpec {
         &self.bindings
     }
 
-    /// Whether every binding keeps the Pauli-diagonal fast path (tiers 0–2
-    /// and the tableau backend's error masks stay available).
-    pub fn is_pauli_only(&self) -> bool {
-        self.bindings.iter().all(|b| b.shape.is_pauli())
-    }
-
     /// Parses a complete JSON document into a validated spec.
     ///
     /// # Errors
     ///
     /// [`NoiseError::Parse`] for malformed JSON, [`NoiseError::Invalid`]
     /// for schema violations (including any unknown field, anywhere), and
-    /// [`NoiseError::NotCptp`] for channels that fail validation.
+    /// [`NoiseError::NotCptp`] for explicit Kraus operators that fail the
+    /// completeness check.
     pub fn from_json(text: &str) -> Result<Self, NoiseError> {
         let value = json::parse(text).map_err(|e| NoiseError::Parse(e.to_string()))?;
         Self::from_value(&value)
@@ -639,20 +678,28 @@ mod tests {
         let spec = NoiseSpec::from_json(GOOD).unwrap();
         assert_eq!(spec.name(), "depol-cnot_ad-measure");
         assert_eq!(spec.bindings().len(), 3);
-        assert!(!spec.is_pauli_only());
         assert!(spec.bindings()[0].applies_to_edge(3, 7));
         assert!(spec.bindings()[2].applies_to_qubit(5));
         assert!(!spec.bindings()[2].applies_to_qubit(3));
 
-        let c = spec.bindings()[0].channel_at(0.02);
-        assert_eq!(c, Channel::Depolarizing2q { p: 0.02 });
-        let c = spec.bindings()[1].channel_at(0.9);
-        assert_eq!(c, Channel::AmplitudeDamping { gamma: 0.03 });
-        let Channel::PauliWeighted { px, py, pz } = spec.bindings()[2].channel_at(0.0) else {
-            panic!()
-        };
-        assert!((px + py + pz - 0.001).abs() < 1e-12);
-        assert!((pz - 2.0 * px).abs() < 1e-12);
+        let shapes: Vec<&ChannelShape> = spec.bindings().iter().map(|b| &b.shape).collect();
+        assert_eq!(
+            shapes,
+            [
+                &ChannelShape::Depolarizing2q,
+                &ChannelShape::AmplitudeDamping,
+                &ChannelShape::PauliWeighted {
+                    wx: 1.0,
+                    wy: 1.0,
+                    wz: 2.0
+                }
+            ]
+        );
+        let rate_at =
+            |i: usize, calibrated: f64| spec.bindings()[i].rate.unwrap().resolve(calibrated);
+        assert_eq!(rate_at(0, 0.02), 0.02);
+        assert_eq!(rate_at(1, 0.9), 0.03);
+        assert_eq!(rate_at(2, 0.0), 0.001);
     }
 
     #[test]
@@ -711,16 +758,25 @@ mod tests {
         let negative_factor = r#"{"name": "x", "bindings": [
             {"on": "sq", "rate": {"calibration": -2}, "channel": {"kind": "bit-flip"}}]}"#;
         assert!(NoiseSpec::from_json(negative_factor).is_err());
+        // JSON has no NaN; a programmatic one is refused all the same.
+        let nan = Binding {
+            on: GateSel::SingleQubit,
+            qubits: None,
+            edges: None,
+            rate: Some(Rate::Fixed(f64::NAN)),
+            shape: ChannelShape::BitFlip,
+        };
+        assert!(matches!(
+            NoiseSpec::new("x", vec![nan]),
+            Err(NoiseError::Invalid(_))
+        ));
         // Calibration scaling saturates at 1.
         let spec = NoiseSpec::from_json(
             r#"{"name": "x", "bindings": [
             {"on": "sq", "rate": {"calibration": 3.0}, "channel": {"kind": "bit-flip"}}]}"#,
         )
         .unwrap();
-        assert_eq!(
-            spec.bindings()[0].channel_at(0.9),
-            Channel::BitFlip { p: 1.0 }
-        );
+        assert_eq!(spec.bindings()[0].rate.unwrap().resolve(0.9), 1.0);
     }
 
     #[test]
@@ -731,7 +787,10 @@ mod tests {
                 [[0.1, 0], [0, 0], [0, 0], [-0.1, 0]]
             ]}}]}"#;
         let spec = NoiseSpec::from_json(good).unwrap();
-        assert!(!spec.is_pauli_only());
+        assert!(matches!(
+            spec.bindings()[0].shape,
+            ChannelShape::Kraus { .. }
+        ));
 
         let rated = good.replacen("\"channel\"", "\"rate\": 0.5, \"channel\"", 1);
         assert!(NoiseSpec::from_json(&rated).is_err());
@@ -755,10 +814,38 @@ mod tests {
     }
 
     #[test]
-    fn pauli_only_classification() {
-        let pauli = r#"{"name": "p", "bindings": [
-            {"on": "cnot", "rate": 0.01, "channel": {"kind": "depolarizing-2q"}},
-            {"on": "sq", "rate": 0.001, "channel": {"kind": "phase-flip"}}]}"#;
-        assert!(NoiseSpec::from_json(pauli).unwrap().is_pauli_only());
+    fn kraus_completeness_is_enforced() {
+        let kraus = |ops: Vec<Matrix2>| {
+            NoiseSpec::new(
+                "k",
+                vec![Binding {
+                    on: GateSel::SingleQubit,
+                    qubits: None,
+                    edges: None,
+                    rate: None,
+                    shape: ChannelShape::Kraus { ops },
+                }],
+            )
+        };
+        // A valid dephasing-style pair...
+        let p: f64 = 0.1;
+        kraus(vec![
+            [
+                ((1.0 - p).sqrt(), 0.0),
+                (0.0, 0.0),
+                (0.0, 0.0),
+                ((1.0 - p).sqrt(), 0.0),
+            ],
+            [(p.sqrt(), 0.0), (0.0, 0.0), (0.0, 0.0), (-p.sqrt(), 0.0)],
+        ])
+        .unwrap();
+
+        // ...and the same pair scaled is no longer trace preserving.
+        let bad = kraus(vec![[(0.9, 0.0), (0.0, 0.0), (0.0, 0.0), (0.9, 0.0)]]);
+        assert!(matches!(bad, Err(NoiseError::NotCptp(_))));
+
+        assert!(matches!(kraus(vec![]), Err(NoiseError::NotCptp(_))));
+        let infinite = [(f64::INFINITY, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0)];
+        assert!(matches!(kraus(vec![infinite]), Err(NoiseError::NotCptp(_))));
     }
 }

@@ -57,9 +57,7 @@ mod worker;
 pub use error::ServeError;
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultPlan, ENV_DELAY_BEFORE_RUN_MS, ENV_PANIC_ON_CIRCUIT, ENV_WEDGE_AFTER_PINGS};
-pub use request::{
-    admit, parse_plan, parse_plan_with_journal, parse_request, Budgets, Op, Request,
-};
+pub use request::{admit, parse_plan_with_journal, parse_request, Budgets, Op, Request};
 pub use server::{journal_path, Endpoint, Server, ServerConfig, ServerHandle};
 pub use supervisor::{restart_backoff, route_worker, SupervisorConfig};
 pub use worker::WorkerSpec;

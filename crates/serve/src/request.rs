@@ -182,21 +182,21 @@ fn parse_circuit_spec(doc: &Value) -> Result<CircuitSpec, ServeError> {
         let bits = expected
             .as_str()
             .ok_or_else(|| invalid("\"expected\" must be a string of 0/1 bits"))?;
-        spec = spec.with_expected(parse_expected_bits(bits)?);
+        let bits = parse_expected_bits(bits)?;
+        if bits.len() != spec.circuit.num_clbits() {
+            return Err(invalid(format!(
+                "circuit {name:?}: \"expected\" has {} bits but the circuit has {} classical bits",
+                bits.len(),
+                spec.circuit.num_clbits()
+            )));
+        }
+        spec = spec.with_expected(bits);
     }
     Ok(spec)
 }
 
-/// Parses the `plan` object of a run request into a [`SweepPlan`].
-///
-/// # Errors
-///
-/// [`ServeError::InvalidPlan`] naming the offending field.
-pub fn parse_plan(doc: &Value) -> Result<SweepPlan, ServeError> {
-    parse_plan_with_journal(doc).map(|(plan, _)| plan)
-}
-
-/// [`parse_plan`] plus the plan's `"journal"` flag.
+/// Parses the `plan` object of a run request into a [`SweepPlan`] plus the
+/// plan's `"journal"` flag.
 ///
 /// # Errors
 ///
@@ -535,6 +535,9 @@ mod tests {
             r#"{"benchmarks": "bv4", "tirals": 10}"#,
             r#"{"circuits": [{"name": "bad", "qasm": "qreg q[2]; zap q[0];"}]}"#,
             r#"{"circuits": [{"name": "huge", "qasm": "qreg q[999999];"}]}"#,
+            // An answer that cannot match any outcome of the circuit.
+            r#"{"circuits": [{"name": "short", "expected": "1",
+                "qasm": "qreg q[2]; creg c[2]; measure q[0] -> c[0]; measure q[1] -> c[1];"}]}"#,
             // Noise specs go through the same strict parser the CLI uses:
             // unknown fields, shape/selector mismatches and non-CPTP Kraus
             // sets are all invalid-plan, not protocol, errors.

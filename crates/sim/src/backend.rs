@@ -3,10 +3,10 @@
 //! A lowered [`TrialProgram`](crate::TrialProgram) is a flat op stream; how
 //! those ops act on quantum state is a backend concern. [`SimBackend`]
 //! captures exactly the per-op hooks the replay walkers need — fused
-//! single-qubit unitaries, CNOT, relabeling SWAP, error-Pauli injection,
-//! mid-circuit measurement, terminal joint sampling, and checkpoint
-//! save/restore — so the same generic walk drives every state
-//! representation:
+//! single-qubit unitaries, error-Pauli injection, CNOT, relabeling SWAP,
+//! Kraus channels, mid-circuit measurement and terminal joint sampling — so
+//! the same generic walk drives every state representation (resetting and
+//! checkpointing a state are each backend's own methods):
 //!
 //! * the dense split-complex [`StateVector`](crate::StateVector) (via
 //!   [`TrialScratch`](crate::TrialScratch), the default backend: any gate
@@ -71,9 +71,6 @@ impl std::fmt::Display for BackendKind {
 ///   draws stay in the walker so every backend sees the same downstream
 ///   stream shape.
 pub trait SimBackend {
-    /// Resets to the all-zeros state with an identity wire labeling.
-    fn reset_state(&mut self);
-
     /// Composes a (possibly fused) single-qubit unitary onto `qubit`.
     fn fuse_unitary(&mut self, qubit: u8, matrix: &Matrix2);
 
@@ -103,14 +100,6 @@ pub trait SimBackend {
     /// `(qubit, clbit, p_flip)` triples in program order, at most 128).
     fn terminal_sample<R: Rng + ?Sized>(&mut self, measures: &[(u8, u8, f64)], rng: &mut R)
         -> u128;
-
-    /// Saves the current state into `checkpoint` (same width, no
-    /// allocation on the hot path).
-    fn save_into(&self, checkpoint: &mut Self);
-
-    /// Restores the state from a checkpoint previously saved with
-    /// [`SimBackend::save_into`].
-    fn restore_from(&mut self, checkpoint: &Self);
 }
 
 #[cfg(test)]

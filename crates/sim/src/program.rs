@@ -56,7 +56,7 @@ use crate::rng::TrialRng;
 use crate::state::StateVector;
 use nisq_ir::{Circuit, GateKind};
 use nisq_machine::{Calibration, HwQubit, Machine};
-use nisq_noise::{Binding, GateSel, NoiseSpec, PauliForm};
+use nisq_noise::{Binding, ChannelShape, GateSel, NoiseSpec};
 use rand::Rng;
 
 /// Default CNOT duration (timeslots) when an edge has no calibration entry,
@@ -1215,10 +1215,6 @@ impl TrialScratch {
 /// replay walkers used to inline, so the monomorphized generic walk is
 /// bit-identical to the pre-trait dense path.
 impl SimBackend for TrialScratch {
-    fn reset_state(&mut self) {
-        self.reset();
-    }
-
     fn fuse_unitary(&mut self, qubit: u8, matrix: &Matrix2) {
         self.fuse(qubit, matrix);
     }
@@ -1266,14 +1262,6 @@ impl SimBackend for TrialScratch {
             }
         }
         ideal
-    }
-
-    fn save_into(&self, checkpoint: &mut Self) {
-        checkpoint.copy_from(self);
-    }
-
-    fn restore_from(&mut self, checkpoint: &Self) {
-        self.copy_from(checkpoint);
     }
 }
 
@@ -1356,9 +1344,11 @@ fn intern_kraus(tables: &mut Vec<KrausTable>, ops: Vec<Matrix2>) -> u16 {
 }
 
 /// Emits the trial op realizing one single-qubit binding at a site whose
-/// calibrated error rate is `calibrated`. Pauli-diagonalizable channels
-/// become a pre-samplable [`TrialOp::PauliSite`] (the fast tiers keep
-/// working); amplitude damping and general Kraus channels take the wire's
+/// calibrated error rate is `calibrated`, straight from the binding's shape
+/// and resolved rate. The Pauli kinds become a pre-samplable
+/// [`TrialOp::PauliSite`] (the fast tiers keep working), with the firing
+/// probability clamped to 1 where rounding of the weighted split overshoots
+/// it; amplitude damping and explicit Kraus operators take the wire's
 /// pending unitary with them (`A_k = K_k · U`, one fused pass) and become a
 /// state-dependent [`TrialOp::KrausChannel`].
 fn emit_1q_channel(
@@ -1368,63 +1358,84 @@ fn emit_1q_channel(
     qubit: u8,
     calibrated: f64,
 ) {
-    let channel = binding.channel_at(calibrated);
-    match channel.pauli_form() {
-        Some(PauliForm::One { p_fire, wx, wy, wz }) => {
-            let p = p_fire.clamp(0.0, 1.0);
-            let mut dist = [0.0; 16];
-            dist[0] = 1.0 - p;
-            for (pauli, w) in [wx, wy, wz].into_iter().enumerate() {
-                dist[4 * (pauli + 1)] = p * w;
-            }
-            if let Some(site) = SiteDist::new(&dist) {
-                // Flush so the error lands *after* the gate it is bound to
-                // (pending unitaries would otherwise materialize later in
-                // the op stream, inverting the order).
-                lowering.flush(qubit);
-                lowering.push_site(qubit, None, site);
+    let theta = binding.rate.map_or(0.0, |r| r.resolve(calibrated));
+    // The firing probability and P(X), P(Y), P(Z) given a firing.
+    let (p_fire, weights) = match &binding.shape {
+        ChannelShape::Depolarizing1q => (theta, [1.0 / 3.0; 3]),
+        ChannelShape::BitFlip => (theta, [1.0, 0.0, 0.0]),
+        ChannelShape::PhaseFlip => (theta, [0.0, 0.0, 1.0]),
+        ChannelShape::PauliWeighted { wx, wy, wz } => {
+            let sum = wx + wy + wz;
+            let p = [theta * wx / sum, theta * wy / sum, theta * wz / sum];
+            let p_fire = p[0] + p[1] + p[2];
+            if p_fire > 0.0 {
+                (p_fire, p.map(|pk| pk / p_fire))
+            } else {
+                (p_fire, [1.0, 0.0, 0.0])
             }
         }
-        Some(PauliForm::TwoUniform { .. }) => {
+        ChannelShape::AmplitudeDamping => {
+            let s = (1.0 - theta).max(0.0).sqrt();
+            let g = theta.max(0.0).sqrt();
+            let kraus = [
+                [(1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (s, 0.0)],
+                [(0.0, 0.0), (g, 0.0), (0.0, 0.0), (0.0, 0.0)],
+            ];
+            return emit_kraus(lowering, kraus_tables, qubit, &kraus);
+        }
+        ChannelShape::Kraus { ops } => return emit_kraus(lowering, kraus_tables, qubit, ops),
+        ChannelShape::Depolarizing2q => {
             unreachable!("spec validation restricts two-qubit shapes to cnot/swap bindings")
         }
-        None => {
-            let kraus = channel
-                .kraus_ops()
-                .expect("non-Pauli channels expose Kraus operators");
-            let fused = lowering.pending[usize::from(qubit)].take();
-            let ops: Vec<Matrix2> = kraus
-                .iter()
-                .map(|k| {
-                    let m = [
-                        Complex::new(k[0].0, k[0].1),
-                        Complex::new(k[1].0, k[1].1),
-                        Complex::new(k[2].0, k[2].1),
-                        Complex::new(k[3].0, k[3].1),
-                    ];
-                    match &fused {
-                        Some(u) => matmul(&m, u),
-                        None => m,
-                    }
-                })
-                .collect();
-            let table = intern_kraus(kraus_tables, ops);
-            lowering.ops.push(TrialOp::KrausChannel { qubit, table });
-        }
+    };
+    let p = p_fire.clamp(0.0, 1.0);
+    let mut dist = [0.0; 16];
+    dist[0] = 1.0 - p;
+    for (pauli, w) in weights.into_iter().enumerate() {
+        dist[4 * (pauli + 1)] = p * w;
     }
+    if let Some(site) = SiteDist::new(&dist) {
+        // Flush so the error lands *after* the gate it is bound to
+        // (pending unitaries would otherwise materialize later in the op
+        // stream, inverting the order).
+        lowering.flush(qubit);
+        lowering.push_site(qubit, None, site);
+    }
+}
+
+/// Emits the [`TrialOp::KrausChannel`] applying the Kraus operators `kraus`
+/// to `qubit`, fused with the wire's pending unitary.
+fn emit_kraus(
+    lowering: &mut Lowering,
+    kraus_tables: &mut Vec<KrausTable>,
+    qubit: u8,
+    kraus: &[nisq_noise::Matrix2],
+) {
+    let fused = lowering.pending[usize::from(qubit)].take();
+    let ops: Vec<Matrix2> = kraus
+        .iter()
+        .map(|k| {
+            let m = k.map(|(re, im)| Complex::new(re, im));
+            match &fused {
+                Some(u) => matmul(&m, u),
+                None => m,
+            }
+        })
+        .collect();
+    let table = intern_kraus(kraus_tables, ops);
+    lowering.ops.push(TrialOp::KrausChannel { qubit, table });
 }
 
 /// Emits the noise site realizing one cnot/swap binding on the (compact)
 /// wire pair. Spec validation guarantees the bound shape is two-qubit
 /// depolarizing — always pre-samplable.
 fn emit_2q_channel(lowering: &mut Lowering, binding: &Binding, a: u8, b: u8, calibrated: f64) {
-    match binding.channel_at(calibrated).pauli_form() {
-        Some(PauliForm::TwoUniform { p_fire }) => {
-            if let Some(site) = SiteDist::new(&two_qubit_depolarizing(p_fire.clamp(0.0, 1.0))) {
-                lowering.push_site(a, Some(b), site);
-            }
-        }
-        _ => unreachable!("spec validation restricts cnot/swap bindings to depolarizing-2q"),
+    let ChannelShape::Depolarizing2q = binding.shape else {
+        unreachable!("spec validation restricts cnot/swap bindings to depolarizing-2q")
+    };
+    let p = binding.rate.map_or(0.0, |r| r.resolve(calibrated));
+    if let Some(site) = SiteDist::new(&two_qubit_depolarizing(p.clamp(0.0, 1.0))) {
+        lowering.push_site(a, Some(b), site);
     }
 }
 
@@ -1662,7 +1673,13 @@ mod tests {
                 {"on": "sq", "rate": 0.2,
                  "channel": {"kind": "pauli-weighted", "wx": 1, "wy": 1, "wz": 2}},
                 {"on": "cnot", "rate": {"calibration": 2.0},
-                 "channel": {"kind": "depolarizing-2q"}}]}"#,
+                 "channel": {"kind": "depolarizing-2q"}},
+                {"on": "measure", "qubits": [0], "rate": 0.03,
+                 "channel": {"kind": "depolarizing-1q"}},
+                {"on": "measure", "qubits": [0], "rate": {"calibration": 2.0},
+                 "channel": {"kind": "bit-flip"}},
+                {"on": "measure", "qubits": [0], "rate": 0.07,
+                 "channel": {"kind": "phase-flip"}}]}"#,
         )
         .unwrap();
         let program = TrialProgram::lower_with_spec(&c, &m, &NoiseModel::full(), Some(&spec));
@@ -1728,6 +1745,13 @@ mod tests {
             swap_group(0, cnot_draws(1, 2)),
             swap_group(1, cnot_draws(2, 1)),
             swap_group(2, cnot_draws(1, 2)),
+            // The measure of hardware qubit 0, after the SWAP.
+            depol_1q(0.03),
+            {
+                let p = 2.0 * cal.readout_error(HwQubit(0));
+                vec![(1.0 - p, (I, I)), (p, (X, I))]
+            },
+            vec![(0.93, (I, I)), (0.07, (Z, I))],
         ];
         assert_eq!(program.sites.len(), expected.len());
 
@@ -1752,6 +1776,161 @@ mod tests {
                     got[pair],
                     want[pair]
                 );
+            }
+        }
+    }
+
+    /// A 3-qubit circuit on the hardware chain 0-1-2: single-qubit gates on
+    /// every wire, a CNOT, a SWAP and a measure of each qubit.
+    fn chain_circuit() -> Circuit {
+        let mut c = Circuit::new(3);
+        c.h(Qubit(0)).t(Qubit(1)).h(Qubit(2));
+        c.cnot(Qubit(0), Qubit(1));
+        c.push(nisq_ir::Gate::swap(Qubit(1), Qubit(2)));
+        c.measure_all();
+        c
+    }
+
+    fn lower_spec(json: &str) -> TrialProgram {
+        let spec = NoiseSpec::from_json(json).unwrap();
+        TrialProgram::lower_with_spec(
+            &chain_circuit(),
+            &machine(),
+            &NoiseModel::ideal(),
+            Some(&spec),
+        )
+    }
+
+    #[test]
+    fn spec_lowering_is_pinned_bit_for_bit() {
+        // Every lowered number of bindings of all seven kinds, compared by
+        // bit pattern, so a 1-ulp change in any formula fails.
+        let pauli = lower_spec(
+            r#"{"name": "pin-pauli", "bindings": [
+            {"on": "sq", "qubits": [0], "rate": 0.01, "channel": {"kind": "depolarizing-1q"}},
+            {"on": "sq", "qubits": [0], "rate": {"calibration": 3.0},
+             "channel": {"kind": "pauli-weighted", "wx": 1, "wy": 2, "wz": 4}},
+            {"on": "sq", "qubits": [1], "rate": {"calibration": 3.0}, "channel": {"kind": "bit-flip"}},
+            {"on": "sq", "qubits": [1], "rate": 0.02, "channel": {"kind": "phase-flip"}},
+            {"on": "cnot", "rate": {"calibration": 2.0}, "channel": {"kind": "depolarizing-2q"}},
+            {"on": "swap", "rate": 0.01, "channel": {"kind": "depolarizing-2q"}},
+            {"on": "measure", "qubits": [2], "rate": {"calibration": 4.0},
+             "channel": {"kind": "pauli-weighted", "wx": 3, "wy": 0, "wz": 1}}]}"#,
+        );
+        const THIRD: f64 = 0.33333333333333337;
+        const TWO_THIRDS: f64 = 0.6666666666666667;
+        const SEVENTH: f64 = 0.14285714285714288;
+        const THREE_SEVENTHS: f64 = 0.4285714285714286;
+        #[rustfmt::skip]
+        let sites: [(f64, [f64; 15]); 7] = [
+            // depolarizing-1q, then pauli-weighted 1:2:4, on qubit 0.
+            (0.009999999999999998, [0.0, 0.0, 0.0, THIRD, THIRD, THIRD, THIRD,
+                TWO_THIRDS, TWO_THIRDS, TWO_THIRDS, TWO_THIRDS, 1.0, 1.0, 1.0, 1.0]),
+            (0.004022075509216879, [0.0, 0.0, 0.0, SEVENTH, SEVENTH, SEVENTH, SEVENTH,
+                THREE_SEVENTHS, THREE_SEVENTHS, THREE_SEVENTHS, THREE_SEVENTHS,
+                1.0, 1.0, 1.0, 1.0]),
+            // bit-flip, then phase-flip, on qubit 1.
+            (0.006690964034270346, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                1.0, 1.0, 1.0, 1.0]),
+            (0.02, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+            // depolarizing-2q on the CNOT, then on the SWAP.
+            (0.23314306770712553, [0.06666666666666667, 0.13333333333333333,
+                0.19999999999999996, 0.26666666666666666, 0.3333333333333333,
+                0.39999999999999997, 0.4666666666666667, 0.5333333333333333, 0.6,
+                0.6666666666666666, 0.7333333333333333, 0.7999999999999999,
+                0.8666666666666667, 0.9333333333333333, 1.0]),
+            (0.01, [0.06666666666666667, 0.13333333333333333, 0.2, 0.26666666666666666,
+                0.3333333333333333, 0.4, 0.4666666666666667, 0.5333333333333334,
+                0.6000000000000001, 0.6666666666666667, 0.7333333333333335,
+                0.8000000000000002, 0.8666666666666668, 0.9333333333333333, 1.0]),
+            // pauli-weighted 3:0:1 on the measure of qubit 2.
+            (0.154807144832685, [0.0, 0.0, 0.0, 0.75, 0.75, 0.75, 0.75, 0.75, 0.75, 0.75,
+                0.75, 1.0, 1.0, 1.0, 1.0]),
+        ];
+        assert!(pauli.kraus_tables.is_empty());
+        assert_eq!(pauli.sites.len(), sites.len());
+        let own_pairs: [u8; 15] = std::array::from_fn(|k| k as u8 + 1);
+        for (i, (site, (p_fire, cdf))) in pauli.sites.iter().zip(&sites).enumerate() {
+            assert_eq!(site.p_fire.to_bits(), p_fire.to_bits(), "site {i}: p_fire");
+            assert_eq!(
+                site.cdf.map(f64::to_bits),
+                cdf.map(f64::to_bits),
+                "site {i}: cdf"
+            );
+            assert_eq!(site.pairs, own_pairs, "site {i}: pairs");
+        }
+
+        let kraus = lower_spec(
+            r#"{"name": "pin-kraus", "bindings": [
+            {"on": "measure", "rate": 0.05, "channel": {"kind": "amplitude-damping"}},
+            {"on": "sq", "qubits": [2], "rate": {"calibration": 5.0},
+             "channel": {"kind": "amplitude-damping"}},
+            {"on": "sq", "qubits": [1], "channel": {"kind": "kraus", "ops": [
+                [[0.99498743710662, 0], [0, 0], [0, 0], [0.99498743710662, 0]],
+                [[0, 0.1], [0, 0], [0, 0], [0, -0.1]]]}}]}"#,
+        );
+        // Per table: each operator's (re, im) entries in row-major order,
+        // then each Gram's (g00, g01.re, g01.im, g11).
+        use std::f64::consts::FRAC_1_SQRT_2;
+        #[rustfmt::skip]
+        let tables: [(&[f64], &[f64]); 3] = [
+            // The explicit operators fused with T on qubit 1.
+            (&[0.99498743710662, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7035623639735145,
+                0.7035623639735143, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.07071067811865475,
+                -0.07071067811865477],
+             &[0.99, 0.0, 0.0, 0.99, 0.010000000000000002, 0.0, 0.0, 0.010000000000000002]),
+            // Calibration-scaled damping fused with H on qubit 2.
+            (&[FRAC_1_SQRT_2, 0.0, FRAC_1_SQRT_2, 0.0, 0.7043733839167396, 0.0,
+                -0.7043733839167396, 0.0, 0.06211389562474252, 0.0, -0.06211389562474252,
+                0.0, 0.0, 0.0, 0.0, 0.0],
+             &[0.9961418639703188, 0.0038581360296813805, 0.0, 0.9961418639703188,
+                0.003858136029681408, -0.003858136029681408, 0.0, 0.003858136029681408]),
+            // Damping at 0.05 before each measure, shared by all three.
+            (&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.9746794344808963, 0.0, 0.0, 0.0,
+                0.22360679774997896, 0.0, 0.0, 0.0, 0.0, 0.0],
+             &[1.0, 0.0, 0.0, 0.9499999999999998, 0.0, 0.0, 0.0, 0.049999999999999996]),
+        ];
+        assert!(kraus.sites.is_empty());
+        assert_eq!(kraus.kraus_tables.len(), tables.len());
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, (table, (ops, grams))) in kraus.kraus_tables.iter().zip(&tables).enumerate() {
+            let got_ops: Vec<f64> = table
+                .ops
+                .iter()
+                .flatten()
+                .flat_map(|z| [z.re, z.im])
+                .collect();
+            let got_grams: Vec<f64> = table
+                .grams
+                .iter()
+                .flat_map(|&(g00, g01, g11)| [g00, g01.re, g01.im, g11])
+                .collect();
+            assert_eq!(bits(&got_ops), bits(ops), "table {i}: operators");
+            assert_eq!(bits(&got_grams), bits(grams), "table {i}: Gram entries");
+        }
+    }
+
+    #[test]
+    fn amplitude_damping_kraus_ops_are_complete() {
+        // Bare (measure-bound) and fused with H (gate-bound): Σ_k A_k†A_k
+        // is the identity either way.
+        for gamma in [0.0, 0.25, 1.0] {
+            for on in ["measure", "sq"] {
+                let program = lower_spec(&format!(
+                    r#"{{"name": "ad", "bindings": [{{"on": "{on}", "qubits": [0],
+                    "rate": {gamma:?}, "channel": {{"kind": "amplitude-damping"}}}}]}}"#
+                ));
+                assert_eq!(program.kraus_tables.len(), 1, "{on} at {gamma}");
+                let grams = &program.kraus_tables[0].grams;
+                let g00: f64 = grams.iter().map(|g| g.0).sum();
+                let g01 = grams.iter().fold(Complex::ZERO, |acc, g| acc + g.1);
+                let g11: f64 = grams.iter().map(|g| g.2).sum();
+                for defect in [g00 - 1.0, g01.re, g01.im, g11 - 1.0] {
+                    assert!(
+                        defect.abs() <= nisq_noise::CPTP_TOLERANCE,
+                        "{on} at {gamma}: {grams:?}"
+                    );
+                }
             }
         }
     }

@@ -387,10 +387,6 @@ impl TableauState {
 /// `fuse_unitary` classifies each (already fused) matrix and applies its
 /// symplectic action.
 impl SimBackend for TableauState {
-    fn reset_state(&mut self) {
-        self.reset();
-    }
-
     fn fuse_unitary(&mut self, qubit: u8, matrix: &Matrix2) {
         let action =
             classify(matrix).expect("the tableau backend only receives Clifford unitaries");
@@ -431,18 +427,6 @@ impl SimBackend for TableauState {
             }
         }
         ideal
-    }
-
-    fn save_into(&self, checkpoint: &mut Self) {
-        assert_eq!(self.n, checkpoint.n, "checkpoint width mismatch");
-        checkpoint.x.copy_from_slice(&self.x);
-        checkpoint.z.copy_from_slice(&self.z);
-        checkpoint.phase.copy_from_slice(&self.phase);
-        checkpoint.perm.copy_from_slice(&self.perm);
-    }
-
-    fn restore_from(&mut self, checkpoint: &Self) {
-        checkpoint.save_into(self);
     }
 }
 
@@ -1052,12 +1036,11 @@ mod tests {
         tab.apply_clifford1q(0, &action_of(GateKind::H));
         tab.apply_cnot(0, 2);
         tab.swap_relabel(1, 3);
-        let mut saved = TableauState::new(4);
-        tab.save_into(&mut saved);
+        let saved = tab.clone();
         let mut rng = TrialRng::new(3, 1);
         let outcome = tab.measure(0, &mut rng);
         assert_eq!(tab.deterministic_outcome(2), Some(outcome));
-        tab.restore_from(&saved);
+        tab = saved;
         assert_eq!(tab.deterministic_outcome(2), None);
     }
 

@@ -19,7 +19,7 @@ ROOT="${1:-$(dirname "$0")/..}"
 # count <dir>: non-test code lines of the .rs files under <dir>.
 count() {
     find "$1" -name '*.rs' -print0 | sort -z | xargs -0 awk '
-        FNR == 1 { skip = 0; inblock = 0 }
+        FNR == 1 { skip = 0; inblock = 0; term = "" }
         {
             line = $0
             if (inblock) {
@@ -36,11 +36,37 @@ count() {
                 sub(/^[ \t]*#\[cfg\(test\)\]/, "", line)
             }
             if (skip) {
-                s = line
-                gsub(/\\./, "", s)
-                gsub(/"[^"]*"/, "", s)
-                gsub(/'"'"'[^'"'"']'"'"'/, "", s)
-                sub(/\/\/.*/, "", s)
+                # Keep only the text outside string and char literals and
+                # comments. A string, raw strings included, may span lines:
+                # `term` holds the closing delimiter of the one still open.
+                s = ""
+                for (i = 1; i <= length(line); i++) {
+                    c = substr(line, i, 1)
+                    if (term != "") {
+                        if (esc && c == "\\") i++
+                        else if (substr(line, i, length(term)) == term) {
+                            i += length(term) - 1
+                            term = ""
+                        }
+                        continue
+                    }
+                    if (c == "/" && substr(line, i + 1, 1) == "/") break
+                    if (c == "\"") { term = "\""; esc = 1; continue }
+                    if (match(substr(line, i), /^r#*"/)) {
+                        term = "\"" substr(line, i + 1, RLENGTH - 2)
+                        esc = 0
+                        i += RLENGTH - 1
+                        continue
+                    }
+                    if (c == "'"'"'") {
+                        if (substr(line, i + 1, 1) == "\\") {
+                            i += 2 + index(substr(line, i + 3), "'"'"'")
+                            continue
+                        }
+                        if (substr(line, i + 2, 1) == "'"'"'") { i += 2; continue }
+                    }
+                    s = s c
+                }
                 opens = gsub(/\{/, "{", s)
                 closes = gsub(/\}/, "}", s)
                 depth += opens - closes

@@ -241,6 +241,16 @@ fn run(options: &Options) -> Result<(), String> {
         }
         Input::Benchmark(benchmark) => (benchmark.circuit(), Some(benchmark.expected_output())),
     };
+    if let Some(expected) = &options.expected {
+        if expected.len() != circuit.num_clbits() {
+            return Err(format!(
+                "--expected has {} bits but {} has {} classical bits",
+                expected.len(),
+                circuit.name(),
+                circuit.num_clbits()
+            ));
+        }
+    }
 
     let machine = Machine::ibmq16_on_day(options.seed, options.day);
     let config = config_for(&options.mapper, options.omega)?;
@@ -837,6 +847,24 @@ mod tests {
     fn run_compiles_a_builtin_benchmark() {
         let options = parse_args(&args(&["--benchmark", "HS2", "--trials", "64"])).unwrap();
         run(&options).unwrap();
+    }
+
+    #[test]
+    fn run_rejects_an_expected_answer_of_the_wrong_length() {
+        let options = parse_args(&args(&[
+            "--benchmark",
+            "BV4",
+            "--trials",
+            "16",
+            "--expected",
+            "11",
+        ]))
+        .unwrap();
+        let err = run(&options).unwrap_err();
+        assert!(
+            err.contains("2 bits") && err.contains("4 classical bits"),
+            "{err}"
+        );
     }
 
     #[test]

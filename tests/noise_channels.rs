@@ -151,7 +151,6 @@ fn pauli_weighted_channel_matches_analytic_flip_rate() {
              "channel": {"kind": "pauli-weighted", "wx": 1, "wy": 1, "wz": 2}}]}"#,
     )
     .unwrap();
-    assert!(spec.is_pauli_only());
     let program =
         TrialProgram::lower_with_spec(&x_then_measure(), &m, &NoiseModel::ideal(), Some(&spec));
     assert!(!program.has_kraus());
@@ -163,6 +162,36 @@ fn pauli_weighted_channel_matches_analytic_flip_rate() {
     );
     let p0 = frequency_of(&counts, &[false], trials);
     assert!((p0 - 0.1).abs() < 0.01, "P(0) = {p0}, analytic 0.1");
+}
+
+#[test]
+fn pauli_weights_whose_split_rounds_past_one_are_accepted() {
+    // At a resolved rate of 1, weights 9:18:1 split into px + py + pz =
+    // 1.0000000000000002; the site fires with probability 1 (clamped) and
+    // picks X:Y:Z as 9:18:1. From |1⟩ X and Y flip the readout, so
+    // P(measure 0) = 27/28 at rate 1.0. At 4096 trials 3σ of the frequency
+    // is ≈ 0.009; 0.02 leaves >2× headroom.
+    let m = machine();
+    let trials = 4096u32;
+    for rate in ["1.0", r#"{"calibration": 2.0}"#] {
+        let spec = NoiseSpec::from_json(&format!(
+            r#"{{"name": "pw-9-18-1", "bindings": [
+            {{"on": "sq", "rate": {rate},
+             "channel": {{"kind": "pauli-weighted", "wx": 9, "wy": 18, "wz": 1}}}}]}}"#
+        ))
+        .unwrap();
+        let program =
+            TrialProgram::lower_with_spec(&x_then_measure(), &m, &NoiseModel::ideal(), Some(&spec));
+        let (counts, _) = run_counts(&m, &program, 37, trials);
+        assert_eq!(counts.values().sum::<u32>(), trials, "rate {rate}");
+        if rate == "1.0" {
+            let p0 = frequency_of(&counts, &[false], trials);
+            assert!(
+                (p0 - 27.0 / 28.0).abs() < 0.02,
+                "P(0) = {p0}, analytic 27/28"
+            );
+        }
+    }
 }
 
 /// A small entangling Clifford circuit with a mid-circuit measurement.
@@ -223,7 +252,6 @@ fn non_pauli_spec_forces_dense_full_replay_and_is_deterministic() {
              "channel": {"kind": "amplitude-damping"}}]}"#,
     )
     .unwrap();
-    assert!(!spec.is_pauli_only());
     let program =
         TrialProgram::lower_with_spec(&clifford_workload(), &m, &NoiseModel::ideal(), Some(&spec));
     assert!(program.has_kraus());
