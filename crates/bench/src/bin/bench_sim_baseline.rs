@@ -301,10 +301,11 @@ fn main() {
     // One session for the whole run: machine snapshots are built once and
     // compiles share the placement cache.
     //
-    // The ≥12-qubit entries (BV12 on IBMQ16, random circuits routed onto a
-    // 4x4 grid) exercise the fig11-scale regime where the state-vector
-    // kernels dominate a trial, so SIMD kernel regressions are ratcheted
-    // where they matter most.
+    // The random circuits routed onto a 4x4 grid (rand12, rand14) exercise
+    // the fig11-scale dense regime, where an error trial replays the
+    // circuit gate by gate on a 2^12-2^14-amplitude state vector; their
+    // rates ratchet the whole dense engine at that width, the amplitude
+    // kernels included. BV12 is the same scale on the tableau.
     let specs = [
         Spec::paper(Benchmark::Bv8, "qiskit", CompilerConfig::qiskit()),
         Spec::paper(

@@ -37,9 +37,22 @@ impl CircuitSpec {
     }
 
     /// Attaches the classically-correct output.
-    pub fn with_expected(mut self, expected: Vec<bool>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Refuses an answer whose length differs from the circuit's classical
+    /// bits: no outcome could ever match it, so every cell would score 0.
+    pub fn with_expected(mut self, expected: Vec<bool>) -> Result<Self, String> {
+        let clbits = self.circuit.num_clbits();
+        if expected.len() != clbits {
+            return Err(format!(
+                "the expected answer for {} has {} bits but the circuit has {clbits} classical bits",
+                self.name,
+                expected.len()
+            ));
+        }
         self.expected = Some(expected);
-        self
+        Ok(self)
     }
 }
 
@@ -519,5 +532,18 @@ mod tests {
         let spec: CircuitSpec = Benchmark::Bv4.into();
         assert_eq!(spec.name, "BV4");
         assert_eq!(spec.expected, Some(Benchmark::Bv4.expected_output()));
+    }
+
+    #[test]
+    fn an_expected_answer_must_match_the_classical_bits() {
+        let bv4 = || CircuitSpec::new("BV4", Benchmark::Bv4.circuit());
+        let err = bv4().with_expected(vec![true, false]).unwrap_err();
+        assert!(
+            err.contains("2 bits") && err.contains("4 classical bits"),
+            "{err}"
+        );
+        let answer = vec![true, false, true, true];
+        let spec = bv4().with_expected(answer.clone()).unwrap();
+        assert_eq!(spec.expected, Some(answer));
     }
 }

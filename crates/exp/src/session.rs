@@ -833,7 +833,9 @@ mod tests {
             let mut circuit = Circuit::new(n);
             circuit.h(Qubit(0));
             circuit.measure_all();
-            CircuitSpec::new(format!("wide{n}"), circuit).with_expected(vec![false; n])
+            CircuitSpec::new(format!("wide{n}"), circuit)
+                .with_expected(vec![false; n])
+                .unwrap()
         };
         let plan = SweepPlan::new()
             .benchmarks([Benchmark::Bv4, Benchmark::Toffoli])
@@ -902,9 +904,11 @@ mod tests {
         let plan = unscored
             .into_iter()
             .fold(
-                SweepPlan::new()
-                    .benchmark(Benchmark::Toffoli)
-                    .circuit(CircuitSpec::new("wide", wide).with_expected(vec![false; 129])),
+                SweepPlan::new().benchmark(Benchmark::Toffoli).circuit(
+                    CircuitSpec::new("wide", wide)
+                        .with_expected(vec![false; 129])
+                        .unwrap(),
+                ),
                 SweepPlan::circuit,
             )
             .config("Qiskit", CompilerConfig::qiskit())

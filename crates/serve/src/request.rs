@@ -182,15 +182,9 @@ fn parse_circuit_spec(doc: &Value) -> Result<CircuitSpec, ServeError> {
         let bits = expected
             .as_str()
             .ok_or_else(|| invalid("\"expected\" must be a string of 0/1 bits"))?;
-        let bits = parse_expected_bits(bits)?;
-        if bits.len() != spec.circuit.num_clbits() {
-            return Err(invalid(format!(
-                "circuit {name:?}: \"expected\" has {} bits but the circuit has {} classical bits",
-                bits.len(),
-                spec.circuit.num_clbits()
-            )));
-        }
-        spec = spec.with_expected(bits);
+        spec = spec
+            .with_expected(parse_expected_bits(bits)?)
+            .map_err(invalid)?;
     }
     Ok(spec)
 }

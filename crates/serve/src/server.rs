@@ -90,10 +90,6 @@ pub struct ServerConfig {
     /// rejects journaled requests; `Some` enables crash-safe resume keyed
     /// by the request's `resume_key`.
     pub journal_dir: Option<PathBuf>,
-    /// Compact a request's journal after a run leaves at least this many
-    /// dead records in it (completed intents, superseded duplicates).
-    /// 0 disables auto-compaction.
-    pub journal_compact_threshold: usize,
     /// Faults to inject into the worker (present only when the
     /// `fault-injection` feature is enabled; release daemons have no such
     /// field).
@@ -113,7 +109,6 @@ impl Default for ServerConfig {
             max_request_bytes: 1 << 20,
             threads: 0,
             journal_dir: None,
-            journal_compact_threshold: 64,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
@@ -636,7 +631,6 @@ impl Server {
                 session_totals: Mutex::new(SessionTotals::default()),
                 request_timeout: config.request_timeout,
                 journal_dir: config.journal_dir.clone(),
-                journal_compact_threshold: config.journal_compact_threshold,
                 threads: config.threads,
             })
         })
@@ -743,7 +737,6 @@ struct Daemon {
     session_totals: Mutex<SessionTotals>,
     request_timeout: Duration,
     journal_dir: Option<PathBuf>,
-    journal_compact_threshold: usize,
     /// Worker threads of the shared session (0 = the session default).
     threads: usize,
 }
@@ -906,12 +899,7 @@ fn worker_loop(door: &Door<Daemon>) {
                     panic!("injected fault: panic_on_circuit");
                 }
             }
-            run_job(
-                &mut session,
-                &job,
-                &control,
-                daemon.journal_compact_threshold,
-            )
+            run_job(&mut session, &job, &control)
         }));
 
         let line = match outcome {
@@ -981,11 +969,14 @@ struct JournalEffects {
     compacted: bool,
 }
 
+/// Dead records (completed intents, superseded duplicates) a journaled run
+/// may leave in its journal before [`run_job`] compacts it; long-lived
+/// resume keys would otherwise grow their journals without bound.
+const JOURNAL_COMPACT_THRESHOLD: u64 = 64;
+
 /// Executes one job on the session, journaled when the job carries a
 /// journal path. After a journaled run, auto-compacts the file when the
-/// dead-record count (completed intents, superseded duplicates) reaches
-/// `compact_threshold` — long-lived resume keys would otherwise grow
-/// their journals without bound.
+/// dead-record count reaches [`JOURNAL_COMPACT_THRESHOLD`].
 ///
 /// An unusable journal — not-a-journal file, unreadable, unwritable — is
 /// a `journal-corrupt` request error, never a daemon fault. Torn or
@@ -995,7 +986,6 @@ fn run_job(
     session: &mut Session,
     job: &Job,
     control: &RunControl,
-    compact_threshold: usize,
 ) -> Result<(RunOutcome, JournalEffects), ServeError> {
     match &job.journal {
         None => Ok((
@@ -1012,10 +1002,7 @@ fn run_job(
                 degraded: journal.degraded().is_some(),
                 compacted: false,
             };
-            if !effects.degraded
-                && compact_threshold > 0
-                && journal.dead_records() >= compact_threshold as u64
-            {
+            if !effects.degraded && journal.dead_records() >= JOURNAL_COMPACT_THRESHOLD {
                 effects.compacted = journal.compact_in_place();
             }
             Ok((outcome, effects))
@@ -1099,7 +1086,6 @@ mod tests {
             session_totals: Mutex::new(SessionTotals::default()),
             request_timeout: Duration::from_secs(1),
             journal_dir: None,
-            journal_compact_threshold: 0,
             threads: 0,
         }
     }

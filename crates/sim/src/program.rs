@@ -1076,75 +1076,20 @@ impl TrialScratch {
         }
     }
 
-    /// Materializes the pending matrices of two distinct qubits — `a`'s
-    /// first — in one state traversal when both are pending and
-    /// general-shaped, halving the memory traffic of the back-to-back
-    /// flushes in front of every two-qubit gate. Falls back to sequential
-    /// flushes otherwise (diagonal/anti-diagonal matrices have their own
-    /// specialized single-wire kernels). Bitwise identical to
-    /// `flush(a); flush(b)`: the fused kernel evaluates the same two pair
-    /// updates, in the same order, on the same intermediate values — they
-    /// just stay in registers instead of round-tripping through memory.
-    pub(crate) fn flush_two(&mut self, a: u8, b: u8) {
-        let (ia, ib) = (usize::from(a), usize::from(b));
-        if let (Some(ma), Some(mb)) = (self.pending[ia], self.pending[ib]) {
-            if crate::state::is_general_shape(&ma) && crate::state::is_general_shape(&mb) {
-                self.pending[ia] = None;
-                self.pending[ib] = None;
-                self.state.apply_two_matrices(
-                    usize::from(self.perm[ia]),
-                    &ma,
-                    usize::from(self.perm[ib]),
-                    &mb,
-                );
-                return;
-            }
-        }
-        self.flush(a);
-        self.flush(b);
-    }
-
     /// Materializes the pending matrices of a terminal run of measurements,
-    /// pairing consecutive pending wires into fused two-wire passes (same
-    /// kernel and same guarantees as [`Self::flush_two`]; flush order is
-    /// the measure order, so the result is bitwise identical to flushing
-    /// one wire at a time).
+    /// one wire at a time in measure order.
     pub(crate) fn flush_terminal(&mut self, measures: &[(u8, u8, f64)]) {
-        let mut carry: Option<u8> = None;
         for &(qubit, _, _) in measures {
-            let iq = usize::from(qubit);
-            let Some(matrix) = self.pending[iq] else {
-                continue;
-            };
-            match carry {
-                None if crate::state::is_general_shape(&matrix) => carry = Some(qubit),
-                None => self.flush(qubit),
-                // A re-measured qubit meets its own delayed flush: one
-                // flush, exactly what the sequential order would have done.
-                Some(held) if held == qubit => {
-                    self.flush(held);
-                    carry = None;
-                }
-                Some(held) => {
-                    self.flush_two(held, qubit);
-                    carry = None;
-                }
-            }
-        }
-        if let Some(held) = carry {
-            self.flush(held);
+            self.flush(qubit);
         }
     }
 
     /// Materializes the pending matrix of `qubit` and returns the
-    /// probability of measuring it as 1, fusing the flush pass with the
-    /// probability read (bit-identical to `flush` + `probability_one`).
+    /// probability of measuring it as 1.
     pub(crate) fn flush_and_p1(&mut self, qubit: u8) -> f64 {
-        let slot = usize::from(self.perm[usize::from(qubit)]);
-        match self.pending[usize::from(qubit)].take() {
-            Some(matrix) => self.state.apply_matrix_measure(slot, &matrix),
-            None => self.state.probability_one(slot),
-        }
+        self.flush(qubit);
+        self.state
+            .probability_one(usize::from(self.perm[usize::from(qubit)]))
     }
 
     /// Applies a CNOT between the current slots of two program qubits.
@@ -1224,7 +1169,8 @@ impl SimBackend for TrialScratch {
     }
 
     fn cnot(&mut self, control: u8, target: u8) {
-        self.flush_two(control, target);
+        self.flush(control);
+        self.flush(target);
         self.apply_cnot(control, target);
     }
 

@@ -577,6 +577,38 @@ fn journaled_requests_resume_across_a_daemon_restart() {
     handle.join().unwrap();
 }
 
+/// A run that leaves 64 or more dead records compacts its journal: 72
+/// compile-only cells leave 72 completed intents behind.
+#[test]
+fn a_journal_left_with_many_dead_records_is_compacted() {
+    let dir = std::env::temp_dir().join("nisq-serve-compaction-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, addr) = start(ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let run = r#"{"op": "run", "id": "c1", "resume_key": "wide", "plan": {"benchmarks": "all", "mappers": "qiskit,greedy-v,greedy-e", "days": [0, 1], "trials": 0, "journal": true}}"#;
+    let mut client = Client::connect(addr);
+    client.send(run);
+    let first_line = client.recv_line();
+    assert_eq!(status(&json::parse(&first_line).unwrap()), "ok");
+    assert_eq!(embedded_report(&first_line).cells.len(), 72);
+
+    let stats = client.roundtrip(r#"{"op": "stats"}"#);
+    let journal_stats = field(field(&stats, "stats"), "journal");
+    assert_eq!(field(journal_stats, "compactions").as_u64(), Some(1));
+    let info = Journal::inspect(&nisq::serve::journal_path(&dir, "wide")).unwrap();
+    assert_eq!((info.unique_cells, info.dead_records), (72, 0));
+
+    client.send(run);
+    let second_line = client.recv_line();
+    assert_eq!(status(&json::parse(&second_line).unwrap()), "ok");
+    assert_eq!(embedded_report(&second_line).resumed_cells, 72);
+    handle.shutdown();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn journaled_requests_need_a_journal_dir() {
     let (handle, addr) = start(ServerConfig::default());

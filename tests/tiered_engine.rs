@@ -620,3 +620,155 @@ fn tier_occupancy_partitions_trials_and_aggregates_into_reports() {
     assert_eq!(compile_only.cells[0].tiers, TierStats::default());
     assert_eq!(compile_only.tiers, TierStats::default());
 }
+
+/// Generic-angle Rx/Ry/Rz layers between CNOT ladders on six qubits: the
+/// fused 2x2s have four complex nonzero entries and the amplitudes are
+/// generic, so every term of the pair update reaches the rounding. Qubit 2
+/// is measured mid-circuit with a generic outcome probability and then
+/// used again, so its probability sum and collapse reach it too.
+fn generic_rotation_circuit() -> Circuit {
+    let qubits = 6;
+    let mut c = Circuit::new(qubits);
+    for layer in 0..4 {
+        if layer == 2 {
+            c.measure(Qubit(2), nisq_ir::Clbit(2));
+        }
+        for q in 0..qubits {
+            let angle = 0.37 + 0.61 * (q + qubits * layer) as f64;
+            c.rx(Qubit(q), angle)
+                .ry(Qubit(q), 1.3 * angle)
+                .rz(Qubit(q), 0.7 * angle);
+        }
+        for q in 0..qubits - 1 {
+            c.cnot(Qubit(q), Qubit(q + 1));
+        }
+    }
+    c.measure_all();
+    c
+}
+
+/// One pinned dense run: the FNV-1a digest of the engine's sorted
+/// `(key, count)` outcome list, its tier occupancy as `[error_free,
+/// checkpointed, full_replay]`, and the FNV-1a digest of the bit patterns
+/// of every basis-state probability and every qubit's probability of
+/// reading 1 after each of the first eight reference-replay trials.
+fn dense_pin(machine: &Machine, program: &TrialProgram, trials: u32) -> (u64, [u64; 3], u64) {
+    let (counts, tiers) = engine_counts(machine, program, 5, trials, 2);
+    assert_eq!(tiers.backend, BackendKind::Dense);
+    let mut sorted: Vec<(u128, u32)> = counts.into_iter().collect();
+    sorted.sort_unstable();
+    let outcomes: Vec<u8> = sorted
+        .iter()
+        .flat_map(|(key, count)| key.to_le_bytes().into_iter().chain(count.to_le_bytes()))
+        .collect();
+    let mut scratch = program.make_scratch();
+    let mut states = Vec::new();
+    for trial in 0..8 {
+        program.run_trial(&mut scratch, &mut TrialProgram::trial_rng(5, trial));
+        let state = scratch.state();
+        states.extend((0..state.len()).flat_map(|i| state.probability_of_basis(i).to_le_bytes()));
+        states.extend((0..state.num_qubits()).flat_map(|q| state.probability_one(q).to_le_bytes()));
+    }
+    (
+        nisq::exp::fnv64(&outcomes),
+        [tiers.error_free, tiers.checkpointed, tiers.full_replay],
+        nisq::exp::fnv64(&states),
+    )
+}
+
+/// Pins the dense engine's simulated outcomes across commits. The exactness
+/// test above compares two paths that share every amplitude kernel, so a
+/// change to a kernel's floating-point update moves both of its sides at
+/// once; these digests do not move with it. Outcome counts alone would
+/// miss a one-ulp change (a uniform draw almost never lands within an ulp
+/// of a boundary), so the replayed states' probabilities are pinned bit
+/// for bit too, and a regrouped addition in the pair update, in
+/// `probability_one`'s sum or in the collapse scale fails here.
+#[test]
+fn dense_outcomes_are_pinned_bit_for_bit() {
+    // name, outcome digest, [error_free, checkpointed, full_replay], state digest
+    const PINNED: &[&str] = &[
+        "Toffoli/Qiskit 0xf75965d03c167857 [973, 1075, 0] 0xe7932668e1982a27",
+        "Toffoli/T-SMT 0xf75965d03c167857 [973, 1075, 0] 0xe7932668e1982a27",
+        "Toffoli/T-SMT* 0x64ac61fb8c456a58 [745, 1303, 0] 0x0cd48894735aa30d",
+        "Toffoli/R-SMT* 0x1d118750c824a2fc [1383, 665, 0] 0xf44426663d6241f5",
+        "Toffoli/GreedyV* 0x1940786ad815f7bd [1167, 881, 0] 0xaa5031ac02081d97",
+        "Toffoli/GreedyE* 0xe9be7632dbd9101a [1441, 607, 0] 0x3ba2692cff2056e5",
+        "Adder/Qiskit 0xcfc1859843ef1dde [186, 1862, 0] 0xc350b4d679e0685b",
+        "Adder/T-SMT 0x239ca9b72ebf8ca0 [797, 1251, 0] 0xcab42f7183bb8cdc",
+        "Adder/T-SMT* 0x07adea8ae0ab755c [593, 1455, 0] 0xc46d1bcdc152bac3",
+        "Adder/R-SMT* 0xdee95caba0b64dba [1173, 875, 0] 0x6e91f5e7d421acf1",
+        "Adder/GreedyV* 0x80f9bd62b7d81030 [919, 1129, 0] 0x26aeb1a2f4e35465",
+        "Adder/GreedyE* 0x65b5afc4c05eb359 [1142, 906, 0] 0x8be93a904ad6da1a",
+        "QFT/Qiskit 0xb05ee516a9d806d5 [1658, 390, 0] 0xde6da02cf59b79a6",
+        "QFT/T-SMT 0xb05ee516a9d806d5 [1658, 390, 0] 0xde6da02cf59b79a6",
+        "QFT/T-SMT* 0x42d241614c5f4060 [1774, 274, 0] 0xc311de77c7ac2a79",
+        "QFT/R-SMT* 0x0e22032f1214b9a9 [1863, 185, 0] 0xf8867a7e66d47855",
+        "QFT/GreedyV* 0x2bdf8556e6edae4f [1712, 336, 0] 0xde6da02cf59b79a6",
+        "QFT/GreedyE* 0xa307aa8ec1e755d5 [1862, 186, 0] 0xf8867a7e66d47855",
+        "coin-flip 0x1bfde4ce17ba821d [698, 838, 0] 0xd8f3aa059619bbd5",
+        "deep-12q 0x9acfdcab84cdafcd [377, 1159, 0] 0x9a9de946d3c4c992",
+        "rotations-6q 0xca24623f7548f955 [223, 801, 0] 0xe38e4c561096754d",
+        "rand12 0xaaa78b1653576a32 [47, 209, 0] 0x3c5e2a4de544d438",
+        "toffoli-kraus 0x9fe19464f02ad20a [0, 0, 2048] 0x1bbe32f2a574b5ec",
+    ];
+    let day1 = Machine::ibmq16_on_day(2019, 1);
+    let m = machine();
+    let grid = Machine::from_spec(TopologySpec::Grid { mx: 4, my: 4 }, 2019, 0);
+    let mut programs: Vec<(String, &Machine, TrialProgram, u32)> = Vec::new();
+    // Every Table-1 compile of the three non-Clifford paper benchmarks on
+    // day 1; Adder under GreedyE* keeps a mid-circuit measure there, so
+    // the dominant-path walker runs too.
+    for benchmark in [Benchmark::Toffoli, Benchmark::Adder, Benchmark::Qft] {
+        for config in CompilerConfig::table1() {
+            let name = format!("{benchmark}/{}", config.algorithm.name());
+            let compiled = Compiler::new(&day1, config)
+                .compile(&benchmark.circuit())
+                .unwrap();
+            let program =
+                TrialProgram::lower(compiled.physical_circuit(), &day1, &NoiseModel::full());
+            programs.push((name, &day1, program, 2048));
+        }
+    }
+    let coin = TrialProgram::lower(&coin_flip_circuit(), &m, &NoiseModel::full());
+    programs.push(("coin-flip".into(), &m, coin, 1536));
+    let deep = TrialProgram::lower(
+        &deep_nonclifford_circuit(),
+        &m,
+        &NoiseModel::cnot_and_readout_only(),
+    );
+    programs.push(("deep-12q".into(), &m, deep, 1536));
+    let rotations = TrialProgram::lower(&generic_rotation_circuit(), &m, &NoiseModel::full());
+    programs.push(("rotations-6q".into(), &m, rotations, 1024));
+    // The simulator ratchet's rand12 entry: 2^12 amplitudes routed on a
+    // 4x4 grid, errors in nearly every trial.
+    let rand12 = Compiler::new(&grid, CompilerConfig::greedy_e())
+        .compile(&nisq_ir::random_circuit(nisq_ir::RandomCircuitConfig::new(
+            12, 96, 7,
+        )))
+        .unwrap();
+    let program = TrialProgram::lower(rand12.physical_circuit(), &grid, &NoiseModel::full());
+    programs.push(("rand12".into(), &grid, program, 256));
+    // Kraus channels: every trial a full replay with branch selection.
+    let spec =
+        nisq::exp::NoiseSpec::from_json(include_str!("corpus/noise/kraus-kinds.json")).unwrap();
+    let toffoli = Compiler::new(&day1, CompilerConfig::qiskit())
+        .compile(&Benchmark::Toffoli.circuit())
+        .unwrap();
+    let program = TrialProgram::lower_with_spec(
+        toffoli.physical_circuit(),
+        &day1,
+        &NoiseModel::full(),
+        Some(&spec),
+    );
+    programs.push(("toffoli-kraus".into(), &day1, program, 2048));
+
+    let actual: Vec<String> = programs
+        .iter()
+        .map(|(name, machine, program, trials)| {
+            let (outcomes, tiers, states) = dense_pin(machine, program, *trials);
+            format!("{name} {outcomes:#018x} {tiers:?} {states:#018x}")
+        })
+        .collect();
+    assert_eq!(actual, PINNED, "dense outcomes moved");
+}
