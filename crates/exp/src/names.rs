@@ -1,9 +1,9 @@
 //! Textual names for plan axes.
 //!
 //! The CLI and the serve daemon accept the same spellings for mappers,
-//! benchmarks, topologies and day lists; this module is the single parser
-//! for them, so a request sent to `nisqc serve` and a `nisqc sweep`
-//! invocation resolve identically. Every function returns a typed
+//! benchmarks, topologies, day lists and expected answers; this module is
+//! the single parser for them, so a request sent to `nisqc serve` and a
+//! `nisqc` invocation resolve identically. Every function returns a typed
 //! `Result` — unknown or malformed names are diagnoses, never panics.
 
 use nisq_core::{CompilerConfig, RouteSelection};
@@ -105,6 +105,18 @@ pub fn parse_topology(text: &str) -> Result<TopologySpec, String> {
     }
 }
 
+/// Resolves one Table-2 benchmark name, ignoring case (`bv4`, `Toffoli`).
+///
+/// # Errors
+///
+/// Returns a message naming the unknown benchmark.
+pub fn parse_benchmark(name: &str) -> Result<Benchmark, String> {
+    Benchmark::all()
+        .into_iter()
+        .find(|b| b.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown benchmark {name}"))
+}
+
 /// Resolves a benchmark-list argument (`all`, `representative`, `none`, or
 /// a comma list of Table-2 names) into benchmarks. `none` selects no
 /// benchmarks — for plans built entirely from custom QASM circuits.
@@ -119,15 +131,26 @@ pub fn parse_benchmarks(text: &str) -> Result<Vec<Benchmark>, String> {
         "none" => Ok(Vec::new()),
         _ => text
             .split(',')
-            .map(|name| {
-                let name = name.trim();
-                Benchmark::all()
-                    .into_iter()
-                    .find(|b| b.name().eq_ignore_ascii_case(name))
-                    .ok_or_else(|| format!("unknown benchmark {name}"))
-            })
+            .map(|name| parse_benchmark(name.trim()))
             .collect(),
     }
+}
+
+/// Parses a circuit's correct answer, written as its classical bits in
+/// order (`"1101"`); `what` names where the text came from in the error.
+///
+/// # Errors
+///
+/// Returns a message naming the first character that is neither `0` nor
+/// `1`.
+pub fn parse_bits(text: &str, what: &str) -> Result<Vec<bool>, String> {
+    text.chars()
+        .map(|c| match c {
+            '0' => Ok(false),
+            '1' => Ok(true),
+            other => Err(format!("invalid bit {other:?} in {what}")),
+        })
+        .collect()
 }
 
 /// Resolves a mapper-list argument (`table1` or a comma list of mapper
@@ -200,6 +223,8 @@ mod tests {
             vec![Benchmark::Bv4, Benchmark::Toffoli]
         );
         assert!(parse_benchmarks("bv99").is_err());
+        assert_eq!(parse_benchmark("TOFFOLI").unwrap(), Benchmark::Toffoli);
+        assert!(parse_benchmark("all").is_err());
 
         assert_eq!(parse_mappers("table1", 0.5).unwrap().len(), 6);
         let pair = parse_mappers("qiskit,greedy-e", 0.5).unwrap();
@@ -207,6 +232,19 @@ mod tests {
         assert_eq!(pair[1].1, CompilerConfig::greedy_e());
         assert!(parse_mappers("magic", 0.5).is_err());
         assert!(parse_mappers("qiskit,qiskit", 0.5).is_err());
+    }
+
+    #[test]
+    fn parses_answers_bit_by_bit() {
+        assert_eq!(
+            parse_bits("1101", "--expected").unwrap(),
+            vec![true, true, false, true]
+        );
+        assert_eq!(parse_bits("", "--expected").unwrap(), Vec::<bool>::new());
+        assert_eq!(
+            parse_bits("10x1", "--expected").unwrap_err(),
+            "invalid bit 'x' in --expected"
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@ use nisq_core::CompilerConfig;
 use nisq_ir::{Benchmark, Circuit};
 use nisq_machine::{GridTopology, TopologySpec};
 use nisq_noise::NoiseSpec;
+use nisq_sim::MAX_CLBITS;
 use std::hash::{Hash, Hasher};
 
 /// One circuit of a plan: a display name, the logical circuit, and (when
@@ -42,6 +43,8 @@ impl CircuitSpec {
     ///
     /// Refuses an answer whose length differs from the circuit's classical
     /// bits: no outcome could ever match it, so every cell would score 0.
+    /// Refuses a circuit with more than [`MAX_CLBITS`] classical bits too:
+    /// scoring simulates it, and the simulator cannot pack its outcomes.
     pub fn with_expected(mut self, expected: Vec<bool>) -> Result<Self, String> {
         let clbits = self.circuit.num_clbits();
         if expected.len() != clbits {
@@ -49,6 +52,13 @@ impl CircuitSpec {
                 "the expected answer for {} has {} bits but the circuit has {clbits} classical bits",
                 self.name,
                 expected.len()
+            ));
+        }
+        if clbits > MAX_CLBITS {
+            return Err(format!(
+                "{} has {clbits} classical bits; trial outcomes are bit-packed, so a scored \
+                 circuit may have at most {MAX_CLBITS}",
+                self.name
             ));
         }
         self.expected = Some(expected);
@@ -545,5 +555,12 @@ mod tests {
         let answer = vec![true, false, true, true];
         let spec = bv4().with_expected(answer.clone()).unwrap();
         assert_eq!(spec.expected, Some(answer));
+        // An answer of the right length for a circuit the simulator cannot
+        // score.
+        let wide = nisq_ir::qasm::parse("qreg q[1]; creg c[129]; measure q[0] -> c[128];").unwrap();
+        let err = CircuitSpec::new("wide", wide)
+            .with_expected(vec![false; 129])
+            .unwrap_err();
+        assert!(err.contains("at most 128"), "{err}");
     }
 }

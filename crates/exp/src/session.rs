@@ -896,23 +896,25 @@ mod tests {
     #[test]
     fn a_panicking_cell_stops_further_claims() {
         // 129 classical bits overflow the simulator's bit-packed outcomes,
-        // so the second cell compiles, then panics when simulated. The
-        // first cell simulates long enough for that panic to stop the run.
-        let mut wide = Circuit::new(129);
-        wide.measure_all();
+        // so the second cell compiles, then panics when simulated
+        // (`with_expected` refuses such a circuit, so its answer is set
+        // directly). Its one qubit compiles at once, so the panic stops the
+        // run while the first cell's 2^17 trials still simulate; a worker
+        // that claims it only after the first cell panics on it itself.
+        let wide = CircuitSpec {
+            name: "wide".to_string(),
+            circuit: nisq_ir::qasm::parse("qreg q[1]; creg c[129]; measure q[0] -> c[128];")
+                .unwrap(),
+            expected: Some(vec![false; 129]),
+        };
         let unscored = Benchmark::all().map(|b| CircuitSpec::new(b.to_string(), b.circuit()));
         let plan = unscored
             .into_iter()
             .fold(
-                SweepPlan::new().benchmark(Benchmark::Toffoli).circuit(
-                    CircuitSpec::new("wide", wide)
-                        .with_expected(vec![false; 129])
-                        .unwrap(),
-                ),
+                SweepPlan::new().benchmark(Benchmark::Toffoli).circuit(wide),
                 SweepPlan::circuit,
             )
             .config("Qiskit", CompilerConfig::qiskit())
-            .grid_per_circuit()
             .with_trials(1 << 17);
         let path = temp_journal("panic.journal");
         let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();

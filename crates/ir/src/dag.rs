@@ -1,13 +1,6 @@
 use crate::circuit::Circuit;
 use std::collections::HashMap;
 
-/// One front of simultaneously-executable gates (an ASAP level).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Layer {
-    /// Indices (into the circuit's gate list) of the gates in this layer.
-    pub gate_indices: Vec<usize>,
-}
-
 /// Data-dependency DAG over the gates of a [`Circuit`].
 ///
 /// Gate `j` depends on gate `i` (edge `i -> j`) when `j` is the next gate in
@@ -31,8 +24,8 @@ pub struct Layer {
 pub struct DependencyDag {
     preds: Vec<Vec<usize>>,
     succs: Vec<Vec<usize>>,
-    asap_level: Vec<usize>,
-    layers: Vec<Layer>,
+    /// Number of ASAP levels.
+    depth: usize,
 }
 
 impl DependencyDag {
@@ -78,20 +71,11 @@ impl DependencyDag {
                 .unwrap_or(0);
         }
         let depth = asap_level.iter().copied().max().map_or(0, |d| d + 1);
-        let mut layers: Vec<Layer> = (0..depth)
-            .map(|_| Layer {
-                gate_indices: Vec::new(),
-            })
-            .collect();
-        for (i, &lvl) in asap_level.iter().enumerate() {
-            layers[lvl].gate_indices.push(i);
-        }
 
         DependencyDag {
             preds,
             succs,
-            asap_level,
-            layers,
+            depth,
         }
     }
 
@@ -115,47 +99,9 @@ impl DependencyDag {
         &self.succs[i]
     }
 
-    /// ASAP level of gate `i` (0 for gates with no dependencies).
-    pub fn level(&self, i: usize) -> usize {
-        self.asap_level[i]
-    }
-
     /// Circuit depth: number of ASAP layers.
     pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// The ASAP layers, earliest first.
-    pub fn layers(&self) -> &[Layer] {
-        &self.layers
-    }
-
-    /// Length (in gate count) of the longest dependency chain ending at `i`.
-    pub fn critical_path_to(&self, i: usize) -> usize {
-        self.asap_level[i] + 1
-    }
-
-    /// Returns `true` if gate `j` transitively depends on gate `i`.
-    pub fn depends_on(&self, j: usize, i: usize) -> bool {
-        if j == i {
-            return false;
-        }
-        // DFS backwards from j; indices only decrease along predecessor
-        // edges, so this terminates quickly.
-        let mut stack = vec![j];
-        let mut seen = vec![false; self.len()];
-        while let Some(k) = stack.pop() {
-            for &p in &self.preds[k] {
-                if p == i {
-                    return true;
-                }
-                if !seen[p] && p > i {
-                    seen[p] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        false
+        self.depth
     }
 }
 
@@ -187,8 +133,6 @@ mod tests {
     fn depth_counts_asap_layers() {
         let dag = bell().dag();
         assert_eq!(dag.depth(), 3);
-        assert_eq!(dag.layers()[0].gate_indices, vec![0]);
-        assert_eq!(dag.layers()[2].gate_indices, vec![2, 3]);
     }
 
     #[test]
@@ -198,24 +142,8 @@ mod tests {
         c.h(Qubit(1));
         c.cnot(Qubit(0), Qubit(1));
         c.cnot(Qubit(2), Qubit(3));
-        let dag = c.dag();
-        assert_eq!(dag.level(0), 0);
-        assert_eq!(dag.level(1), 0);
-        assert_eq!(dag.level(3), 0);
-        assert_eq!(dag.level(2), 1);
-    }
-
-    #[test]
-    fn depends_on_is_transitive() {
-        let mut c = Circuit::new(1);
-        c.h(Qubit(0));
-        c.x(Qubit(0));
-        c.z(Qubit(0));
-        let dag = c.dag();
-        assert!(dag.depends_on(2, 0));
-        assert!(dag.depends_on(2, 1));
-        assert!(!dag.depends_on(0, 2));
-        assert!(!dag.depends_on(1, 1));
+        // Both Hadamards and the second CNOT fill the first layer.
+        assert_eq!(c.dag().depth(), 2);
     }
 
     #[test]
@@ -236,12 +164,5 @@ mod tests {
         // Second measurement writes the same classical bit, so it depends on
         // the first even though the qubits differ.
         assert_eq!(dag.predecessors(1), &[0]);
-    }
-
-    #[test]
-    fn critical_path_matches_level() {
-        let dag = bell().dag();
-        assert_eq!(dag.critical_path_to(3), 3);
-        assert_eq!(dag.critical_path_to(0), 1);
     }
 }

@@ -49,7 +49,7 @@ mod random;
 pub use analysis::CircuitStats;
 pub use benchmarks::{bernstein_vazirani, hidden_shift, Benchmark, BenchmarkInfo};
 pub use circuit::Circuit;
-pub use dag::{DependencyDag, Layer};
+pub use dag::DependencyDag;
 pub use error::IrError;
 pub use gate::{Clbit, Gate, GateKind, Qubit};
 pub use graph::InteractionGraph;

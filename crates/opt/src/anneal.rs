@@ -13,20 +13,20 @@ use rand::{Rng, SeedableRng};
 pub struct AnnealConfig {
     /// Number of proposal moves.
     pub iterations: u64,
-    /// Initial temperature (in objective units).
-    pub initial_temperature: f64,
-    /// Final temperature reached by geometric cooling.
-    pub final_temperature: f64,
     /// RNG seed for reproducible runs.
     pub seed: u64,
 }
+
+/// Initial temperature (in objective units).
+const INITIAL_TEMPERATURE: f64 = 2.0;
+
+/// Final temperature reached by geometric cooling.
+const FINAL_TEMPERATURE: f64 = 1e-3;
 
 impl Default for AnnealConfig {
     fn default() -> Self {
         AnnealConfig {
             iterations: 50_000,
-            initial_temperature: 2.0,
-            final_temperature: 1e-3,
             seed: 0,
         }
     }
@@ -35,11 +35,7 @@ impl Default for AnnealConfig {
 impl AnnealConfig {
     /// A configuration with the given iteration budget and seed.
     pub fn new(iterations: u64, seed: u64) -> Self {
-        AnnealConfig {
-            iterations,
-            seed,
-            ..AnnealConfig::default()
-        }
+        AnnealConfig { iterations, seed }
     }
 }
 
@@ -76,11 +72,11 @@ pub fn solve_annealing(problem: &AssignmentProblem, config: &AnnealConfig) -> Pl
     let mut best_cost = current_cost;
 
     let cooling = if config.iterations > 1 {
-        (config.final_temperature / config.initial_temperature).powf(1.0 / config.iterations as f64)
+        (FINAL_TEMPERATURE / INITIAL_TEMPERATURE).powf(1.0 / config.iterations as f64)
     } else {
         1.0
     };
-    let mut temperature = config.initial_temperature;
+    let mut temperature = INITIAL_TEMPERATURE;
 
     for _ in 0..config.iterations {
         // Propose: pick a program qubit and a target hardware location.

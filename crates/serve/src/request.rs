@@ -148,16 +148,6 @@ fn comma_list(value: &Value, what: &str) -> Result<String, ServeError> {
     }
 }
 
-fn parse_expected_bits(text: &str) -> Result<Vec<bool>, ServeError> {
-    text.chars()
-        .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            other => Err(invalid(format!("invalid bit {other:?} in \"expected\""))),
-        })
-        .collect()
-}
-
 fn parse_circuit_spec(doc: &Value) -> Result<CircuitSpec, ServeError> {
     let Value::Object(fields) = doc else {
         return Err(invalid("\"circuits\" items must be objects"));
@@ -183,7 +173,7 @@ fn parse_circuit_spec(doc: &Value) -> Result<CircuitSpec, ServeError> {
             .as_str()
             .ok_or_else(|| invalid("\"expected\" must be a string of 0/1 bits"))?;
         spec = spec
-            .with_expected(parse_expected_bits(bits)?)
+            .with_expected(names::parse_bits(bits, "\"expected\"").map_err(invalid)?)
             .map_err(invalid)?;
     }
     Ok(spec)
@@ -516,6 +506,12 @@ mod tests {
 
     #[test]
     fn rejects_bad_plans_with_invalid_plan_errors() {
+        // A scored circuit whose outcomes the simulator cannot bit-pack.
+        let wide = format!(
+            r#"{{"circuits": [{{"name": "wide", "expected": "{}",
+                "qasm": "qreg q[1]; creg c[129]; measure q[0] -> c[128];"}}]}}"#,
+            "0".repeat(129)
+        );
         for plan in [
             r#"{}"#,
             r#"{"benchmarks": "bv99"}"#,
@@ -544,6 +540,7 @@ mod tests {
                 {"on": "sq", "channel": {"kind": "kraus",
                  "ops": [[[2, 0], [0, 0], [0, 0], [2, 0]]]}}]}}"#,
             r#"{"benchmarks": "bv4", "noise": 7}"#,
+            &wide,
         ] {
             let line = format!(r#"{{"op": "run", "plan": {plan}}}"#);
             let err = parse_request(&line).unwrap_err();

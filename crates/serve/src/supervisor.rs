@@ -55,9 +55,10 @@ const MAX_REDISPATCH: usize = 2;
 
 /// Tunables of a supervised fleet ([`Server::supervise`]). `server`
 /// carries the admission budgets and request deadline the supervisor
-/// enforces at its front door; the worker processes are expected to be
-/// launched (via [`WorkerSpec`]) with matching limits so both layers
-/// agree.
+/// enforces at its front door; the worker processes must be launched (via
+/// [`WorkerSpec`]) with matching limits so both layers agree. `nisqc serve
+/// --workers` does that by passing each worker the serve flags it was
+/// given itself, all but its endpoint and fleet flags.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// How many worker processes to run.
@@ -81,8 +82,9 @@ pub struct SupervisorConfig {
 impl SupervisorConfig {
     /// A supervisor launching `workers` copies of `exe serve --unix
     /// {socket}` with sockets under `runtime_dir`, with default
-    /// supervision timings. Callers extend `spec.args` to mirror their
-    /// server flags onto the workers.
+    /// supervision timings. Those arguments carry none of `server`'s
+    /// limits: the caller appends to `spec.args` the flags that set them,
+    /// as `nisqc serve` appends the limit flags of its own command line.
     pub fn new(workers: usize, server: ServerConfig, runtime_dir: PathBuf, exe: PathBuf) -> Self {
         SupervisorConfig {
             workers,

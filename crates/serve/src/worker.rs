@@ -28,8 +28,9 @@ use std::time::{Duration, Instant};
 /// How to launch a worker process: the executable, an argument template,
 /// and extra environment. The supervisor substitutes each shard's socket
 /// path for the literal `"{socket}"` argument, so any binary that can
-/// serve a Unix socket — in practice `nisqc serve --unix {socket}` — can
-/// be a worker without the serve crate knowing the CLI.
+/// serve a Unix socket can be a worker without the serve crate knowing the
+/// CLI. In practice it is `nisqc serve --unix {socket}` followed by the
+/// limit flags of the supervisor's own `nisqc serve` command line.
 #[derive(Debug, Clone)]
 pub struct WorkerSpec {
     /// The worker executable.

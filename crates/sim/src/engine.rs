@@ -45,10 +45,13 @@
 //!
 //! The memo lives for one
 //! [`Simulator::run_program_with_stats`](crate::Simulator::run_program_with_stats)
-//! call on one worker: no lock, no sharing. It holds a fixed budget of CDF
-//! entries; a miss whose CDF might not fit replays as if there were no
-//! memo and stores nothing, which keeps wide programs (CDFs of thousands of
-//! entries) at their replay cost. Kraus programs, programs without a
+//! call on one worker: no lock, no sharing. So does the worker's
+//! [`EngineScratch`], the state vectors and event buffers its chunks
+//! reuse: a run leaves no memory behind on the thread that made it, however
+//! long that thread lives (the serve daemon's worker thread runs every
+//! request). The memo holds a fixed budget of CDF entries; a miss whose CDF
+//! might not fit replays as if there were no memo and stores nothing, which
+//! keeps wide programs (CDFs of thousands of entries) at their replay cost. Kraus programs, programs without a
 //! terminal sample, errors at or before a mid-circuit measure, trials with
 //! more than one error and diverged trials never touch it.
 //!
@@ -83,7 +86,6 @@ use crate::program::{TrialEvent, TrialOp, TrialProgram, TrialScratch};
 use crate::rng::TrialRng;
 use rand::Rng;
 use rustc_hash::FxHashMap;
-use std::cell::RefCell;
 use std::ops::Range;
 
 /// How many trials of a batch each tier served. The four tier fields
@@ -414,10 +416,10 @@ impl<'p> TieredEngine<'p> {
 
     /// Simulates the `trials` of the stream derived from `seed`,
     /// accumulating bit-packed outcome counts into `counts` and tier
-    /// occupancy into `tiers`. `scratch` provides every buffer the batch
-    /// needs; it is reused across calls without reallocation. `memo` is the
-    /// calling worker's terminal memo for this program (see the module
-    /// docs), carried from chunk to chunk.
+    /// occupancy into `tiers`. `scratch`, built for this program, provides
+    /// every buffer the batch needs; it is reused across calls without
+    /// reallocation. `memo` is the calling worker's terminal memo for this
+    /// program (see the module docs), carried from chunk to chunk.
     ///
     /// Outcomes are bit-identical to running [`TrialProgram::run_trial`]
     /// per trial, for any chunking and whatever the memo holds: the outcome
@@ -434,7 +436,6 @@ impl<'p> TieredEngine<'p> {
         let program = self.program;
         let sites = program.noise_sites();
         tiers.backend = BackendKind::Dense;
-        scratch.prepare(program);
         let EngineScratch {
             trial,
             prefix,
@@ -442,8 +443,6 @@ impl<'p> TieredEngine<'p> {
             arena,
             queue,
         } = scratch;
-        let trial = trial.as_mut().expect("prepared above");
-        let prefix = prefix.as_mut().expect("prepared above");
 
         // Kraus programs have no shared structure to exploit (every
         // channel application depends on the trial's own state), so every
@@ -696,45 +695,33 @@ struct PendingTrial {
 
 /// Every reusable buffer a batch needs: the replay scratch, the shared
 /// dominant-path walker, the pre-sample draw buffer, the event arena and
-/// the pending-trial queue. Each worker thread holds one, reached through
-/// [`with_engine_scratch`], so the chunks and cells one call hands a
-/// worker — of programs of any width — reuse one allocation. Scoped
-/// workers end with their call; the calling thread, itself a worker, keeps
-/// its scratch across calls.
-#[derive(Debug, Default)]
+/// the pending-trial queue. Like the [`TerminalMemo`], it serves one
+/// program: each worker of a
+/// [`Simulator::run_program_with_stats`](crate::Simulator::run_program_with_stats)
+/// call builds one next to its memo and reuses it for every chunk it
+/// pulls, and it goes with the call. Nothing outlives the run, so a
+/// long-lived caller such as the serve daemon holds no state-vector memory
+/// between runs.
+#[derive(Debug)]
 pub struct EngineScratch {
-    trial: Option<TrialScratch>,
-    prefix: Option<TrialScratch>,
+    trial: TrialScratch,
+    prefix: TrialScratch,
     draw: Vec<TrialEvent>,
     arena: Vec<TrialEvent>,
     queue: Vec<PendingTrial>,
 }
 
 impl EngineScratch {
-    fn prepare(&mut self, program: &TrialProgram) {
-        let n = program.num_qubits();
-        for slot in [&mut self.trial, &mut self.prefix] {
-            match slot {
-                Some(s) => s.ensure(n),
-                None => *slot = Some(program.make_scratch()),
-            }
+    /// Empty buffers sized for `program`'s trials.
+    pub fn new(program: &TrialProgram) -> Self {
+        EngineScratch {
+            trial: program.make_scratch(),
+            prefix: program.make_scratch(),
+            draw: Vec::new(),
+            arena: Vec::new(),
+            queue: Vec::new(),
         }
-        self.draw.clear();
-        self.arena.clear();
-        self.queue.clear();
     }
-}
-
-thread_local! {
-    /// The calling worker's engine scratch, shared by every chunk it runs:
-    /// the "reuse scratch and checkpoint buffers instead of per-chunk
-    /// reallocation" half of the engine's memory story.
-    static ENGINE_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch::default());
-}
-
-/// Runs `f` with the calling worker's reusable [`EngineScratch`].
-pub fn with_engine_scratch<R>(f: impl FnOnce(&mut EngineScratch) -> R) -> R {
-    ENGINE_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 #[cfg(test)]
@@ -751,7 +738,7 @@ mod tests {
     /// counts against a [`TrialProgram::run_trial`] loop.
     fn run_one_worker(program: &TrialProgram, seed: u64, trials: u32) -> TerminalMemo {
         let engine = TieredEngine::new(program);
-        let mut scratch = EngineScratch::default();
+        let mut scratch = EngineScratch::new(program);
         let mut memo = TerminalMemo::default();
         let mut counts = FxHashMap::default();
         let mut tiers = TierCounts::default();

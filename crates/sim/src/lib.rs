@@ -58,7 +58,7 @@ pub use clifford::{Clifford1Q, SymplecticPauli};
 pub use complex::Complex;
 pub use engine::{TierCounts, TieredEngine};
 pub use noise::NoiseModel;
-pub use program::{KrausTable, TrialEvent, TrialOp, TrialProgram, TrialScratch};
+pub use program::{KrausTable, TrialEvent, TrialOp, TrialProgram, TrialScratch, MAX_CLBITS};
 pub use result::SimulationResult;
 pub use rng::TrialRng;
 pub use simulator::{Simulator, SimulatorConfig};

@@ -334,6 +334,10 @@ const SWAP_MAPS: [[u8; 16]; 2] = {
     maps
 };
 
+/// Most classical bits a simulated program may write: trial outcomes are
+/// bit-packed in a `u128`.
+pub const MAX_CLBITS: usize = 128;
+
 /// A physical circuit lowered against one machine snapshot and noise model,
 /// ready for cheap repeated trials. See the module docs for what lowering
 /// precomputes.
@@ -374,10 +378,9 @@ impl TrialProgram {
     /// # Panics
     ///
     /// Panics if the circuit references qubits outside the machine, uses
-    /// more than 128 classical bits (outcomes are bit-packed in a `u128`),
-    /// or touches more qubits than its backend supports: 24 for the dense
-    /// state vector (any program), 255 for the stabilizer tableau
-    /// (fully-Clifford programs).
+    /// more than [`MAX_CLBITS`] classical bits, or touches more qubits than
+    /// its backend supports: 24 for the dense state vector (any program),
+    /// 255 for the stabilizer tableau (fully-Clifford programs).
     pub fn lower(physical: &Circuit, machine: &Machine, noise: &NoiseModel) -> Self {
         Self::lower_with_spec(physical, machine, noise, None)
     }
@@ -410,8 +413,8 @@ impl TrialProgram {
             "circuit uses qubits outside the machine"
         );
         assert!(
-            physical.num_clbits() <= 128,
-            "trial outcomes are bit-packed; at most 128 classical bits are supported"
+            physical.num_clbits() <= MAX_CLBITS,
+            "trial outcomes are bit-packed; at most {MAX_CLBITS} classical bits are supported"
         );
 
         // Compact the circuit onto the qubits it actually touches. The
@@ -1026,18 +1029,6 @@ impl TrialScratch {
         for (i, p) in self.perm.iter_mut().enumerate() {
             *p = i as u8;
         }
-    }
-
-    /// Resizes the scratch for a program of `num_qubits` qubits (growing
-    /// buffers only when needed) and resets it — so one pooled scratch
-    /// serves programs of different widths without reallocation.
-    pub fn ensure(&mut self, num_qubits: usize) {
-        if self.state.num_qubits() != num_qubits {
-            self.state.resize_for(num_qubits);
-            self.pending.resize(num_qubits, None);
-            self.perm.resize(num_qubits, 0);
-        }
-        self.reset();
     }
 
     /// Restores this scratch from a checkpoint of the same width without

@@ -1,5 +1,5 @@
 use crate::backend::BackendKind;
-use crate::engine::{with_engine_scratch, TerminalMemo, TierCounts, TieredEngine};
+use crate::engine::{EngineScratch, TerminalMemo, TierCounts, TieredEngine};
 use crate::noise::NoiseModel;
 use crate::program::TrialProgram;
 use crate::result::SimulationResult;
@@ -10,7 +10,6 @@ use nisq_ir::Circuit;
 use nisq_machine::Machine;
 use nisq_noise::NoiseSpec;
 use rustc_hash::FxHashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Trials per parallel work unit. Every trial draws from its own
@@ -168,8 +167,10 @@ impl<'m> Simulator<'m> {
         let mut partials = run_workers(threads, || {
             let mut counts = FxHashMap::default();
             let mut tiers = TierCounts::default();
-            // The worker's terminal memo serves every chunk it pulls of
-            // this program, and goes with the call.
+            // A dense worker's scratch, built on its first chunk, and its
+            // terminal memo serve every chunk it pulls of this program, and
+            // go with the call.
+            let mut scratch = None;
             let mut memo = TerminalMemo::default();
             loop {
                 let chunk = next.fetch_add(1, Ordering::Relaxed);
@@ -178,14 +179,19 @@ impl<'m> Simulator<'m> {
                 }
                 let start = chunk * TRIAL_CHUNK;
                 let end = start.saturating_add(TRIAL_CHUNK).min(trials);
-                simulate_chunk(
-                    &engine,
-                    seed,
-                    start..end,
-                    &mut memo,
-                    &mut counts,
-                    &mut tiers,
-                );
+                match &engine {
+                    ChunkEngine::Dense(dense) => dense.run_chunk(
+                        seed,
+                        start..end,
+                        scratch.get_or_insert_with(|| EngineScratch::new(program)),
+                        &mut memo,
+                        &mut counts,
+                        &mut tiers,
+                    ),
+                    ChunkEngine::Tableau(tableau) => {
+                        tableau.run_chunk(seed, start..end, &mut counts, &mut tiers)
+                    }
+                }
             }
         })
         .into_iter();
@@ -235,26 +241,6 @@ impl<'m> Simulator<'m> {
 enum ChunkEngine<'p> {
     Dense(TieredEngine<'p>),
     Tableau(TableauEngine<'p>),
-}
-
-/// Simulates `trials` through the selected engine with the calling
-/// worker's scratch and terminal memo (which the tableau does not use),
-/// adding bit-packed outcome counts and tier occupancy to the worker's
-/// running totals.
-fn simulate_chunk(
-    engine: &ChunkEngine<'_>,
-    seed: u64,
-    trials: Range<u32>,
-    memo: &mut TerminalMemo,
-    counts: &mut FxHashMap<u128, u32>,
-    tiers: &mut TierCounts,
-) {
-    match engine {
-        ChunkEngine::Dense(dense) => with_engine_scratch(|scratch| {
-            dense.run_chunk(seed, trials, scratch, memo, counts, tiers);
-        }),
-        ChunkEngine::Tableau(tableau) => tableau.run_chunk(seed, trials, counts, tiers),
-    }
 }
 
 #[cfg(test)]

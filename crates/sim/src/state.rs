@@ -74,34 +74,6 @@ impl StateVector {
         self.re[0] = 1.0;
     }
 
-    /// Resizes the state for `num_qubits` qubits (growing the buffers only
-    /// when needed) and resets it to `|0...0>` — so one pooled scratch
-    /// state can serve programs of different widths without reallocating
-    /// on every switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_qubits` exceeds 24.
-    pub fn resize_for(&mut self, num_qubits: usize) {
-        assert!(
-            num_qubits <= 24,
-            "state vectors beyond 24 qubits are not supported"
-        );
-        let len = 1usize << num_qubits;
-        self.num_qubits = num_qubits;
-        self.re.resize(len, 0.0);
-        self.im.resize(len, 0.0);
-        // Long-lived pooled scratches serve programs of many widths; when
-        // the high-water capacity is far above the current need (a 24-qubit
-        // buffer is 256 MiB per component), release it rather than pinning
-        // it for the life of the worker thread.
-        if self.re.capacity() > len << 3 {
-            self.re.shrink_to(len);
-            self.im.shrink_to(len);
-        }
-        self.reset();
-    }
-
     /// Copies another state of the same width into this one without
     /// allocating — the restore half of the checkpoint mechanism.
     ///
@@ -602,19 +574,6 @@ mod tests {
         s.apply_cnot(0, 2);
         s.reset();
         assert_eq!(s.probability_of_basis(0), 1.0);
-        assert_eq!(s.total_probability(), 1.0);
-    }
-
-    #[test]
-    fn resize_for_reuses_and_resets() {
-        let mut s = StateVector::new(2);
-        s.apply_single(0, GateKind::H);
-        s.resize_for(4);
-        assert_eq!(s.num_qubits(), 4);
-        assert_eq!(s.len(), 16);
-        assert_eq!(s.probability_of_basis(0), 1.0);
-        s.resize_for(1);
-        assert_eq!(s.len(), 2);
         assert_eq!(s.total_probability(), 1.0);
     }
 

@@ -9,11 +9,15 @@
 //! `nisqc <subcommand> --help` print each command's usage (the `USAGE`,
 //! `SWEEP_USAGE`, `SERVE_USAGE` and `JOURNAL_USAGE` texts below).
 
-use nisq::exp::names::{config_for, parse_benchmarks, parse_days, parse_mappers, parse_topology};
+use nisq::exp::names::{
+    config_for, parse_benchmark, parse_benchmarks, parse_bits, parse_days, parse_mappers,
+    parse_topology,
+};
 use nisq::prelude::*;
 use nisq::serve::{Endpoint, Server, ServerConfig, SupervisorConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 struct Options {
@@ -148,6 +152,48 @@ fn help_for(args: &[String]) -> Option<&'static str> {
         .then_some(usage)
 }
 
+/// Reads one command's arguments in order: each flag, then its value.
+/// Taking a value and parsing a number are written here once, so every
+/// command words a missing or malformed value the same way.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The flag read last.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// Reads the next flag, or a positional argument.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    /// Takes the flag's value.
+    fn value(&mut self) -> Result<&'a str, String> {
+        let flag = self.flag;
+        self.args
+            .next()
+            .map(String::as_str)
+            .ok_or_else(|| format!("missing value for {flag}"))
+    }
+
+    /// Takes the flag's value as a number; one that does not parse is an
+    /// error saying the flag must be `kind`.
+    fn number<T: FromStr>(&mut self, kind: &str) -> Result<T, String> {
+        let flag = self.flag.trim_start_matches("--");
+        self.value()?
+            .parse()
+            .map_err(|_| format!("{flag} must be {kind}"))
+    }
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut input: Option<Input> = None;
     let mut options = Options {
@@ -161,64 +207,22 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         output: None,
     };
 
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let take_value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {arg}"))
-        };
-        match arg.as_str() {
-            "--mapper" => options.mapper = take_value(&mut i)?,
-            "--omega" => {
-                options.omega = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| "omega must be a number".to_string())?
-            }
-            "--day" => {
-                options.day = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| "day must be an integer".to_string())?
-            }
-            "--seed" => {
-                options.seed = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| "seed must be an integer".to_string())?
-            }
-            "--trials" => {
-                options.trials = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| "trials must be an integer".to_string())?
-            }
-            "--expected" => {
-                let bits = take_value(&mut i)?;
-                let parsed: Result<Vec<bool>, String> = bits
-                    .chars()
-                    .map(|c| match c {
-                        '0' => Ok(false),
-                        '1' => Ok(true),
-                        other => Err(format!("invalid bit '{other}' in --expected")),
-                    })
-                    .collect();
-                options.expected = Some(parsed?);
-            }
-            "--output" => options.output = Some(take_value(&mut i)?),
-            "--benchmark" => {
-                let name = take_value(&mut i)?;
-                let benchmark = Benchmark::all()
-                    .into_iter()
-                    .find(|b| b.name().eq_ignore_ascii_case(&name))
-                    .ok_or_else(|| format!("unknown benchmark {name}"))?;
-                input = Some(Input::Benchmark(benchmark));
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--mapper" => options.mapper = flags.value()?.to_string(),
+            "--omega" => options.omega = flags.number("a number")?,
+            "--day" => options.day = flags.number("an integer")?,
+            "--seed" => options.seed = flags.number("an integer")?,
+            "--trials" => options.trials = flags.number("an integer")?,
+            "--expected" => options.expected = Some(parse_bits(flags.value()?, "--expected")?),
+            "--output" => options.output = Some(flags.value()?.to_string()),
+            "--benchmark" => input = Some(Input::Benchmark(parse_benchmark(flags.value()?)?)),
             other if !other.starts_with("--") => {
                 input = Some(Input::QasmFile(other.to_string()));
             }
             other => return Err(format!("unknown option {other} (see nisqc --help)")),
         }
-        i += 1;
     }
 
     options.input = input.ok_or_else(|| {
@@ -230,12 +234,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 fn run(options: &Options) -> Result<(), String> {
     let mut spec = match &options.input {
         Input::QasmFile(path) => {
-            let source =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let mut circuit =
-                nisq::ir::qasm::parse(&source).map_err(|e| format!("cannot parse {path}: {e}"))?;
-            circuit.set_name(path.clone());
-            CircuitSpec::new(path.clone(), circuit)
+            // The report's `program` line prints the circuit's name.
+            let mut spec = load_qasm_circuit(path)?;
+            spec.circuit.set_name(path.clone());
+            spec
         }
         Input::Benchmark(benchmark) => CircuitSpec::from(*benchmark),
     };
@@ -295,7 +297,10 @@ fn run(options: &Options) -> Result<(), String> {
 }
 
 /// Loads a custom OpenQASM circuit into a plan-ready spec. Malformed
-/// files surface the parser's typed diagnosis; nothing panics.
+/// files surface the parser's typed diagnosis; nothing panics. The circuit
+/// stays unnamed: its name enters [`Circuit::fingerprint`], which keys a
+/// sweep journal's cells, so a named circuit would not resume a journal
+/// written before.
 fn load_qasm_circuit(path: &str) -> Result<CircuitSpec, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let circuit =
@@ -310,74 +315,59 @@ fn load_noise_spec(path: &str) -> Result<NoiseSpec, String> {
     NoiseSpec::from_json(&source).map_err(|e| format!("invalid noise spec {path}: {e}"))
 }
 
+/// Reads an emitted sweep report. A malformed one is a typed diagnosis.
+fn read_report(path: &str) -> Result<Report, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Report::from_json(&text).map_err(|e| format!("invalid report: {e}"))
+}
+
 /// Runs the `sweep` subcommand: execute a plan and emit JSON, or validate
 /// an emitted report (`--validate`).
 fn run_sweep(args: &[String]) -> Result<(), String> {
-    let mut benchmarks = "representative".to_string();
-    let mut qasm_files: Vec<String> = Vec::new();
-    let mut noise_files: Vec<String> = Vec::new();
-    let mut mappers = "r-smt-star".to_string();
+    let mut benchmarks = "representative";
+    let mut qasm_files: Vec<&str> = Vec::new();
+    let mut noise_files: Vec<&str> = Vec::new();
+    let mut mappers = "r-smt-star";
     let mut omega = 0.5;
     let mut days = vec![0usize];
     let mut topology = TopologySpec::Ibmq16;
     let mut trials = 0u32;
     let mut machine_seed = nisq::exp::DEFAULT_MACHINE_SEED;
     let mut sim_seed: Option<u64> = None;
-    let mut output: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut canonicalize: Option<String> = None;
+    let mut output: Option<&str> = None;
+    let mut validate: Option<&str> = None;
+    let mut canonicalize: Option<&str> = None;
     let mut expect_cells: Option<usize> = None;
-    let mut journal_new: Option<String> = None;
-    let mut journal_resume: Option<String> = None;
-    let mut journal_reuse: Option<String> = None;
+    let mut journal_new: Option<&str> = None;
+    let mut journal_resume: Option<&str> = None;
+    let mut journal_reuse: Option<&str> = None;
 
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let take_value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {arg}"))
-        };
-        let parse = |text: String, what: &str| -> Result<u64, String> {
-            text.parse()
-                .map_err(|_| format!("{what} must be an integer"))
-        };
-        match arg.as_str() {
-            "--benchmarks" => benchmarks = take_value(&mut i)?,
-            "--qasm" => qasm_files.push(take_value(&mut i)?),
-            "--mappers" => mappers = take_value(&mut i)?,
-            "--omega" => {
-                omega = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| "omega must be a number".to_string())?
-            }
-            "--days" => days = parse_days(&take_value(&mut i)?)?,
-            "--topology" => topology = parse_topology(&take_value(&mut i)?)?,
-            "--trials" => {
-                trials = u32::try_from(parse(take_value(&mut i)?, "trials")?)
-                    .map_err(|_| format!("trials must be at most {}", u32::MAX))?
-            }
-            "--noise" => noise_files.push(take_value(&mut i)?),
-            "--machine-seed" => machine_seed = parse(take_value(&mut i)?, "machine-seed")?,
-            "--sim-seed" => sim_seed = Some(parse(take_value(&mut i)?, "sim-seed")?),
-            "--output" => output = Some(take_value(&mut i)?),
-            "--validate" => validate = Some(take_value(&mut i)?),
-            "--canonicalize" => canonicalize = Some(take_value(&mut i)?),
-            "--expect-cells" => {
-                expect_cells = Some(parse(take_value(&mut i)?, "expect-cells")? as usize)
-            }
-            "--journal" => journal_new = Some(take_value(&mut i)?),
-            "--resume" => journal_resume = Some(take_value(&mut i)?),
-            "--reuse" => journal_reuse = Some(take_value(&mut i)?),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--benchmarks" => benchmarks = flags.value()?,
+            "--qasm" => qasm_files.push(flags.value()?),
+            "--mappers" => mappers = flags.value()?,
+            "--omega" => omega = flags.number("a number")?,
+            "--days" => days = parse_days(flags.value()?)?,
+            "--topology" => topology = parse_topology(flags.value()?)?,
+            "--trials" => trials = flags.number("an integer")?,
+            "--noise" => noise_files.push(flags.value()?),
+            "--machine-seed" => machine_seed = flags.number("an integer")?,
+            "--sim-seed" => sim_seed = Some(flags.number("an integer")?),
+            "--output" => output = Some(flags.value()?),
+            "--validate" => validate = Some(flags.value()?),
+            "--canonicalize" => canonicalize = Some(flags.value()?),
+            "--expect-cells" => expect_cells = Some(flags.number("an integer")?),
+            "--journal" => journal_new = Some(flags.value()?),
+            "--resume" => journal_resume = Some(flags.value()?),
+            "--reuse" => journal_reuse = Some(flags.value()?),
             other => {
                 return Err(format!(
                     "unknown sweep option {other} (see nisqc sweep --help)"
                 ))
             }
         }
-        i += 1;
     }
 
     if journal_new.is_some() && journal_resume.is_some() {
@@ -395,12 +385,9 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = canonicalize {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let report = Report::from_json(&text).map_err(|e| format!("invalid report: {e}"))?;
-        let line = report.to_json_line_canonical();
+        let line = read_report(path)?.to_json_line_canonical();
         match output {
-            Some(out) => std::fs::write(&out, format!("{line}\n"))
+            Some(out) => std::fs::write(out, format!("{line}\n"))
                 .map_err(|e| format!("cannot write {out}: {e}"))?,
             None => println!("{line}"),
         }
@@ -408,9 +395,7 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = validate {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let report = Report::from_json(&text).map_err(|e| format!("invalid report: {e}"))?;
+        let report = read_report(path)?;
         if let Some(expected) = expect_cells {
             if report.cells.len() != expected {
                 return Err(format!(
@@ -422,13 +407,9 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
         // Backend occupancy: how many simulated cells each state backend
         // served (a cell's tag is pure; only run totals can be mixed).
         let simulated = report.cells.iter().filter(|c| c.tiers.total() > 0);
-        let (mut dense_cells, mut tableau_cells) = (0usize, 0usize);
-        for cell in simulated {
-            match cell.tiers.backend {
-                nisq_exp::BackendTag::Tableau => tableau_cells += 1,
-                _ => dense_cells += 1,
-            }
-        }
+        let tableau = |c: &&CellRecord| c.tiers.backend == nisq_exp::BackendTag::Tableau;
+        let tableau_cells = simulated.clone().filter(tableau).count();
+        let dense_cells = simulated.count() - tableau_cells;
         println!(
             "{path}: valid report ({} cells, {} compiles, {} compile hits, {} placement passes; \
              tiers {} error-free / {} pauli-prop / {} checkpointed / {} full; \
@@ -448,8 +429,8 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
     }
 
     let mut plan = SweepPlan::new()
-        .benchmarks(parse_benchmarks(&benchmarks)?)
-        .with_configs(parse_mappers(&mappers, omega)?)
+        .benchmarks(parse_benchmarks(benchmarks)?)
+        .with_configs(parse_mappers(mappers, omega)?)
         .days(days)
         .topology(topology)
         .with_machine_seed(machine_seed)
@@ -541,7 +522,7 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
     let json = report.to_json();
     match output {
         Some(path) => {
-            std::fs::write(&path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
+            std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!(
                 "wrote {path} ({} cells, {} compile hits, {} placement passes over {} compiles)",
                 report.cells.len(),
@@ -563,51 +544,33 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let mut workers = 0usize;
     let mut runtime_dir: Option<PathBuf> = None;
 
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let take_value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {arg}"))
-        };
-        let parse = |text: String, what: &str| -> Result<u64, String> {
-            text.parse()
-                .map_err(|_| format!("{what} must be an integer"))
-        };
-        match arg.as_str() {
-            "--listen" => endpoint = Endpoint::Tcp(take_value(&mut i)?),
-            "--unix" => endpoint = Endpoint::Unix(take_value(&mut i)?.into()),
-            "--queue" => config.queue_capacity = parse(take_value(&mut i)?, "queue")? as usize,
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--listen" => endpoint = Endpoint::Tcp(flags.value()?.to_string()),
+            "--unix" => endpoint = Endpoint::Unix(flags.value()?.into()),
+            "--queue" => config.queue_capacity = flags.number("an integer")?,
             "--timeout-ms" => {
-                config.request_timeout =
-                    Duration::from_millis(parse(take_value(&mut i)?, "timeout-ms")?)
+                config.request_timeout = Duration::from_millis(flags.number("an integer")?)
             }
-            "--max-cells" => config.max_cells = parse(take_value(&mut i)?, "max-cells")? as usize,
-            "--max-trials" => {
-                config.max_trials = u32::try_from(parse(take_value(&mut i)?, "max-trials")?)
-                    .map_err(|_| format!("max-trials must be at most {}", u32::MAX))?
-            }
-            "--max-qubits" => {
-                config.max_machine_qubits = parse(take_value(&mut i)?, "max-qubits")? as usize
-            }
-            "--threads" => config.threads = parse(take_value(&mut i)?, "threads")? as usize,
-            "--journal-dir" => config.journal_dir = Some(take_value(&mut i)?.into()),
-            "--workers" => workers = parse(take_value(&mut i)?, "workers")? as usize,
-            "--runtime-dir" => runtime_dir = Some(take_value(&mut i)?.into()),
+            "--max-cells" => config.max_cells = flags.number("an integer")?,
+            "--max-trials" => config.max_trials = flags.number("an integer")?,
+            "--max-qubits" => config.max_machine_qubits = flags.number("an integer")?,
+            "--threads" => config.threads = flags.number("an integer")?,
+            "--journal-dir" => config.journal_dir = Some(flags.value()?.into()),
+            "--workers" => workers = flags.number("an integer")?,
+            "--runtime-dir" => runtime_dir = Some(flags.value()?.into()),
             other => {
                 return Err(format!(
                     "unknown serve option {other} (see nisqc serve --help)"
                 ))
             }
         }
-        i += 1;
     }
 
     nisq::serve::signal::install();
     let (server, serving, stopped) = if workers > 0 {
-        let server = supervise(&endpoint, config, workers, runtime_dir)?;
+        let server = supervise(&endpoint, config, workers, runtime_dir, args)?;
         let serving = format!("supervising {workers} workers on");
         (server, serving, "workers stopped, supervisor shut down")
     } else {
@@ -626,51 +589,36 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The argument vector a supervised worker is launched with: `serve` on a
-/// private socket, with every front-door limit mirrored so supervisor and
-/// shard enforce identical admission.
-fn worker_serve_args(config: &ServerConfig) -> Vec<String> {
-    let mut args: Vec<String> = [
-        "serve",
-        "--unix",
-        "{socket}",
-        "--queue",
-        &config.queue_capacity.to_string(),
-        "--timeout-ms",
-        &config.request_timeout.as_millis().to_string(),
-        "--max-cells",
-        &config.max_cells.to_string(),
-        "--max-trials",
-        &config.max_trials.to_string(),
-        "--max-qubits",
-        &config.max_machine_qubits.to_string(),
-        "--threads",
-        &config.threads.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    if let Some(dir) = &config.journal_dir {
-        args.push("--journal-dir".to_string());
-        args.push(dir.display().to_string());
-    }
-    args
+/// The flags a supervised worker is launched with after `serve --unix
+/// {socket}`: every flag of `args`, a serve command line that parsed (so
+/// flag-value pairs), in the order given, but the endpoint and fleet
+/// flags. Supervisor and shard thus enforce identical admission.
+fn worker_flags(args: &[String]) -> Vec<String> {
+    let endpoint_or_fleet =
+        |flag: &str| matches!(flag, "--listen" | "--unix" | "--workers" | "--runtime-dir");
+    args.chunks(2)
+        .filter(|pair| !endpoint_or_fleet(&pair[0]))
+        .flatten()
+        .cloned()
+        .collect()
 }
 
 /// Binds `serve --workers N`: a supervisor routing to N process-isolated
-/// worker shards, each a `nisqc serve --unix` child of this process.
+/// worker shards, each a `nisqc serve --unix` child of this process given
+/// the [`worker_flags`] of the supervisor's own command line `args`.
 fn supervise(
     endpoint: &Endpoint,
     config: ServerConfig,
     workers: usize,
     runtime_dir: Option<PathBuf>,
+    args: &[String],
 ) -> Result<Server, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own executable: {e}"))?;
     let runtime_dir = runtime_dir.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("nisqc-serve-{}", std::process::id()))
     });
-    let mut sup = SupervisorConfig::new(workers, config.clone(), runtime_dir, exe);
-    sup.spec.args = worker_serve_args(&config);
+    let mut sup = SupervisorConfig::new(workers, config, runtime_dir, exe);
+    sup.spec.args.extend(worker_flags(args));
     Server::supervise(endpoint, sup).map_err(|e| format!("cannot start workers: {e}"))
 }
 
@@ -737,30 +685,20 @@ fn main() -> ExitCode {
         print!("{usage}");
         return ExitCode::SUCCESS;
     }
-    let subcommand = |body: fn(&[String]) -> Result<(), String>, args: &[String]| match body(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
+    let result = match args.first().map(String::as_str) {
+        Some("sweep") => run_sweep(&args[1..]),
+        Some("serve") => run_serve(&args[1..]),
+        Some("journal") => run_journal(&args[1..]),
+        _ => match parse_args(&args) {
+            Ok(options) => run(&options),
+            // A malformed compile command line prints its message bare.
+            Err(message) => {
+                eprintln!("{message}");
+                return ExitCode::FAILURE;
+            }
+        },
     };
-    if args.first().map(String::as_str) == Some("sweep") {
-        return subcommand(run_sweep, &args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return subcommand(run_serve, &args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("journal") {
-        return subcommand(run_journal, &args[1..]);
-    }
-    let options = match parse_args(&args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run(&options) {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
@@ -1014,6 +952,70 @@ mod tests {
         assert!(run_serve(&args(&["--queue"])).is_err());
         assert!(run_serve(&args(&["--timeout-ms", "soon"])).is_err());
         assert!(run_serve(&args(&["--journal-dir"])).is_err());
+    }
+
+    #[test]
+    fn fleet_workers_get_the_limit_flags_in_the_order_given() {
+        let line = args(&[
+            "--max-trials",
+            "9",
+            "--listen",
+            "127.0.0.1:0",
+            "--queue",
+            "4",
+            "--workers",
+            "2",
+            "--timeout-ms",
+            "500",
+            "--runtime-dir",
+            "shards",
+            "--max-cells",
+            "7",
+            "--unix",
+            "front.sock",
+            "--max-qubits",
+            "30",
+            "--threads",
+            "1",
+            "--journal-dir",
+            "journals",
+        ]);
+        assert_eq!(
+            worker_flags(&line),
+            args(&[
+                "--max-trials",
+                "9",
+                "--queue",
+                "4",
+                "--timeout-ms",
+                "500",
+                "--max-cells",
+                "7",
+                "--max-qubits",
+                "30",
+                "--threads",
+                "1",
+                "--journal-dir",
+                "journals",
+            ])
+        );
+    }
+
+    #[test]
+    fn loaded_qasm_circuits_keep_the_parsers_fingerprint() {
+        let dir = std::env::temp_dir().join("nisqc-fingerprint-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bell.qasm");
+        let source = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0], q[1];\n\
+                      measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n";
+        std::fs::write(&path, source).unwrap();
+        // Journals key a sweep's cells by this fingerprint, so the loader
+        // must not name the circuit.
+        let spec = load_qasm_circuit(path.to_str().unwrap()).unwrap();
+        assert_eq!(
+            spec.circuit.fingerprint(),
+            nisq::ir::qasm::parse(source).unwrap().fingerprint()
+        );
     }
 
     #[test]
