@@ -299,7 +299,7 @@ fn main() {
     }
 
     // One session for the whole run: machine snapshots are built once and
-    // compiles share the placement cache.
+    // compiles share the session's placement memo.
     //
     // The random circuits routed onto a 4x4 grid (rand12, rand14) exercise
     // the fig11-scale dense regime, where an error trial replays the

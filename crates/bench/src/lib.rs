@@ -20,7 +20,7 @@
 
 use nisq_core::{Compiler, CompilerConfig};
 use nisq_ir::Benchmark;
-use nisq_machine::{Calibration, CalibrationGenerator, GridTopology, Machine};
+use nisq_machine::{Calibration, CalibrationGenerator, Machine, Topology};
 
 /// The default machine seed used across the experiment binaries, so the
 /// whole evaluation refers to one consistent synthetic device (re-exported
@@ -40,7 +40,7 @@ pub fn ibmq16_on_day(day: usize) -> Machine {
 /// device — the canonical calibration series every daily-variation figure
 /// draws from.
 pub fn ibmq16_calibration_days(days: usize) -> Vec<Calibration> {
-    CalibrationGenerator::new(GridTopology::ibmq16(), DEFAULT_MACHINE_SEED).days(days)
+    CalibrationGenerator::new(Topology::ibmq16(), DEFAULT_MACHINE_SEED).days(days)
 }
 
 /// Reads the `NISQ_TRIALS` override every figure binary honours, falling

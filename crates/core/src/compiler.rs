@@ -1,4 +1,3 @@
-use crate::cache::PlacementCache;
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
 use crate::executable::{CompiledCircuit, PassTiming};
@@ -6,13 +5,14 @@ use crate::mapping;
 use crate::metrics;
 use nisq_ir::{Circuit, Gate, GateKind, Qubit};
 use nisq_machine::Machine;
-use nisq_opt::{realize, RoutedOp, Schedule, Scheduler, SchedulerConfig};
-use std::sync::Arc;
+use nisq_opt::{realize, Placement, RoutedOp, Schedule, Scheduler, SchedulerConfig};
 use std::time::Instant;
 
 /// The noise-adaptive backend compiler. [`Compiler::compile`] runs the
 /// paper's backend as six steps, `decompose → place → route → schedule →
-/// emit → estimate`, each a direct call, and times each one.
+/// emit → estimate`, each a direct call, and times each one. The place
+/// step runs the Table-1 algorithm, or takes a placement the caller already
+/// holds ([`Compiler::compile_placed`]).
 ///
 /// A `Compiler` is bound to one machine snapshot (topology plus calibration
 /// data) and one configuration from Table 1. Recompiling after each daily
@@ -36,26 +36,12 @@ use std::time::Instant;
 pub struct Compiler<'m> {
     machine: &'m Machine,
     config: CompilerConfig,
-    placement_cache: Option<Arc<PlacementCache>>,
 }
 
 impl<'m> Compiler<'m> {
     /// Creates a compiler for a machine and configuration.
     pub fn new(machine: &'m Machine, config: CompilerConfig) -> Self {
-        Compiler {
-            machine,
-            config,
-            placement_cache: None,
-        }
-    }
-
-    /// Returns a copy of this compiler whose place step memoizes results in
-    /// `cache`. The cache is shareable: install the same `Arc` into many
-    /// compilers (across machines, configs and threads) and identical
-    /// `(circuit, machine-day, config)` triples are placed once.
-    pub fn with_placement_cache(mut self, cache: Arc<PlacementCache>) -> Self {
-        self.placement_cache = Some(cache);
-        self
+        Compiler { machine, config }
     }
 
     /// The configuration in use.
@@ -77,6 +63,26 @@ impl<'m> Compiler<'m> {
     /// Returns an error if the circuit does not fit on the machine or the
     /// configuration is invalid.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, CompileError> {
+        self.compile_placed(circuit, None)
+    }
+
+    /// Compiles a circuit as [`Compiler::compile`] does, except that a
+    /// given `placement` is the place step's result instead of a run of
+    /// the configuration's algorithm. Given the placement the algorithm
+    /// produced for this circuit on the same coupling graph (and, when the
+    /// configuration is calibration-aware, the same calibration), the
+    /// result equals a full compile's.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the circuit does not fit on the machine, the
+    /// configuration is invalid or the placement does not fit the circuit
+    /// and machine.
+    pub fn compile_placed(
+        &self,
+        circuit: &Circuit,
+        placement: Option<&Placement>,
+    ) -> Result<CompiledCircuit, CompileError> {
         let (machine, config) = (self.machine, &self.config);
         let start = Instant::now();
         let mut timings = Vec::with_capacity(6);
@@ -102,16 +108,9 @@ impl<'m> Compiler<'m> {
                 hardware_qubits: machine.num_qubits(),
             });
         }
-        let cache = self.placement_cache.as_deref();
-        let placement = match cache.and_then(|c| c.lookup(circuit, machine, config)) {
-            Some(placement) => placement,
-            None => {
-                let placement = mapping::place(circuit, machine, config)?;
-                if let Some(cache) = cache {
-                    cache.insert(circuit, machine, config, placement.clone());
-                }
-                placement
-            }
+        let placement = match placement {
+            Some(held) => held.clone(),
+            None => mapping::place(circuit, machine, config)?,
         };
         done("place");
 
@@ -365,13 +364,17 @@ mod tests {
     #[test]
     fn pass_timings_name_the_six_steps_in_order() {
         let m = machine();
-        let cache = Arc::new(PlacementCache::new());
-        let compiler =
-            Compiler::new(&m, CompilerConfig::greedy_e()).with_placement_cache(cache.clone());
-        // The second compile is answered from the placement cache and must
-        // still time every step.
-        for _ in 0..2 {
-            let compiled = compiler.compile(&Benchmark::Bv4.circuit()).unwrap();
+        let compiler = Compiler::new(&m, CompilerConfig::greedy_e());
+        let circuit = Benchmark::Bv4.circuit();
+        let placed = compiler.compile(&circuit).unwrap();
+        // A compile from a held placement skips the algorithm and must
+        // still time every step, and produce the same executable.
+        let held = compiler
+            .compile_placed(&circuit, Some(placed.placement()))
+            .unwrap();
+        assert_eq!(held.placement(), placed.placement());
+        assert_eq!(held.physical_circuit(), placed.physical_circuit());
+        for compiled in [&placed, &held] {
             let names: Vec<&str> = compiled.pass_timings().iter().map(|t| t.pass).collect();
             assert_eq!(
                 names,
@@ -385,7 +388,6 @@ mod tests {
                 ]
             );
         }
-        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

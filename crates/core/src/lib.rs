@@ -26,8 +26,10 @@
 //! emit → estimate`, and records each step's time in
 //! [`CompiledCircuit::pass_timings`]. The place step calls
 //! [`mapping::place`], which selects the Table-1 algorithm by
-//! [`CompilerConfig::algorithm`], unless the [`PlacementCache`] installed
-//! with [`Compiler::with_placement_cache`] already holds the placement.
+//! [`CompilerConfig::algorithm`], unless the caller hands
+//! [`Compiler::compile_placed`] a placement it already holds (the
+//! experiment session memoizes placements that way). The crate keeps no
+//! state between compiles.
 //!
 //! # Example
 //!
@@ -46,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod compiler;
 mod config;
 mod error;
@@ -54,7 +55,6 @@ mod executable;
 pub mod mapping;
 pub mod metrics;
 
-pub use cache::{PlacementCache, PlacementCacheStats};
 pub use compiler::Compiler;
 pub use config::{Algorithm, CompilerConfig};
 pub use error::CompileError;

@@ -8,7 +8,7 @@
 //!   × configs × days × topologies × simulation settings, with
 //!   deterministic per-cell seeds);
 //! * [`Session`] — a long-lived executor owning machine snapshots, a keyed
-//!   full-compile cache and the shared placement cache, running plans
+//!   full-compile cache and a placement memo, running plans
 //!   through one cell-parallel, optionally journaled, executor;
 //! * [`Report`] — a structured, serializable record set (per-cell success
 //!   rate, reliability estimate, swap/slot counts, pass timings, cache

@@ -139,9 +139,9 @@ pub struct CacheStats {
     pub compile_requests: u64,
     /// Requests answered from the full-compile cache.
     pub compile_hits: u64,
-    /// Placement-pass lookups answered from the placement cache.
+    /// Compile-cache misses that compiled from a memoized placement.
     pub place_hits: u64,
-    /// Placement passes actually executed (= placement-cache misses).
+    /// Compile-cache misses that ran the placement algorithm.
     pub place_runs: u64,
     /// Cells served from a sweep journal without recompilation or
     /// resimulation (journaled runs only; always 0 otherwise).
@@ -199,8 +199,8 @@ pub struct CellRecord {
     pub compile_ms: f64,
     /// Wall-clock time of the placement pass in microseconds, as recorded
     /// by the compile that produced this cell's executable: a full-compile
-    /// cache hit repeats the original compile's value, and a placement-
-    /// cache hit records only the (near-zero) lookup time.
+    /// cache hit repeats the original compile's value, and a compile from
+    /// a memoized placement records only the (near-zero) time to take it.
     pub place_us: f64,
     /// Whether the compilation was served from the full-compile cache.
     pub cache_hit: bool,

@@ -3,7 +3,7 @@
 use crate::journal::{CellKey, Journal};
 use crate::plan::{Cell, SweepPlan};
 use crate::report::{CacheStats, CellRecord, Report, TierStats};
-use nisq_core::{CompileError, CompiledCircuit, Compiler, CompilerConfig, PlacementCache};
+use nisq_core::{CompileError, CompiledCircuit, Compiler, CompilerConfig, Placement};
 use nisq_ir::Circuit;
 use nisq_machine::{Machine, MachineError, TopologySpec};
 use nisq_sim::{run_workers, Simulator, SimulatorConfig};
@@ -13,6 +13,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Key of the full-compile cache: circuit, machine and config fingerprints.
+/// The placement memo uses the same shape, with the topology fingerprint in
+/// the machine's place for calibration-unaware configs.
 type CompileKey = (u64, u64, u64);
 
 /// External controls for [`Session::execute`]: the knobs a hosting
@@ -73,12 +75,13 @@ pub struct RunOutcome {
 ///   data once and shares the [`Machine`] behind an `Arc`;
 /// * **a full-compile cache** — identical `(circuit, machine-day, config)`
 ///   triples return the same [`CompiledCircuit`], bit for bit;
-/// * **a placement cache** (see [`PlacementCache`]) — installed with
-///   [`Compiler::with_placement_cache`] into every compile the session
-///   runs, so even compile-cache *misses* skip the expensive place step
-///   when only the calibration day changed for a calibration-unaware
-///   configuration. That call is the session's only hook into
-///   compilation: a miss is a plain [`Compiler::compile`].
+/// * **a placement memo** — the placement of every compile, keyed on the
+///   circuit, config and machine fingerprints, with the topology's in the
+///   machine's place for calibration-unaware configurations (Qiskit,
+///   T-SMT), which place from the coupling graph alone. A compile-cache
+///   *miss* hands a memoized placement to [`Compiler::compile_placed`], so
+///   a day sweep runs such a configuration's placement once per circuit,
+///   not once per day.
 ///
 /// [`Session::execute`] runs a plan's cells on the session's worker
 /// threads, compiling them serially in plan order and simulating them in
@@ -109,9 +112,11 @@ pub struct RunOutcome {
 pub struct Session {
     machines: FxHashMap<(TopologySpec, u64, usize), Arc<Machine>>,
     compiled: FxHashMap<CompileKey, Arc<CompiledCircuit>>,
-    place_cache: Arc<PlacementCache>,
+    placements: FxHashMap<CompileKey, Placement>,
     compile_requests: u64,
     compile_hits: u64,
+    place_hits: u64,
+    place_runs: u64,
     threads: usize,
 }
 
@@ -130,9 +135,11 @@ impl Session {
         Session {
             machines: FxHashMap::default(),
             compiled: FxHashMap::default(),
-            place_cache: Arc::new(PlacementCache::new()),
+            placements: FxHashMap::default(),
             compile_requests: 0,
             compile_hits: 0,
+            place_hits: 0,
+            place_runs: 0,
             threads,
         }
     }
@@ -145,11 +152,14 @@ impl Session {
 
     /// The machine snapshot for `(spec, seed, day)`, built on first use and
     /// shared afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate spec; [`Session::try_machine`] returns the
+    /// error instead.
     pub fn machine(&mut self, spec: TopologySpec, seed: u64, day: usize) -> Arc<Machine> {
-        self.machines
-            .entry((spec, seed, day))
-            .or_insert_with(|| Arc::new(Machine::from_spec(spec, seed, day)))
-            .clone()
+        self.try_machine(spec, seed, day)
+            .expect("degenerate topology spec")
     }
 
     /// Like [`Session::machine`], but validating the spec first so a
@@ -177,6 +187,8 @@ impl Session {
     /// Compiles `circuit` for `machine` under `config` through the
     /// session's caches. The returned flag is `true` when the result came
     /// from the full-compile cache (bit-identical to the original compile).
+    /// A miss compiles from the memoized placement when the session holds
+    /// one for the key, and memoizes the placement it ran otherwise.
     ///
     /// # Errors
     ///
@@ -198,11 +210,23 @@ impl Session {
             self.compile_hits += 1;
             return Ok((hit.clone(), true));
         }
-        let compiled = Arc::new(
-            Compiler::new(machine, *config)
-                .with_placement_cache(self.place_cache.clone())
-                .compile(circuit)?,
-        );
+        // Calibration-aware placement tracks the day's error rates; the
+        // others place from the coupling graph alone.
+        let place_key = if config.calibration_aware() {
+            key
+        } else {
+            (key.0, machine.topology().fingerprint(), key.2)
+        };
+        let held = self.placements.get(&place_key);
+        let compiled = Compiler::new(machine, *config).compile_placed(circuit, held)?;
+        if held.is_some() {
+            self.place_hits += 1;
+        } else {
+            self.place_runs += 1;
+            self.placements
+                .insert(place_key, compiled.placement().clone());
+        }
+        let compiled = Arc::new(compiled);
         self.compiled.insert(key, compiled.clone());
         Ok((compiled, false))
     }
@@ -223,19 +247,13 @@ impl Session {
             .map(|(compiled, _)| compiled)
     }
 
-    /// The placement cache shared by every compile this session runs.
-    pub fn placement_cache(&self) -> &Arc<PlacementCache> {
-        &self.place_cache
-    }
-
     /// Cache behaviour accumulated over the session's lifetime.
     pub fn cache_stats(&self) -> CacheStats {
-        let place = self.place_cache.stats();
         CacheStats {
             compile_requests: self.compile_requests,
             compile_hits: self.compile_hits,
-            place_hits: place.hits,
-            place_runs: place.misses,
+            place_hits: self.place_hits,
+            place_runs: self.place_runs,
             // Journal hits are per-run provenance, not session state; runs
             // fill the field in their report deltas.
             journal_hits: 0,
@@ -893,25 +911,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_panicking_cell_stops_further_claims() {
-        // 129 classical bits overflow the simulator's bit-packed outcomes,
-        // so the second cell compiles, then panics when simulated
-        // (`with_expected` refuses such a circuit, so its answer is set
-        // directly). Its one qubit compiles at once, so the panic stops the
-        // run while the first cell's 2^17 trials still simulate; a worker
-        // that claims it only after the first cell panics on it itself.
-        let wide = CircuitSpec {
+    /// A cell that compiles, then panics when simulated: 129 classical
+    /// bits overflow the simulator's bit-packed outcomes (`with_expected`
+    /// refuses such a circuit, so its answer is set directly).
+    fn panicking_cell() -> CircuitSpec {
+        CircuitSpec {
             name: "wide".to_string(),
             circuit: nisq_ir::qasm::parse("qreg q[1]; creg c[129]; measure q[0] -> c[128];")
                 .unwrap(),
             expected: Some(vec![false; 129]),
-        };
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_stops_further_claims() {
+        // The second cell panics when simulated. Its one qubit compiles at
+        // once, so the panic stops the run while the first cell's 2^17
+        // trials still simulate; a worker that claims it only after the
+        // first cell panics on it itself.
         let unscored = Benchmark::all().map(|b| CircuitSpec::new(b.to_string(), b.circuit()));
         let plan = unscored
             .into_iter()
             .fold(
-                SweepPlan::new().benchmark(Benchmark::Toffoli).circuit(wide),
+                SweepPlan::new()
+                    .benchmark(Benchmark::Toffoli)
+                    .circuit(panicking_cell()),
                 SweepPlan::circuit,
             )
             .config("Qiskit", CompilerConfig::qiskit())
@@ -929,6 +953,76 @@ mod tests {
         // The worker holding the first cell finishes it and claims none of
         // the 12 compile-only cells after the panicking one.
         assert_eq!(journal.completed_cells(), 1);
+    }
+
+    #[test]
+    fn a_session_keeps_its_caches_after_a_panicking_run() {
+        let mut session = Session::new().with_threads(2);
+        let plan = SweepPlan::new()
+            .benchmarks([Benchmark::Bv4, Benchmark::Toffoli])
+            .config("Qiskit", CompilerConfig::qiskit())
+            .config("GreedyE*", CompilerConfig::greedy_e())
+            .with_trials(256);
+        let first = session.run(&plan).unwrap();
+        let panicking = SweepPlan::new()
+            .circuit(panicking_cell())
+            .config("Qiskit", CompilerConfig::qiskit())
+            .with_trials(64);
+        let outcome = catch_unwind(AssertUnwindSafe(|| session.run(&panicking)));
+        assert!(outcome.is_err(), "the cell's panic must reach the caller");
+        // The same session answers the first plan again from its caches.
+        let rerun = session.run(&plan).unwrap();
+        assert!(rerun.cells.iter().all(|c| c.cache_hit));
+        assert_eq!(
+            rerun.to_json_line_canonical(),
+            first.to_json_line_canonical()
+        );
+    }
+
+    #[test]
+    fn aware_configs_key_on_the_day_unaware_on_topology() {
+        let mut session = Session::new();
+        let day0 = session.machine(TopologySpec::Ibmq16, 5, 0);
+        let day3 = session.machine(TopologySpec::Ibmq16, 5, 3);
+        let circuit = Benchmark::Bv4.circuit();
+        // A calibration-aware config places on each day; an unaware one
+        // places once and reuses it on the other day.
+        for (config, place_runs) in [
+            (CompilerConfig::greedy_e(), 2),
+            (CompilerConfig::qiskit(), 1),
+        ] {
+            let before = session.cache_stats();
+            session.compile(&day0, &config, &circuit).unwrap();
+            session.compile(&day3, &config, &circuit).unwrap();
+            let after = session.cache_stats();
+            assert_eq!(after.place_runs - before.place_runs, place_runs, "{config}");
+            assert_eq!(
+                after.place_hits - before.place_hits,
+                2 - place_runs,
+                "{config}"
+            );
+        }
+    }
+
+    #[test]
+    fn lookup_counts_hits_and_misses() {
+        let mut session = Session::new();
+        let day0 = session.machine(TopologySpec::Ibmq16, 5, 0);
+        let day1 = session.machine(TopologySpec::Ibmq16, 5, 1);
+        let circuit = Benchmark::Bv4.circuit();
+        let config = CompilerConfig::qiskit();
+        let placed = session.compile(&day0, &config, &circuit).unwrap();
+        let held = session.compile(&day1, &config, &circuit).unwrap();
+        assert_eq!(held.placement(), placed.placement());
+        let stats = session.cache_stats();
+        assert_eq!((stats.place_hits, stats.place_runs), (1, 1));
+        assert_eq!(session.placements.len(), 1);
+        // A repeated triple is a full-compile hit and never reaches the
+        // placement memo.
+        session.compile(&day1, &config, &circuit).unwrap();
+        let stats = session.cache_stats();
+        assert_eq!(stats.compile_hits, 1);
+        assert_eq!((stats.place_hits, stats.place_runs), (1, 1));
     }
 
     #[test]

@@ -91,11 +91,8 @@ fn lognormal_factor(rng: &mut StdRng, sigma: f64, lo: f64, hi: f64) -> f64 {
 
 impl CalibrationGenerator {
     /// Creates a generator with the paper's default statistics.
-    pub fn new(topology: impl Into<Topology>, seed: u64) -> Self {
-        CalibrationGenerator {
-            topology: topology.into(),
-            seed,
-        }
+    pub fn new(topology: Topology, seed: u64) -> Self {
+        CalibrationGenerator { topology, seed }
     }
 
     /// The topology this generator produces calibrations for.

@@ -21,9 +21,9 @@
 //! # Example
 //!
 //! ```
-//! use nisq_machine::{Machine, CalibrationGenerator, GridTopology};
+//! use nisq_machine::{Machine, CalibrationGenerator, Topology};
 //!
-//! let topology = GridTopology::ibmq16();
+//! let topology = Topology::ibmq16();
 //! let generator = CalibrationGenerator::new(topology.clone(), 42);
 //! let calibration = generator.day(0);
 //! let machine = Machine::new("IBMQ16", topology, calibration);

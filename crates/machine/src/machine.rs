@@ -32,11 +32,7 @@ impl Machine {
     ///
     /// Panics if the calibration does not cover the topology; use
     /// [`Machine::try_new`] to handle that case as an error.
-    pub fn new(
-        name: impl Into<String>,
-        topology: impl Into<Topology>,
-        calibration: Calibration,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, topology: Topology, calibration: Calibration) -> Self {
         Machine::try_new(name, topology, calibration).expect("calibration must cover the topology")
     }
 
@@ -48,10 +44,9 @@ impl Machine {
     /// Returns an error if the calibration and topology disagree.
     pub fn try_new(
         name: impl Into<String>,
-        topology: impl Into<Topology>,
+        topology: Topology,
         calibration: Calibration,
     ) -> Result<Self, MachineError> {
-        let topology = topology.into();
         if !topology.is_connected() {
             return Err(MachineError::DisconnectedTopology {
                 reachable: topology.connected_count(),
@@ -87,10 +82,13 @@ impl Machine {
     /// assert_eq!(ring.num_qubits(), 12);
     /// assert_eq!(ring.name(), "ring-12");
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate spec; [`Machine::try_from_spec`] returns the
+    /// error instead.
     pub fn from_spec(spec: TopologySpec, seed: u64, day: usize) -> Self {
-        let topology = spec.build();
-        let calibration = CalibrationGenerator::new(topology.clone(), seed).day(day);
-        Machine::new(spec.name(), topology, calibration)
+        Machine::try_from_spec(spec, seed, day).expect("degenerate topology spec")
     }
 
     /// Like [`Machine::from_spec`], but validating the spec first so

@@ -17,24 +17,28 @@ impl From<usize> for HwQubit {
     }
 }
 
-/// A 2-D grid of hardware qubits with nearest-neighbour CNOT connectivity,
-/// the machine model the paper assumes (Section 4.1).
+/// The geometry of a 2-D grid of hardware qubits, the machine model the
+/// paper assumes (Section 4.1): coordinates, and the one-bend paths and
+/// bounding rectangles of its grid-only routing.
 ///
-/// Qubit `i` sits at column `x = i % mx` and row `y = i / mx`; two qubits
-/// may run a hardware CNOT only if they are adjacent horizontally or
-/// vertically.
+/// Qubit `i` sits at column `x = i % mx` and row `y = i / mx`. The coupling
+/// graph (horizontal and vertical neighbours) is the [`Topology`] a grid
+/// spec builds, whose [`Topology::as_grid`] returns this layout.
 ///
 /// # Example
 ///
 /// ```
 /// use nisq_machine::{GridTopology, HwQubit};
 ///
-/// let t = GridTopology::ibmq16();
-/// assert_eq!(t.num_qubits(), 16);
-/// assert!(t.adjacent(HwQubit(0), HwQubit(1)));
-/// assert!(t.adjacent(HwQubit(0), HwQubit(8)));
-/// assert!(!t.adjacent(HwQubit(0), HwQubit(2)));
-/// assert_eq!(t.distance(HwQubit(0), HwQubit(15)), 8);
+/// let t = GridTopology::new(8, 2);
+/// assert_eq!(t.coords(HwQubit(10)), (2, 1));
+/// assert_eq!(t.at(2, 1), HwQubit(10));
+/// let (row_corner, column_corner) = t.junctions(HwQubit(0), HwQubit(10));
+/// assert_eq!((row_corner, column_corner), (HwQubit(2), HwQubit(8)));
+/// assert_eq!(
+///     t.one_bend_path(HwQubit(0), HwQubit(10), row_corner),
+///     [HwQubit(0), HwQubit(1), HwQubit(2), HwQubit(10)]
+/// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridTopology {
@@ -51,11 +55,6 @@ impl GridTopology {
     pub fn new(mx: usize, my: usize) -> Self {
         assert!(mx > 0 && my > 0, "grid dimensions must be positive");
         GridTopology { mx, my }
-    }
-
-    /// The 16-qubit IBMQ16 Rueschlikon layout: two rows of eight qubits.
-    pub fn ibmq16() -> Self {
-        GridTopology::new(8, 2)
     }
 
     /// Smallest grid that holds at least `n` qubits while staying close to
@@ -77,19 +76,13 @@ impl GridTopology {
         self.my
     }
 
-    /// Total number of hardware qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.mx * self.my
-    }
-
     /// Column/row coordinates of a hardware qubit.
     ///
     /// # Panics
     ///
-    /// Panics if the qubit is outside the grid; use [`GridTopology::contains`]
-    /// to check first.
+    /// Panics if the qubit is outside the grid.
     pub fn coords(&self, q: HwQubit) -> (usize, usize) {
-        assert!(self.contains(q), "{q} outside {self}");
+        assert!(q.0 < self.mx * self.my, "{q} outside {self}");
         (q.0 % self.mx, q.0 / self.mx)
     }
 
@@ -101,81 +94,6 @@ impl GridTopology {
     pub fn at(&self, x: usize, y: usize) -> HwQubit {
         assert!(x < self.mx && y < self.my, "({x},{y}) outside {self}");
         HwQubit(y * self.mx + x)
-    }
-
-    /// Whether the qubit index is inside the grid.
-    pub fn contains(&self, q: HwQubit) -> bool {
-        q.0 < self.num_qubits()
-    }
-
-    /// Validates that a qubit is inside the grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError::QubitOutOfRange`] when it is not.
-    pub fn check(&self, q: HwQubit) -> Result<(), MachineError> {
-        if self.contains(q) {
-            Ok(())
-        } else {
-            Err(MachineError::QubitOutOfRange {
-                qubit: q.0,
-                num_qubits: self.num_qubits(),
-            })
-        }
-    }
-
-    /// Manhattan distance between two hardware qubits (the `L1` norm used in
-    /// the paper's CNOT duration model).
-    pub fn distance(&self, a: HwQubit, b: HwQubit) -> usize {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        ax.abs_diff(bx) + ay.abs_diff(by)
-    }
-
-    /// Whether a hardware CNOT may be applied directly between `a` and `b`.
-    pub fn adjacent(&self, a: HwQubit, b: HwQubit) -> bool {
-        self.contains(a) && self.contains(b) && a != b && self.distance(a, b) == 1
-    }
-
-    /// All undirected nearest-neighbour edges `(a, b)` with `a < b`.
-    pub fn edges(&self) -> Vec<(HwQubit, HwQubit)> {
-        let mut out = Vec::new();
-        for y in 0..self.my {
-            for x in 0..self.mx {
-                let q = self.at(x, y);
-                if x + 1 < self.mx {
-                    out.push((q, self.at(x + 1, y)));
-                }
-                if y + 1 < self.my {
-                    out.push((q, self.at(x, y + 1)));
-                }
-            }
-        }
-        out
-    }
-
-    /// Nearest neighbours of `q`.
-    pub fn neighbors(&self, q: HwQubit) -> Vec<HwQubit> {
-        let (x, y) = self.coords(q);
-        let mut out = Vec::new();
-        if x > 0 {
-            out.push(self.at(x - 1, y));
-        }
-        if x + 1 < self.mx {
-            out.push(self.at(x + 1, y));
-        }
-        if y > 0 {
-            out.push(self.at(x, y - 1));
-        }
-        if y + 1 < self.my {
-            out.push(self.at(x, y + 1));
-        }
-        out
-    }
-
-    /// All hardware qubits in index order.
-    pub fn qubits(&self) -> impl Iterator<Item = HwQubit> {
-        (0..self.num_qubits()).map(HwQubit)
     }
 
     /// The two one-bend-path junction corners for a control/target pair, in
@@ -306,9 +224,10 @@ impl TopologySpec {
         Topology::from_spec(self)
     }
 
-    /// Checks the spec parameters without building anything.
+    /// Checks the spec parameters without building anything: the one
+    /// statement of which specs are degenerate.
     ///
-    /// [`TopologySpec::build`] panics on degenerate parameters; callers
+    /// [`TopologySpec::build`] panics on a spec this refuses; callers
     /// handling untrusted input (the CLI, the serve daemon) call this first
     /// and surface the typed error instead.
     ///
@@ -361,15 +280,13 @@ impl TopologySpec {
             TopologySpec::Grid { mx, my } => mx.saturating_mul(my),
             TopologySpec::Ring { n } => n,
             TopologySpec::HeavyHex { rows, cols } => {
-                // Chain qubits plus one bridge per selected column between
-                // consecutive rows (mirrors the construction in
-                // `Topology::from_spec`).
-                let mut bridges = 0usize;
-                for r in 0..rows - 1 {
-                    let offset = if r % 2 == 0 { 0 } else { 2 };
-                    let cols_hit = (0..cols).filter(|c| c % 4 == offset).count();
-                    bridges += cols_hit.max(1);
-                }
+                // Chain qubits plus bridges. The bridges below a chain
+                // depend only on its parity, and rows / 2 of the rows - 1
+                // chains with one below are even: counting by parity keeps
+                // an untrusted spec from being walked.
+                let bridges = (rows / 2)
+                    .saturating_mul(bridge_columns(0, cols).len())
+                    .saturating_add(((rows - 1) / 2).saturating_mul(bridge_columns(1, cols).len()));
                 rows.saturating_mul(cols).saturating_add(bridges)
             }
         })
@@ -387,6 +304,14 @@ impl TopologySpec {
     }
 }
 
+/// The columns at which bridge qubits link heavy-hex chain `row` to chain
+/// `row + 1`: every fourth column, from column 0 below an even chain and
+/// from column 2 below an odd one. A validated lattice has at least 3
+/// columns, so every pair of chains gets a bridge.
+fn bridge_columns(row: usize, cols: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+    (2 * (row % 2)..cols).step_by(4)
+}
+
 impl fmt::Display for TopologySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -401,13 +326,13 @@ impl fmt::Display for TopologySpec {
 /// A concrete machine topology: an undirected coupling graph over hardware
 /// qubits, with precomputed adjacency and all-pairs BFS distances, plus the
 /// 2-D grid layout when the spec is grid-shaped (which unlocks the paper's
-/// one-bend-path and rectangle-reservation routing).
+/// one-bend-path and rectangle-reservation routing). It is the only
+/// coupling graph: every machine, calibration and route is built on one.
 ///
-/// Built from a [`TopologySpec`]; grid-shaped topologies behave exactly
-/// like the original [`GridTopology`] (same edge enumeration order, same
-/// neighbour order, Manhattan distances), so swapping the machine model
-/// from "hard-coded IBMQ16" to "any spec" changes nothing for existing
-/// grid machines.
+/// Built from a [`TopologySpec`]. A grid lists its edges row by row, each
+/// qubit's right edge before its lower one, and each qubit's neighbours
+/// left, right, up, down; Dijkstra breaks ties in that order, so it fixes
+/// every chosen route. Grid distances are Manhattan distances.
 ///
 /// # Example
 ///
@@ -440,48 +365,37 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate parameters (zero-sized grids, rings with fewer
-    /// than 3 qubits, heavy-hex lattices smaller than 2 rows x 3 columns).
+    /// Panics on a spec [`TopologySpec::validate`] refuses.
     pub fn from_spec(spec: TopologySpec) -> Self {
+        if let Err(err) = spec.validate() {
+            panic!("{err}");
+        }
         match spec {
-            TopologySpec::Ibmq16 => Self::from_grid(spec, GridTopology::ibmq16()),
+            TopologySpec::Ibmq16 => Self::from_grid(spec, GridTopology::new(8, 2)),
             TopologySpec::Grid { mx, my } => Self::from_grid(spec, GridTopology::new(mx, my)),
             TopologySpec::Ring { n } => {
-                assert!(n >= 3, "a ring needs at least 3 qubits");
-                let edges: Vec<(HwQubit, HwQubit)> =
-                    (0..n).map(|i| (HwQubit(i), HwQubit((i + 1) % n))).collect();
-                Self::from_edge_list(spec, n, edges, None)
+                let edges = (0..n).map(|i| (HwQubit(i), HwQubit((i + 1) % n))).collect();
+                Self::from_edge_list(spec, n, edges)
             }
             TopologySpec::HeavyHex { rows, cols } => {
-                assert!(
-                    rows >= 2 && cols >= 3,
-                    "a heavy-hex lattice needs at least 2 rows of 3 columns"
-                );
                 let mut edges = Vec::new();
                 // Chain qubits first: qubit r*cols + c.
                 for r in 0..rows {
-                    for c in 0..cols.saturating_sub(1) {
+                    for c in 0..cols - 1 {
                         edges.push((HwQubit(r * cols + c), HwQubit(r * cols + c + 1)));
                     }
                 }
-                // Bridge qubits appended after all chain qubits: one per
-                // selected column between consecutive rows, alternating
-                // offset 0 / 2 every row pair (heavy-hex style).
+                // Bridge qubits appended after all chain qubits.
                 let mut next = rows * cols;
                 for r in 0..rows - 1 {
-                    let offset = if r % 2 == 0 { 0 } else { 2 };
-                    let mut columns: Vec<usize> = (0..cols).filter(|c| c % 4 == offset).collect();
-                    if columns.is_empty() {
-                        columns.push(0);
-                    }
-                    for c in columns {
+                    for c in bridge_columns(r, cols) {
                         let bridge = HwQubit(next);
                         next += 1;
                         edges.push((HwQubit(r * cols + c), bridge));
                         edges.push((bridge, HwQubit((r + 1) * cols + c)));
                     }
                 }
-                Self::from_edge_list(spec, next, edges, None)
+                Self::from_edge_list(spec, next, edges)
             }
         }
     }
@@ -506,36 +420,44 @@ impl Topology {
         TopologySpec::HeavyHex { rows, cols }.build()
     }
 
+    /// A grid's coupling graph. Its neighbour order (left, right, up,
+    /// down) is not the order its edges list them in, so it is built here
+    /// rather than from the edge list.
     fn from_grid(spec: TopologySpec, grid: GridTopology) -> Self {
-        let n = grid.num_qubits();
-        let edges = grid.edges();
-        // Preserve GridTopology's neighbour order (left, right, up, down)
-        // so Dijkstra tie-breaking — and therefore every chosen route —
-        // is identical to the original hard-coded machine model.
-        let adjacency: Vec<Vec<HwQubit>> = (0..n).map(|q| grid.neighbors(HwQubit(q))).collect();
-        let dist = Self::bfs_all_pairs(n, &adjacency);
-        Topology {
-            spec,
-            n,
-            edges,
-            adjacency,
-            dist,
-            grid: Some(grid),
+        let (mx, my) = (grid.mx(), grid.my());
+        let mut edges = Vec::new();
+        let mut adjacency = Vec::with_capacity(mx * my);
+        for y in 0..my {
+            for x in 0..mx {
+                let q = grid.at(x, y);
+                let left = (x > 0).then(|| grid.at(x - 1, y));
+                let right = (x + 1 < mx).then(|| grid.at(x + 1, y));
+                let up = (y > 0).then(|| grid.at(x, y - 1));
+                let down = (y + 1 < my).then(|| grid.at(x, y + 1));
+                edges.extend([right, down].into_iter().flatten().map(|p| (q, p)));
+                adjacency.push([left, right, up, down].into_iter().flatten().collect());
+            }
         }
+        Self::from_adjacency(spec, edges, adjacency, Some(grid))
     }
 
-    fn from_edge_list(
-        spec: TopologySpec,
-        n: usize,
-        edges: Vec<(HwQubit, HwQubit)>,
-        grid: Option<GridTopology>,
-    ) -> Self {
+    fn from_edge_list(spec: TopologySpec, n: usize, edges: Vec<(HwQubit, HwQubit)>) -> Self {
         let mut adjacency: Vec<Vec<HwQubit>> = vec![Vec::new(); n];
         for &(a, b) in &edges {
             assert!(a.0 < n && b.0 < n && a != b, "invalid edge {a}-{b}");
             adjacency[a.0].push(b);
             adjacency[b.0].push(a);
         }
+        Self::from_adjacency(spec, edges, adjacency, None)
+    }
+
+    fn from_adjacency(
+        spec: TopologySpec,
+        edges: Vec<(HwQubit, HwQubit)>,
+        adjacency: Vec<Vec<HwQubit>>,
+        grid: Option<GridTopology>,
+    ) -> Self {
+        let n = adjacency.len();
         let dist = Self::bfs_all_pairs(n, &adjacency);
         Topology {
             spec,
@@ -605,7 +527,7 @@ impl Topology {
         n: usize,
         edges: Vec<(HwQubit, HwQubit)>,
     ) -> Self {
-        Self::from_edge_list(spec, n, edges, None)
+        Self::from_edge_list(spec, n, edges)
     }
 
     /// A deterministic 64-bit fingerprint of the coupling graph: the spec,
@@ -638,7 +560,7 @@ impl Topology {
     }
 
     /// All undirected coupling edges, in the spec's canonical enumeration
-    /// order (for grids: identical to [`GridTopology::edges`]).
+    /// order.
     pub fn edges(&self) -> &[(HwQubit, HwQubit)] {
         &self.edges
     }
@@ -696,16 +618,6 @@ impl Topology {
     }
 }
 
-impl From<GridTopology> for Topology {
-    fn from(grid: GridTopology) -> Self {
-        let spec = TopologySpec::Grid {
-            mx: grid.mx(),
-            my: grid.my(),
-        };
-        Topology::from_grid(spec, grid)
-    }
-}
-
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.grid {
@@ -723,25 +635,27 @@ mod tests {
 
     #[test]
     fn ibmq16_is_two_rows_of_eight() {
-        let t = GridTopology::ibmq16();
-        assert_eq!(t.mx(), 8);
-        assert_eq!(t.my(), 2);
+        let t = Topology::ibmq16();
+        let grid = t.as_grid().unwrap();
+        assert_eq!(grid.mx(), 8);
+        assert_eq!(grid.my(), 2);
         assert_eq!(t.num_qubits(), 16);
         assert_eq!(t.edges().len(), 7 * 2 + 8);
     }
 
     #[test]
     fn coords_and_at_are_inverse() {
-        let t = GridTopology::new(5, 3);
+        let t = Topology::grid(5, 3);
+        let grid = t.as_grid().unwrap();
         for q in t.qubits() {
-            let (x, y) = t.coords(q);
-            assert_eq!(t.at(x, y), q);
+            let (x, y) = grid.coords(q);
+            assert_eq!(grid.at(x, y), q);
         }
     }
 
     #[test]
     fn adjacency_is_grid_nearest_neighbour() {
-        let t = GridTopology::ibmq16();
+        let t = Topology::ibmq16();
         assert!(t.adjacent(HwQubit(3), HwQubit(4)));
         assert!(t.adjacent(HwQubit(3), HwQubit(11)));
         assert!(!t.adjacent(HwQubit(7), HwQubit(8))); // row wrap is not adjacent
@@ -750,17 +664,18 @@ mod tests {
 
     #[test]
     fn distance_is_manhattan() {
-        let t = GridTopology::ibmq16();
+        let t = Topology::ibmq16();
         assert_eq!(t.distance(HwQubit(0), HwQubit(15)), 7 + 1);
         assert_eq!(t.distance(HwQubit(4), HwQubit(4)), 0);
     }
 
     #[test]
     fn neighbors_respect_boundaries() {
-        let t = GridTopology::new(4, 4);
+        let t = Topology::grid(4, 4);
+        let grid = t.as_grid().unwrap();
         assert_eq!(t.neighbors(HwQubit(0)).len(), 2);
-        assert_eq!(t.neighbors(t.at(1, 1)).len(), 4);
-        assert_eq!(t.neighbors(t.at(3, 0)).len(), 2);
+        assert_eq!(t.neighbors(grid.at(1, 1)).len(), 4);
+        assert_eq!(t.neighbors(grid.at(3, 0)).len(), 2);
     }
 
     #[test]
@@ -775,11 +690,12 @@ mod tests {
 
     #[test]
     fn one_bend_path_visits_every_intermediate_qubit() {
-        let t = GridTopology::new(4, 4);
-        let from = t.at(0, 0);
-        let to = t.at(2, 3);
-        let (j1, _) = t.junctions(from, to);
-        let path = t.one_bend_path(from, to, j1);
+        let t = Topology::grid(4, 4);
+        let grid = t.as_grid().unwrap();
+        let from = grid.at(0, 0);
+        let to = grid.at(2, 3);
+        let (j1, _) = grid.junctions(from, to);
+        let path = grid.one_bend_path(from, to, j1);
         assert_eq!(path.first(), Some(&from));
         assert_eq!(path.last(), Some(&to));
         assert_eq!(path.len(), t.distance(from, to) + 1);
@@ -790,7 +706,7 @@ mod tests {
 
     #[test]
     fn one_bend_path_handles_straight_lines() {
-        let t = GridTopology::ibmq16();
+        let t = GridTopology::new(8, 2);
         let from = HwQubit(0);
         let to = HwQubit(3);
         let (j1, j2) = t.junctions(from, to);
@@ -811,13 +727,13 @@ mod tests {
     fn at_least_covers_requested_size() {
         for n in [4, 8, 16, 32, 64, 128] {
             let t = GridTopology::at_least(n);
-            assert!(t.num_qubits() >= n, "{n} -> {t}");
+            assert!(t.mx() * t.my() >= n, "{n} -> {t}");
         }
     }
 
     #[test]
     fn check_reports_out_of_range() {
-        let t = GridTopology::ibmq16();
+        let t = Topology::ibmq16();
         assert!(t.check(HwQubit(15)).is_ok());
         assert!(matches!(
             t.check(HwQubit(16)),
@@ -827,27 +743,90 @@ mod tests {
 
     #[test]
     fn topology_grid_matches_grid_topology_exactly() {
-        let grid = GridTopology::ibmq16();
         let t = Topology::ibmq16();
-        assert_eq!(t.num_qubits(), grid.num_qubits());
-        assert_eq!(t.edges(), grid.edges().as_slice());
-        for q in grid.qubits() {
-            assert_eq!(t.neighbors(q), grid.neighbors(q).as_slice(), "{q}");
-            for p in grid.qubits() {
-                assert_eq!(t.distance(q, p), grid.distance(q, p));
-                assert_eq!(t.adjacent(q, p), grid.adjacent(q, p));
-            }
-        }
+        let grid = GridTopology::new(8, 2);
         assert_eq!(t.as_grid(), Some(&grid));
         assert_eq!(t.to_string(), "8x2 grid");
+        let manhattan = |a: HwQubit, b: HwQubit| {
+            let ((ax, ay), (bx, by)) = (grid.coords(a), grid.coords(b));
+            ax.abs_diff(bx) + ay.abs_diff(by)
+        };
+        // Edges row by row, each qubit's right edge before its lower one.
+        let mut edges = Vec::new();
+        for q in t.qubits() {
+            let right = HwQubit(q.0 + 1);
+            let below = HwQubit(q.0 + 8);
+            for p in [right, below] {
+                if t.contains(p) && manhattan(q, p) == 1 {
+                    edges.push((q, p));
+                }
+            }
+        }
+        assert_eq!(t.edges(), edges.as_slice());
+        for q in t.qubits() {
+            // Neighbours left, right, up, down: Dijkstra's tie order.
+            let (x, y) = grid.coords(q);
+            let mut neighbors = Vec::new();
+            if x > 0 {
+                neighbors.push(grid.at(x - 1, y));
+            }
+            if x + 1 < 8 {
+                neighbors.push(grid.at(x + 1, y));
+            }
+            if y > 0 {
+                neighbors.push(grid.at(x, y - 1));
+            }
+            if y + 1 < 2 {
+                neighbors.push(grid.at(x, y + 1));
+            }
+            assert_eq!(t.neighbors(q), neighbors.as_slice(), "{q}");
+            for p in t.qubits() {
+                assert_eq!(t.distance(q, p), manhattan(q, p));
+                assert_eq!(t.adjacent(q, p), manhattan(q, p) == 1);
+            }
+        }
     }
 
     #[test]
     fn from_grid_topology_preserves_layout() {
-        let t: Topology = GridTopology::new(3, 5).into();
+        let t = Topology::grid(3, 5);
         assert_eq!(t.spec(), TopologySpec::Grid { mx: 3, my: 5 });
         assert_eq!(t.num_qubits(), 15);
-        assert!(t.as_grid().is_some());
+        assert_eq!(t.as_grid(), Some(&GridTopology::new(3, 5)));
+    }
+
+    #[test]
+    fn qubit_count_matches_the_built_topology() {
+        for rows in 2..7 {
+            for cols in 3..12 {
+                let spec = TopologySpec::HeavyHex { rows, cols };
+                assert_eq!(spec.qubit_count(), Ok(spec.build().num_qubits()), "{spec}");
+            }
+        }
+        for spec in [
+            TopologySpec::Ibmq16,
+            TopologySpec::Grid { mx: 3, my: 5 },
+            TopologySpec::Ring { n: 7 },
+        ] {
+            assert_eq!(spec.qubit_count(), Ok(spec.build().num_qubits()), "{spec}");
+        }
+    }
+
+    #[test]
+    fn qubit_count_of_a_huge_lattice_saturates_without_enumerating_it() {
+        // Admission counts an untrusted spec's qubits before refusing it,
+        // so the count must not walk the lattice.
+        let huge = TopologySpec::HeavyHex {
+            rows: usize::MAX,
+            cols: usize::MAX,
+        };
+        assert_eq!(huge.qubit_count(), Ok(usize::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "degenerate topology ring-2")]
+    fn building_a_degenerate_spec_panics_with_its_validation_error() {
+        let _ = Topology::ring(2);
     }
 
     #[test]

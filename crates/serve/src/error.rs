@@ -49,8 +49,8 @@ pub enum ServeError {
         /// The underlying compile diagnostic.
         message: String,
     },
-    /// The request panicked inside the worker. The daemon caught it,
-    /// checked the shared caches for poisoning, and stayed up.
+    /// The request panicked inside the worker. The daemon caught it and
+    /// stayed up, its session's caches intact.
     Panic {
         /// The panic payload, when it was a string.
         message: String,

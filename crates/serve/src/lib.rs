@@ -14,8 +14,8 @@
 //!   included) and returns a partial, well-formed report when time runs
 //!   out;
 //! - requests execute under **panic isolation**: a panicking request is
-//!   answered with a structured `panic` error, and the shared session is
-//!   rebuilt only if the panic poisoned a cache lock;
+//!   answered with a structured `panic` error, and the shared session
+//!   keeps its warm caches;
 //! - with a `--journal-dir`, a request carrying `"journal": true` and a
 //!   `resume_key` streams finished cells to a **crash-safe journal**; a
 //!   client re-sending the same request after a daemon crash resumes the

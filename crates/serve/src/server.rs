@@ -17,8 +17,7 @@
 //! bounded queue of per-connection lanes drained round-robin — per-client
 //! fairness, and `&mut Session` needs no locking. Requests execute under
 //! [`catch_unwind`]; a panicking request is answered with a structured
-//! error, the shared caches are checked for lock poisoning, and only a
-//! poisoned session is rebuilt — a healthy one keeps its warm caches
+//! error, and the session, which holds no lock, keeps its warm caches
 //! across the fault. With a `--journal-dir`, journaled requests stream
 //! per-cell results to disk as they complete, so a client reconnecting
 //! after a daemon crash resumes its finished prefix instead of a cold
@@ -710,7 +709,6 @@ struct Counters {
     timeouts: AtomicU64,
     compile_errors: AtomicU64,
     panics: AtomicU64,
-    session_rebuilds: AtomicU64,
     responses_dropped: AtomicU64,
     journal_runs: AtomicU64,
     journal_corrupt: AtomicU64,
@@ -796,8 +794,7 @@ impl Backend for Daemon {
         format!(
             "{{\"id\": {}, \"status\": \"ok\", \"op\": \"stats\", \"stats\": {{\
              \"queue_depth\": {}, \"queue_depths\": {}, \"connections\": {}, \"accepted\": {}, \"completed\": {}, \
-             \"partials\": {}, \"timeouts\": {}, \"compile_errors\": {}, \"panics\": {}, \
-             \"session_rebuilds\": {}, \"responses_dropped\": {}, \
+             \"partials\": {}, \"timeouts\": {}, \"compile_errors\": {}, \"panics\": {}, \"responses_dropped\": {}, \
              \"journal\": {{\"runs\": {}, \"corrupt\": {}, \"degraded\": {}, \"compactions\": {}}}, \
              \"rejected\": {{\"invalid\": {}, \"budget\": {}, \"queue_full\": {}, \"shutting_down\": {}}}, \
              \"session\": {{\"compile_requests\": {}, \"compile_hits\": {}, \"place_hits\": {}, \"place_runs\": {}}}, \
@@ -813,7 +810,6 @@ impl Backend for Daemon {
             get(&c.timeouts),
             get(&c.compile_errors),
             get(&c.panics),
-            get(&c.session_rebuilds),
             get(&c.responses_dropped),
             get(&c.journal_runs),
             get(&c.journal_corrupt),
@@ -860,14 +856,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn new_session(threads: usize) -> Session {
-    if threads > 0 {
-        Session::new().with_threads(threads)
-    } else {
-        Session::new()
-    }
-}
-
 /// The on-disk journal file for a `resume_key`: named by FNV-1a hash so
 /// arbitrary client-supplied keys cannot traverse outside `dir`.
 pub fn journal_path(dir: &Path, resume_key: &str) -> PathBuf {
@@ -880,7 +868,13 @@ fn worker_loop(door: &Door<Daemon>) {
     let daemon = &door.backend;
     #[cfg(feature = "fault-injection")]
     let fault = &door.fault_plan;
-    let mut session = new_session(daemon.threads);
+    // The session outlives every request, panicking ones included: it
+    // holds no lock a panic could poison, so its caches stay warm.
+    let mut session = if daemon.threads > 0 {
+        Session::new().with_threads(daemon.threads)
+    } else {
+        Session::new()
+    };
     let counters = &daemon.counters;
     while let Some(job) = daemon.queue.pop() {
         let started = Instant::now();
@@ -941,14 +935,6 @@ fn worker_loop(door: &Door<Daemon>) {
             }
             Err(payload) => {
                 counters.panics.fetch_add(1, Ordering::Relaxed);
-                // The cache-owner poison check: a panic that unwound
-                // through a lock holder leaves the placement cache
-                // unusable, so replace the session. A clean unwind keeps
-                // the warm caches.
-                if session.placement_cache().is_poisoned() {
-                    session = new_session(daemon.threads);
-                    counters.session_rebuilds.fetch_add(1, Ordering::Relaxed);
-                }
                 let err = ServeError::Panic {
                     message: panic_message(payload.as_ref()),
                 };

@@ -56,9 +56,7 @@ pub use nisq_sim as sim;
 
 /// The types most users need, in one import.
 pub mod prelude {
-    pub use nisq_core::{
-        Algorithm, CompiledCircuit, Compiler, CompilerConfig, PlacementCache, RouteSelection,
-    };
+    pub use nisq_core::{Algorithm, CompiledCircuit, Compiler, CompilerConfig, RouteSelection};
     pub use nisq_exp::{
         CacheStats, Cell, CellRecord, CircuitSpec, Journal, NoiseSpec, Report, RunControl, Session,
         SweepPlan,

@@ -169,7 +169,7 @@ fn daily_recompilation_tracks_machine_drift() {
 fn compile_time_of_greedy_is_far_below_the_exact_solver_on_large_circuits() {
     use nisq_ir::{random_circuit, RandomCircuitConfig};
     use std::time::Instant;
-    let topology = GridTopology::at_least(16);
+    let topology = Topology::grid(4, 4);
     let calibration = CalibrationGenerator::new(topology.clone(), 1).day(0);
     let m = Machine::new("synthetic-16", topology, calibration);
     let circuit = random_circuit(RandomCircuitConfig::new(16, 192, 3));

@@ -3,7 +3,7 @@
 //! * the full-compile cache hits on identical `(circuit, machine-day,
 //!   config)` triples and misses when any component changes,
 //! * cached compiles are bit-identical to cold compiles — including when
-//!   only the *placement* came from the pass-level cache,
+//!   only the *placement* came from the session's placement memo,
 //! * a fig6-style day sweep over the Table-1 configurations shows cache
 //!   hits and strictly fewer placement-pass invocations than compiles (the
 //!   ROADMAP's pass-level-caching item).
@@ -139,6 +139,25 @@ fn placement_cache_reuse_across_days_is_exact_for_unaware_configs() {
             .unwrap();
         assert_identical(&cold, &warm, &format!("{config} day-4"));
     }
+
+    // The Table-1 plan over two days, compile only: the 24 unaware day-1
+    // compiles take their day-0 placements, and a second run on the same
+    // session is answered from the compile cache without placing.
+    let plan = SweepPlan::new()
+        .benchmarks(Benchmark::all())
+        .table1_configs()
+        .days(0..2);
+    let mut session = Session::new();
+    let counts = |cache: CacheStats| {
+        (
+            cache.compile_requests,
+            cache.compile_hits,
+            cache.place_hits,
+            cache.place_runs,
+        )
+    };
+    assert_eq!(counts(session.run(&plan).unwrap().cache), (144, 0, 24, 120));
+    assert_eq!(counts(session.run(&plan).unwrap().cache), (144, 144, 0, 0));
 }
 
 #[test]

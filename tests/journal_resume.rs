@@ -483,6 +483,20 @@ fn fingerprints_that_journals_and_fleet_routes_depend_on_are_pinned() {
         Machine::ibmq16_on_day(nisq::exp::DEFAULT_MACHINE_SEED, 0).fingerprint(),
         0xf31d559b280e3827
     );
+    for (spec, fingerprint) in [
+        (TopologySpec::Grid { mx: 4, my: 4 }, 0xed13fd3a692cb81b),
+        (TopologySpec::Ring { n: 16 }, 0xf2bb34c610f3849e),
+        (
+            TopologySpec::HeavyHex { rows: 2, cols: 7 },
+            0x872bfb7fdcaa8180,
+        ),
+    ] {
+        assert_eq!(
+            Machine::from_spec(spec, nisq::exp::DEFAULT_MACHINE_SEED, 0).fingerprint(),
+            fingerprint,
+            "{spec}"
+        );
+    }
     assert_eq!(Benchmark::Bv4.circuit().fingerprint(), 0x9bb50f93c1bdd7c5);
     assert_eq!(plan().fingerprint(), 0x2e7041104c631f6d);
 }

@@ -203,3 +203,38 @@ fn greedy_v_hub_avoids_heavy_hex_bridges() {
         }
     }
 }
+
+#[test]
+fn neighbour_order_is_pinned() {
+    // Dijkstra breaks ties between equally reliable routes in neighbour
+    // order, so each qubit's neighbour order fixes every chosen route. A
+    // grid lists them left, right, up, down, which is not the order its
+    // edge list gives them in.
+    for (spec, digest) in [
+        (TopologySpec::Ibmq16, 0x489896e281350305),
+        (TopologySpec::Grid { mx: 4, my: 4 }, 0xedacf2bc9288a27f),
+        (TopologySpec::Ring { n: 16 }, 0x17bd52c43a1399e4),
+        (
+            TopologySpec::HeavyHex { rows: 2, cols: 7 },
+            0x1845be464108e0cc,
+        ),
+    ] {
+        let topology = spec.build();
+        let lists: Vec<String> = topology
+            .qubits()
+            .map(|q| {
+                let neighbors: Vec<String> = topology
+                    .neighbors(q)
+                    .iter()
+                    .map(|n| n.0.to_string())
+                    .collect();
+                neighbors.join(",")
+            })
+            .collect();
+        assert_eq!(
+            nisq::exp::fnv64(lists.join(";").as_bytes()),
+            digest,
+            "{spec}"
+        );
+    }
+}
