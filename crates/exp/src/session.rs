@@ -8,14 +8,36 @@ use nisq_ir::Circuit;
 use nisq_machine::{Machine, MachineError, TopologySpec};
 use nisq_sim::{run_workers, Simulator, SimulatorConfig};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Key of the full-compile cache: circuit, machine and config fingerprints.
 /// The placement memo uses the same shape, with the topology fingerprint in
 /// the machine's place for calibration-unaware configs.
 type CompileKey = (u64, u64, u64);
+
+/// The two cache keys of one compile.
+#[derive(Debug, Clone, Copy)]
+struct Keys {
+    compile: CompileKey,
+    place: CompileKey,
+}
+
+fn compile_keys(machine: &Machine, config: &CompilerConfig, circuit: &Circuit) -> Keys {
+    let compile = (
+        circuit.fingerprint(),
+        machine.fingerprint(),
+        config.fingerprint(),
+    );
+    // Calibration-aware placement tracks the day's error rates; the others
+    // place from the coupling graph alone.
+    let place = if config.calibration_aware() {
+        compile
+    } else {
+        (compile.0, machine.topology().fingerprint(), compile.2)
+    };
+    Keys { compile, place }
+}
 
 /// External controls for [`Session::execute`]: the knobs a hosting
 /// service (the serve daemon) uses to bound a run without forking the
@@ -84,10 +106,12 @@ pub struct RunOutcome {
 ///   not once per day.
 ///
 /// [`Session::execute`] runs a plan's cells on the session's worker
-/// threads, compiling them serially in plan order and simulating them in
-/// parallel. Each cell replays its trials with a deterministic per-cell
-/// stream, so results are independent of thread count and identical to a
-/// serial run.
+/// threads. Workers claim cells in plan order under one lock, which only
+/// decides each cell's part in the caches (a hit, the owner of a compile
+/// or a waiter on an earlier claim's); compiles and simulations run
+/// outside it, in parallel. Each cell replays its trials with a
+/// deterministic per-cell stream, so results and cache provenance are
+/// independent of thread count and identical to a serial run.
 ///
 /// # Example
 ///
@@ -200,35 +224,32 @@ impl Session {
         config: &CompilerConfig,
         circuit: &Circuit,
     ) -> Result<(Arc<CompiledCircuit>, bool), CompileError> {
+        let keys = compile_keys(machine, config, circuit);
         self.compile_requests += 1;
-        let key = (
-            circuit.fingerprint(),
-            machine.fingerprint(),
-            config.fingerprint(),
-        );
-        if let Some(hit) = self.compiled.get(&key) {
+        if let Some(hit) = self.compiled.get(&keys.compile) {
             self.compile_hits += 1;
             return Ok((hit.clone(), true));
         }
-        // Calibration-aware placement tracks the day's error rates; the
-        // others place from the coupling graph alone.
-        let place_key = if config.calibration_aware() {
-            key
-        } else {
-            (key.0, machine.topology().fingerprint(), key.2)
-        };
-        let held = self.placements.get(&place_key);
+        let held = self.placements.get(&keys.place);
         let compiled = Compiler::new(machine, *config).compile_placed(circuit, held)?;
-        if held.is_some() {
+        let held = held.is_some();
+        Ok((self.store(keys, held, compiled), false))
+    }
+
+    /// Enters a compile-cache miss's result under its keys and counts its
+    /// placement: a memo hit when it compiled from a `held` placement, a
+    /// run (memoized here) otherwise.
+    fn store(&mut self, keys: Keys, held: bool, compiled: CompiledCircuit) -> Arc<CompiledCircuit> {
+        if held {
             self.place_hits += 1;
         } else {
             self.place_runs += 1;
             self.placements
-                .insert(place_key, compiled.placement().clone());
+                .insert(keys.place, compiled.placement().clone());
         }
         let compiled = Arc::new(compiled);
-        self.compiled.insert(key, compiled.clone());
-        Ok((compiled, false))
+        self.compiled.insert(keys.compile, compiled.clone());
+        compiled
     }
 
     /// Like [`Session::compile_cached`], discarding the hit flag.
@@ -279,18 +300,31 @@ impl Session {
     /// the control block (an expired deadline or a reached cell-count cut
     /// ends the run with `completed == false`), looks the cell up in the
     /// journal, builds its machine through [`Session::try_machine`] (so a
-    /// degenerate topology is a typed error, not a panic) and compiles it
-    /// through the caches. The worker then simulates the cell outside the
-    /// lock. Compiles therefore run serially and in plan order while other
-    /// cells simulate, and since every claimed cell finishes, a cut run
-    /// reports the longest plan-order prefix of cells; up to one cell per
-    /// worker may still be running when a deadline passes. The run uses
-    /// one worker per simulated cell, up to the thread budget, and splits
-    /// each cell's trial chunks over the threads left per worker, so a
-    /// lone simulated cell gets every thread. Each cell replays its trials
-    /// from its own deterministic stream, so reports do not depend on the
-    /// thread count. A worker that panics stops further claims; its panic
-    /// reaches the caller once the cells in flight finish.
+    /// degenerate topology is a typed error, not a panic) and looks its
+    /// compile up in the caches, which makes the cell a hit, the owner of
+    /// its compile key or a waiter on it. The first claim in plan order of
+    /// a compile key or a placement key owns it: once the lock is released
+    /// it compiles (from the memoized placement, or running the placement
+    /// itself), then enters the result under the lock and wakes the claims
+    /// waiting on its keys. A later claim whose key is still in flight
+    /// waits for the owner and counts what a serial run counts: a compile
+    /// waiter is a cache hit, a placement waiter a memo hit. Waits point
+    /// only at earlier claims, so they cannot cycle; a waiter whose owner
+    /// failed stops without compiling. Cache statistics, every cell's
+    /// `cache_hit` and the error returned are therefore those of a serial
+    /// run at any thread count.
+    ///
+    /// Each worker simulates its cell outside the lock too, and since every
+    /// claimed cell finishes, a cut run reports the longest plan-order
+    /// prefix of cells; up to one cell per worker may still be running
+    /// when a deadline passes. The run uses one worker per cell, up to the
+    /// thread budget, and splits each simulated cell's trial chunks over
+    /// the threads left per simulated cell, so a lone simulated cell gets
+    /// every thread. Each cell replays its trials from its own
+    /// deterministic stream, so reports do not depend on the thread count.
+    /// A worker that panics stops further claims and wakes the claims
+    /// waiting on it; its panic reaches the caller once the cells in
+    /// flight finish.
     ///
     /// With a journal, a cell whose record the journal held before the
     /// run replays it under the cell's own labels without recompiling or
@@ -310,7 +344,8 @@ impl Session {
     /// # Errors
     ///
     /// Returns the first compile error in plan order; cells already
-    /// executed are discarded (though a journal keeps them).
+    /// executed are discarded (though a journal keeps them), and compiles
+    /// of cells claimed after the failing one may stay in the caches.
     pub fn execute(
         &mut self,
         plan: &SweepPlan,
@@ -321,58 +356,52 @@ impl Session {
         let cells = plan.cells();
         let trials = plan.trials();
         let journal_hash = journal.as_ref().map_or(0, |j| j.path_hash());
-        // The one thread-split decision: simulated cells run one per
-        // worker, and each cell splits its trial chunks over the threads
-        // left per worker, so a lone simulated cell gets every thread.
         let simulated = cells
             .iter()
             .filter(|cell| trials > 0 && plan.circuits()[cell.circuit].expected.is_some())
             .count();
-        let workers = self.threads.min(simulated.max(1));
-        let sim_threads = (self.threads / workers).max(1);
+        // The one thread-split decision: every cell gets a worker, up to
+        // the thread budget, so a compile-only plan compiles on every
+        // thread; a simulated cell splits its trial chunks over the threads
+        // left per simulated cell, so a lone simulated cell gets every
+        // thread.
+        let workers = self.threads.min(cells.len().max(1));
+        let sim_threads = (self.threads / self.threads.min(simulated.max(1))).max(1);
 
-        let claims = Mutex::new(Claims {
-            session: &mut *self,
-            journal,
-            computed: FxHashSet::default(),
-            claimed: 0,
-            journal_hits: 0,
-            stopped: false,
-            error: None,
-        });
+        let shared = Shared::new(self, journal);
         let finished = run_workers(workers, || {
+            let _stop = StopOnPanic(&shared);
             let mut done = Vec::new();
             // A poisoned lock means another worker panicked mid-claim: stop
             // claiming and let its panic reach the caller.
-            while let Some((index, claim)) = claims
+            while let Some((index, claim)) = shared
+                .claims
                 .lock()
                 .ok()
                 .and_then(|mut claims| claims.claim(plan, &cells, control))
             {
                 let record = match claim {
                     Claim::Journaled(record) => record,
-                    Claim::Compiled {
+                    Claim::Compile {
                         machine,
-                        executable,
-                        cache_hit,
+                        compile,
                         key,
                     } => {
                         let cell = &cells[index];
-                        let record = catch_unwind(AssertUnwindSafe(|| {
-                            run_cell(plan, cell, &machine, &executable, cache_hit, sim_threads)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            // Claim nothing more, so the panic reaches the
-                            // caller once the cells in flight finish.
-                            if let Ok(mut claims) = claims.lock() {
-                                claims.stopped = true;
-                            }
-                            resume_unwind(payload)
-                        });
+                        let cache_hit = !matches!(compile, Compile::Own { .. });
+                        // No executable: the compile this cell needed failed
+                        // or a worker panicked, and either fails the run.
+                        let Some(executable) =
+                            shared.executable(index, plan, cell, &machine, compile)
+                        else {
+                            break;
+                        };
+                        let record =
+                            run_cell(plan, cell, &machine, &executable, cache_hit, sim_threads);
                         if let Some(key) = key {
                             // A poisoned lock means another worker's panic
                             // is failing the run: skip the record.
-                            if let Ok(mut claims) = claims.lock() {
+                            if let Ok(mut claims) = shared.claims.lock() {
                                 let journal = claims.journal.as_deref_mut();
                                 journal
                                     .expect("only journaled runs key their cells")
@@ -391,10 +420,11 @@ impl Session {
             stopped,
             error,
             ..
-        } = claims
+        } = shared
+            .claims
             .into_inner()
             .expect("run_workers re-raises the panic of a worker that poisoned the lock");
-        if let Some(err) = error {
+        if let Some((_, err)) = error {
             return Err(err);
         }
 
@@ -430,8 +460,17 @@ impl Session {
     }
 }
 
+/// What [`Session::execute`]'s workers share: the claim state behind its
+/// one lock, and the condvar on which claims wait for an earlier claim's
+/// compile or placement to land.
+struct Shared<'s, 'j> {
+    claims: Mutex<Claims<'s, 'j>>,
+    landed: Condvar,
+}
+
 /// What [`Session::execute`]'s workers share under its one lock: the
-/// session's caches, the journal and the plan-order claim cursor.
+/// session's caches, the journal, the plan-order claim cursor and the keys
+/// claims are computing outside it.
 struct Claims<'s, 'j> {
     session: &'s mut Session,
     journal: Option<&'j mut Journal>,
@@ -440,6 +479,10 @@ struct Claims<'s, 'j> {
     /// or may not have landed yet, so only records that predate the run
     /// replay.
     computed: FxHashSet<CellKey>,
+    /// Compile keys whose owning claim has not landed its compile yet.
+    compiling: FxHashSet<CompileKey>,
+    /// Placement keys whose owning claim has not landed its placement yet.
+    placing: FxHashSet<CompileKey>,
     /// Cells claimed so far: the plan-order prefix `0..claimed`.
     claimed: usize,
     /// Claimed cells the journal already held.
@@ -447,24 +490,48 @@ struct Claims<'s, 'j> {
     /// Set once the control block cut the run, a compile failed or a
     /// worker panicked.
     stopped: bool,
-    error: Option<CompileError>,
+    /// Set once a worker panicked: nothing in flight lands any more.
+    panicked: bool,
+    /// The failing claim's index and error, the earliest in plan order.
+    error: Option<(usize, CompileError)>,
 }
 
 /// A claimed cell: its journaled record, or what simulating it needs.
 enum Claim {
     Journaled(CellRecord),
-    Compiled {
+    Compile {
         machine: Arc<Machine>,
-        executable: Arc<CompiledCircuit>,
-        cache_hit: bool,
+        compile: Compile,
         /// The cell's journal key, when the run is journaled.
         key: Option<CellKey>,
     },
 }
 
+/// Where a claimed cell's executable comes from.
+enum Compile {
+    /// The compile cache.
+    Hit(Arc<CompiledCircuit>),
+    /// An earlier claim that owns the compile key; a serial run would find
+    /// its compile in the cache.
+    Await(CompileKey),
+    /// This claim, which owns the compile key.
+    Own { keys: Keys, place: Place },
+}
+
+/// Where an owned compile's placement comes from.
+enum Place {
+    /// The placement memo.
+    Held(Placement),
+    /// An earlier claim that owns the placement key; a serial run would
+    /// find its placement in the memo.
+    Await,
+    /// The configuration's algorithm: this claim owns the placement key.
+    Run,
+}
+
 impl Claims<'_, '_> {
     /// Claims the next plan cell, or `None` once the plan is exhausted,
-    /// the control block cuts the run, or a compile fails (recorded in
+    /// the control block cuts the run, or its claim fails (recorded in
     /// `error`).
     fn claim(
         &mut self,
@@ -487,8 +554,7 @@ impl Claims<'_, '_> {
                 Some((index, claim))
             }
             Err(err) => {
-                self.stopped = true;
-                self.error = Some(err);
+                self.fail(index, err);
                 None
             }
         }
@@ -523,15 +589,154 @@ impl Claims<'_, '_> {
             journal.append_intent(key);
             self.computed.insert(key.clone());
         }
-        let (executable, cache_hit) =
-            self.session
-                .compile_cached(&machine, config, &spec.circuit)?;
-        Ok(Claim::Compiled {
+        let keys = compile_keys(&machine, config, &spec.circuit);
+        let session = &mut *self.session;
+        session.compile_requests += 1;
+        let compile = if let Some(hit) = session.compiled.get(&keys.compile) {
+            session.compile_hits += 1;
+            Compile::Hit(hit.clone())
+        } else if self.compiling.contains(&keys.compile) {
+            session.compile_hits += 1;
+            Compile::Await(keys.compile)
+        } else {
+            self.compiling.insert(keys.compile);
+            let place = if let Some(held) = session.placements.get(&keys.place) {
+                Place::Held(held.clone())
+            } else if self.placing.insert(keys.place) {
+                Place::Run
+            } else {
+                Place::Await
+            };
+            Compile::Own { keys, place }
+        };
+        Ok(Claim::Compile {
             machine,
-            executable,
-            cache_hit,
+            compile,
             key,
         })
+    }
+
+    /// Records claim `index`'s compile error and stops the run. Claims
+    /// compile out of plan order, so an error found later for an earlier
+    /// cell replaces the one held: the run returns the first in plan order.
+    fn fail(&mut self, index: usize, err: CompileError) {
+        self.stopped = true;
+        if self.error.as_ref().is_none_or(|(first, _)| index < *first) {
+            self.error = Some((index, err));
+        }
+    }
+}
+
+impl<'s, 'j> Shared<'s, 'j> {
+    fn new(session: &'s mut Session, journal: Option<&'j mut Journal>) -> Self {
+        Shared {
+            claims: Mutex::new(Claims {
+                session,
+                journal,
+                computed: FxHashSet::default(),
+                compiling: FxHashSet::default(),
+                placing: FxHashSet::default(),
+                claimed: 0,
+                journal_hits: 0,
+                stopped: false,
+                panicked: false,
+                error: None,
+            }),
+            landed: Condvar::new(),
+        }
+    }
+
+    /// The executable of claimed cell `index`, compiled outside the lock
+    /// when the claim owns its compile key. `None` when a compile or
+    /// placement it needed failed, or a worker panicked.
+    fn executable(
+        &self,
+        index: usize,
+        plan: &SweepPlan,
+        cell: &Cell,
+        machine: &Machine,
+        compile: Compile,
+    ) -> Option<Arc<CompiledCircuit>> {
+        let (keys, place) = match compile {
+            Compile::Hit(executable) => return Some(executable),
+            Compile::Await(key) => {
+                return self.await_landed(
+                    |claims| claims.compiling.contains(&key),
+                    |claims| claims.session.compiled.get(&key).cloned(),
+                )
+            }
+            Compile::Own { keys, place } => (keys, place),
+        };
+        let owns_place = matches!(place, Place::Run);
+        let held = match place {
+            Place::Held(placement) => Some(Some(placement)),
+            Place::Run => Some(None),
+            Place::Await => self
+                .await_landed(
+                    |claims| claims.placing.contains(&keys.place),
+                    |claims| claims.session.placements.get(&keys.place).cloned(),
+                )
+                .map(Some),
+        };
+        let spec = &plan.circuits()[cell.circuit];
+        let config = plan.configs()[cell.config].1;
+        let compiled = held.map(|held| {
+            let compiled =
+                Compiler::new(machine, config).compile_placed(&spec.circuit, held.as_ref());
+            (compiled, held.is_some())
+        });
+
+        let mut claims = self.claims.lock().ok()?;
+        claims.compiling.remove(&keys.compile);
+        if owns_place {
+            claims.placing.remove(&keys.place);
+        }
+        let executable = match compiled {
+            Some((Ok(compiled), held)) => Some(claims.session.store(keys, held, compiled)),
+            Some((Err(err), _)) => {
+                claims.fail(index, err);
+                None
+            }
+            // The placement's owner failed, and that fails the run.
+            None => None,
+        };
+        drop(claims);
+        self.landed.notify_all();
+        executable
+    }
+
+    /// Waits while `pending` holds, that is while an earlier claim still
+    /// computes what this one needs, then returns what `landed` finds:
+    /// nothing when that claim failed, a worker panicked or the lock is
+    /// poisoned.
+    fn await_landed<T>(
+        &self,
+        pending: impl Fn(&Claims<'s, 'j>) -> bool,
+        landed: impl FnOnce(&Claims<'s, 'j>) -> Option<T>,
+    ) -> Option<T> {
+        let mut claims = self.claims.lock().ok()?;
+        while pending(&claims) && !claims.panicked {
+            claims = self.landed.wait(claims).ok()?;
+        }
+        landed(&claims)
+    }
+}
+
+/// Held by each of [`Session::execute`]'s workers: when the worker unwinds,
+/// it stops further claims and wakes every waiting claim, so none waits on
+/// a compile that will not land and the panic reaches the caller once the
+/// cells in flight finish.
+struct StopOnPanic<'a, 's, 'j>(&'a Shared<'s, 'j>);
+
+impl Drop for StopOnPanic<'_, '_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut claims = self.0.claims.lock().unwrap_or_else(PoisonError::into_inner);
+            claims.stopped = true;
+            claims.panicked = true;
+            drop(claims);
+            self.0.landed.notify_all();
+        }
     }
 }
 
@@ -599,6 +804,7 @@ mod tests {
     use crate::report::BackendTag;
     use nisq_ir::{Benchmark, Qubit};
     use nisq_noise::NoiseSpec;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
     #[test]
@@ -872,6 +1078,113 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn compile_provenance_does_not_depend_on_the_thread_count() {
+        let compile_only = SweepPlan::new()
+            .benchmarks(Benchmark::all())
+            .table1_configs()
+            .days(0..2);
+        // Adjacent cells share a compile key, and day 1 shares day 0's
+        // placement keys.
+        let two_labels = SweepPlan::new()
+            .benchmarks([Benchmark::Bv4, Benchmark::Hs4, Benchmark::Toffoli])
+            .config("A", CompilerConfig::qiskit())
+            .config("B", CompilerConfig::qiskit())
+            .days(0..2)
+            .with_trials(64);
+        for (name, plan) in [
+            ("compile-only", compile_only),
+            ("mixed", mixed_plan()),
+            ("two labels", two_labels),
+        ] {
+            let serial = Session::new().with_threads(1).run(&plan).unwrap();
+            let hits = |report: &Report| -> Vec<bool> {
+                report.cells.iter().map(|c| c.cache_hit).collect()
+            };
+            for threads in [2, 7] {
+                let report = Session::new().with_threads(threads).run(&plan).unwrap();
+                assert_eq!(report.cache, serial.cache, "{name} at {threads} threads");
+                assert_eq!(hits(&report), hits(&serial), "{name} at {threads} threads");
+                assert_eq!(
+                    report.to_json_line_canonical(),
+                    serial.to_json_line_canonical(),
+                    "{name} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_compile_wakes_its_waiters() {
+        let mut wide = Circuit::new(17);
+        wide.h(Qubit(0));
+        wide.measure_all();
+        // Both cells have one compile key: a claim of the second while the
+        // first compiles waits on it, and must wake when it fails.
+        let plan = SweepPlan::new()
+            .circuit(CircuitSpec::new("wide17", wide))
+            .config("A", CompilerConfig::qiskit())
+            .config("B", CompilerConfig::qiskit());
+        let too_large = CompileError::CircuitTooLarge {
+            program_qubits: 17,
+            hardware_qubits: 16,
+        };
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let runs: Vec<_> = (0..20)
+                .map(|_| Session::new().with_threads(7).run(&plan).map(|_| ()))
+                .collect();
+            // The failing compile is too quick for a run to catch the
+            // second claim waiting reliably, so claim both cells by hand
+            // and land the owner's failure after a pause that lets the
+            // waiter park; it must stop in either order.
+            let mut session = Session::new();
+            let shared = Shared::new(&mut session, None);
+            let cells = plan.cells();
+            let claim = || {
+                let claimed =
+                    shared
+                        .claims
+                        .lock()
+                        .unwrap()
+                        .claim(&plan, &cells, &RunControl::unbounded());
+                match claimed {
+                    Some((
+                        index,
+                        Claim::Compile {
+                            machine, compile, ..
+                        },
+                    )) => (index, machine, compile),
+                    _ => unreachable!("both cells compile"),
+                }
+            };
+            let (owner, waiter) = (claim(), claim());
+            assert!(matches!(waiter.2, Compile::Await(_)));
+            let woken = std::thread::scope(|scope| {
+                let parked = scope.spawn(|| {
+                    let (index, machine, compile) = waiter;
+                    shared.executable(index, &plan, &cells[index], &machine, compile)
+                });
+                std::thread::sleep(Duration::from_millis(50));
+                let (index, machine, compile) = owner;
+                assert!(shared
+                    .executable(index, &plan, &cells[index], &machine, compile)
+                    .is_none());
+                parked.join().unwrap()
+            });
+            let error = shared.claims.into_inner().unwrap().error;
+            done.send((runs, woken.is_none(), error)).unwrap();
+        });
+        let (runs, waiter_stopped, error) = result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a waiter was never woken");
+        for outcome in runs {
+            assert_eq!(outcome, Err(too_large.clone()));
+        }
+        assert!(waiter_stopped, "the waiter must stop without compiling");
+        assert_eq!(error, Some((0, too_large)));
     }
 
     #[test]

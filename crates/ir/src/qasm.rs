@@ -285,13 +285,15 @@ fn parse_index(op: &str, reg: char, line: usize) -> Result<usize, IrError> {
 
 fn parse_angle(expr: &str, line: usize) -> Result<f64, IrError> {
     let expr = expr.trim();
-    if let Ok(v) = expr.parse::<f64>() {
-        return Ok(v);
-    }
     let err = || IrError::QasmParse {
         line,
         message: format!("cannot parse angle expression: {expr}"),
     };
+    // A NaN or infinite angle has no rotation to lower to.
+    let finite = |v: f64| if v.is_finite() { Ok(v) } else { Err(err()) };
+    if let Ok(v) = expr.parse::<f64>() {
+        return finite(v);
+    }
     // Simple pi expressions: [-][k*]pi[/d]
     let (negative, body) = match expr.strip_prefix('-') {
         Some(rest) => (true, rest.trim()),
@@ -316,7 +318,7 @@ fn parse_angle(expr: &str, line: usize) -> Result<f64, IrError> {
         return Err(err());
     };
     let val = mult * PI / div;
-    Ok(if negative { -val } else { val })
+    finite(if negative { -val } else { val })
 }
 
 #[cfg(test)]
@@ -446,6 +448,10 @@ mod tests {
             ("missing angle", "qreg q[1]; rz q[0];"),
             ("bad angle expression", "qreg q[1]; rx(banana) q[0];"),
             ("bad pi divisor", "qreg q[1]; rz(pi/zero) q[0];"),
+            ("NaN angle", "qreg q[1]; rz(nan) q[0];"),
+            ("infinite angle", "qreg q[1]; rx(-inf) q[0];"),
+            ("overflowing angle", "qreg q[1]; ry(1e999) q[0];"),
+            ("zero pi divisor", "qreg q[1]; rz(pi/0) q[0];"),
             ("cx with one operand", "qreg q[2]; cx q[0];"),
             ("cx with three operands", "qreg q[3]; cx q[0], q[1], q[2];"),
             ("h with two operands", "qreg q[2]; h q[0], q[1];"),

@@ -3,6 +3,7 @@ use crate::error::MachineError;
 use crate::topology::{HwQubit, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// A most-reliable route between two hardware qubits.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +62,10 @@ pub struct ReliabilityModel {
     /// Because the final hop is weighted differently, this can differ from
     /// `paths[a][b]`.
     cnot_routes: Vec<Vec<PathInfo>>,
+    /// `one_bends[a * n + b]`: [`ReliabilityModel::best_one_bend`] for
+    /// every ordered pair of a grid topology, tabulated on first use
+    /// (placement prices every pair, and routing asks again per CNOT).
+    one_bends: OnceLock<Vec<(HwQubit, f64)>>,
 }
 
 impl ReliabilityModel {
@@ -90,6 +95,7 @@ impl ReliabilityModel {
             calibration: calibration.clone(),
             paths,
             cnot_routes,
+            one_bends: OnceLock::new(),
         }
     }
 
@@ -327,10 +333,36 @@ impl ReliabilityModel {
         control: HwQubit,
         target: HwQubit,
     ) -> Result<(HwQubit, f64), MachineError> {
-        let (j1, j2) = self.require_grid()?.junctions(control, target);
-        let r1 = self.one_bend_cnot_reliability(control, target, j1)?;
-        let r2 = self.one_bend_cnot_reliability(control, target, j2)?;
-        Ok(if r1 >= r2 { (j1, r1) } else { (j2, r2) })
+        let grid = self.require_grid()?;
+        if control == target {
+            return Err(MachineError::NotAdjacent {
+                a: control.0,
+                b: target.0,
+            });
+        }
+        let n = self.topology.num_qubits();
+        let table = self.one_bends.get_or_init(|| {
+            (0..n * n)
+                .map(|pair| {
+                    let (a, b) = (HwQubit(pair / n), HwQubit(pair % n));
+                    if a == b {
+                        return (a, 1.0);
+                    }
+                    let (j1, j2) = grid.junctions(a, b);
+                    let price = |junction| {
+                        self.one_bend_cnot_reliability(a, b, junction)
+                            .expect("distinct qubits of a grid have one-bend routes")
+                    };
+                    let (r1, r2) = (price(j1), price(j2));
+                    if r1 >= r2 {
+                        (j1, r1)
+                    } else {
+                        (j2, r2)
+                    }
+                })
+                .collect()
+        });
+        Ok(table[control.0 * n + target.0])
     }
 
     /// Readout reliability of a hardware qubit.

@@ -810,6 +810,12 @@ impl TrialProgram {
             let j = if prev > 0.0 {
                 let u: f64 = rng.gen();
                 let threshold = prev * (1.0 - u);
+                // Survival products never increase, so when the last one
+                // stays at or above the threshold, so do all the others:
+                // the search would find nothing to fire.
+                if self.survival[self.survival.len() - 1] >= threshold {
+                    break;
+                }
                 cursor + self.survival[cursor..].partition_point(|&s| s >= threshold)
             } else {
                 // The survival product collapsed to zero (a certain-fire
